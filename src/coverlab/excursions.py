@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
-    BudgetExceededError,
     TorusPoint,
     WalkState,
     advance_to_mask,
     ball_mask,
     exterior_boundary_mask,
+    scan,
     torus_distance,
 )
 
@@ -153,8 +153,6 @@ class TraversalMachine:
         open_r = [0] * nlad
         intervals: list[list[tuple[int, int]]] = [[] for _ in range(nlad)]
         clock = ExcursionClock()
-        done = m == 0
-        taken = 0
         watch_time: int | None = None
 
         def on_circle(c: int, t: int) -> bool:
@@ -180,36 +178,26 @@ class TraversalMachine:
                             finished = True
             return finished
 
-        if not done:
-            lab0 = int(self._label[walk.code])
-            while lab0:
-                bit = lab0 & -lab0
-                done = on_circle(bit.bit_length() - 1, 0) or done
-                lab0 ^= bit
-
-        while not done:
-            codes = walk.peek_block()
-            limit = codes.size if taken + codes.size <= cap else int(cap - taken)
-            lab = self._label[codes[:limit]]
-            hits = np.nonzero(lab)[0]
-            consumed = limit
+        def last_departure(codes, taken):
+            lab = self._label[codes]
+            hits = np.flatnonzero(lab)
             for j, v in zip(hits.tolist(), lab[hits].tolist()):
                 t = taken + j + 1
+                done = False
                 while v:
                     bit = v & -v
                     done = on_circle(bit.bit_length() - 1, t) or done
                     v ^= bit
                 if done:
-                    consumed = j + 1
-                    break
-            walk.consume(consumed)
-            taken += consumed
-            if not done and taken >= cap:
-                raise BudgetExceededError(
-                    f"driving ladder finished only {len(clock.departures)}/{m} "
-                    f"departures within {cap} steps",
-                    steps_taken=taken,
-                )
+                    return j
+            return None
+
+        # the start cell is step 0: a one-cell block after taken = -1 steps
+        if m and last_departure(np.array([walk.code]), -1) is None:
+            scan(
+                walk, cap, last_departure,
+                lambda: f"driving ladder finished only {len(clock.departures)}/{m} departures",
+            )
 
         result = {lad.level: counts[li] for li, lad in enumerate(self.ladders)}
         record = TraversalRecord(
@@ -224,27 +212,34 @@ class TraversalMachine:
         return record, clock
 
 
-def _circle_masks(center: TorusPoint, radii) -> list[np.ndarray]:
-    return [exterior_boundary_mask(ball_mask(center, r)) for r in radii]
+def circle_machine(
+    center: TorusPoint, radii, first_level: int = 0, watch: np.ndarray | None = None
+) -> TraversalMachine:
+    """Machine with one ladder per pair of consecutive circles around ``center``.
+
+    Ladder i, at level first_level + i, has its D-events on the circle of
+    radius radii[i] and its R-events on the circle of radius radii[i+1];
+    ladder 0 drives.  ``watch`` is an extra cell mask appended as the last
+    circle (index len(radii)), whose first hit ``run(watch=len(radii))``
+    records.
+    """
+    circles = [exterior_boundary_mask(ball_mask(center, r)) for r in radii]
+    if watch is not None:
+        circles.append(watch)
+    ladders = [
+        _Ladder(level=first_level + i, inner=i + 1, outer=i) for i in range(len(radii) - 1)
+    ]
+    return TraversalMachine(center.n, circles, ladders, driving=0)
 
 
 def excursion_clock(walk: WalkState, annulus: AnnulusSpec, m: int, cap: int) -> ExcursionClock:
     """First m (R_k, D_k) pairs of the annulus ladder; R_1 may be 0."""
     if m < 1:
         raise ValueError("need m >= 1")
-    circles = _circle_masks(annulus.center, [annulus.R, annulus.r])
-    machine = TraversalMachine(walk.n, circles, [_Ladder(level=0, inner=1, outer=0)], driving=0)
+    machine = circle_machine(annulus.center, [annulus.R, annulus.r])
     _, clock = machine.run(walk, m, cap)
     clock.validate()
     return clock
-
-
-def _standard_machine(center: TorusPoint, radii, first_level: int = 0) -> TraversalMachine:
-    masks = _circle_masks(center, radii)
-    ladders = [
-        _Ladder(level=first_level + i, inner=i + 1, outer=i) for i in range(len(radii) - 1)
-    ]
-    return TraversalMachine(center.n, masks, ladders, driving=0)
 
 
 def traversal_counts(
@@ -257,7 +252,7 @@ def traversal_counts(
 ) -> tuple[TraversalRecord, ExcursionClock]:
     """Counts T_i of level-(i+1)-circle arrivals before the m-th top departure."""
     radii = validate_radii(radii, n=center.n)
-    machine = _standard_machine(center, radii)
+    machine = circle_machine(center, radii)
     return machine.run(walk, m, cap, collect_intervals=collect_intervals)
 
 
@@ -273,7 +268,7 @@ def intermediate_traversals(
     radii = validate_radii(radii, n=center.n)
     if not 0 <= k <= len(radii) - 2:
         raise ValueError("driving level k out of range")
-    machine = _standard_machine(center, radii[k:], first_level=k)
+    machine = circle_machine(center, radii[k:], first_level=k)
     return machine.run(walk, m, cap)
 
 
@@ -288,7 +283,7 @@ def tilde_traversal(
     radii = validate_radii(radii, n=center.n)
     shift_mask = exterior_boundary_mask(ball_mask(center, radii[1]))
     used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
-    machine = _standard_machine(center, radii)
+    machine = circle_machine(center, radii)
     return machine.run(walk, m, cap - used)
 
 

@@ -32,6 +32,24 @@ class GWTrajectory:
         self.generations = g
 
 
+def gw_generations(pop, rng: np.random.Generator):
+    """Yield generations T_1, T_2, ... of independent GW paths from T_0 = ``pop``.
+
+    Each generation draws NB(T, 1/2) for the living paths only, in path
+    order; extinct paths stay at zero and draw nothing.  Only the current
+    generation is kept; the caller must not modify the yielded arrays.
+    ``gw_step`` is the scalar draw for one path and one generation.
+    """
+    pop = np.asarray(pop, dtype=np.int64)
+    while True:
+        alive = pop > 0
+        nxt = np.zeros_like(pop)
+        if alive.any():
+            nxt[alive] = rng.negative_binomial(pop[alive], 0.5)
+        pop = nxt
+        yield pop
+
+
 def gw_step(m: int, rng: np.random.Generator) -> int:
     """One generation from population m: sum of m geometric(1/2) offspring."""
     if m < 0:
@@ -331,14 +349,9 @@ def barrier_event_mc(
 ) -> MCEstimate:
     """Monte Carlo estimate of the barrier event with a Wilson interval."""
     bands = barrier_bands(spec, mode)
-    pop = np.full(trials, spec.start_population, dtype=np.int64)
     ok = np.ones(trials, dtype=bool)
-    for lo, hi in bands:
-        pos = pop > 0
-        nxt = np.zeros_like(pop)
-        if pos.any():
-            nxt[pos] = rng.negative_binomial(pop[pos], 0.5)
-        pop = nxt
+    generations = gw_generations(np.full(trials, spec.start_population), rng)
+    for (lo, hi), pop in zip(bands, generations):  # bands first: no extra draw
         ok &= pop >= lo
         if hi is not None:
             ok &= pop <= hi

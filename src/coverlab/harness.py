@@ -11,6 +11,7 @@ counted per cell and excluded from summaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import statistics
@@ -21,17 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import gw, oracle, schedule, stats
-from .excursions import (
-    TraversalMachine,
-    _Ladder,
-    _circle_masks,
-    detect_late_event,
-    validate_radii,
-)
+from .excursions import circle_machine, detect_late_event, tilde_traversal, validate_radii
 from .lattice import (
     BudgetExceededError,
     TorusPoint,
     WalkState,
+    advance_to_mask,
     ball_mask,
     cover_time,
     default_cover_budget,
@@ -62,6 +58,9 @@ class ExperimentConfig:
 
     def tolerances(self) -> dict[str, float]:
         tol = load_tolerances()
+        unknown = sorted(set(self.tolerance_overrides) - set(tol))
+        if unknown:
+            raise ValueError(f"tolerance overrides {unknown} name no key of tolerances.txt")
         tol.update(self.tolerance_overrides)
         return tol
 
@@ -280,16 +279,14 @@ def _excursion_clock_trial(payload, trial):
     The center start makes the pre-equilibrium segment of D_m negligible,
     matching the (m - 1) normalisation of the concentration statement; the
     equilibrium start is the right law for the E[D_1] comparison."""
-    n, r, R, m, seed, outer_codes, mu_cum, cap, start_mode = payload
+    machine, m, seed, outer_codes, mu_cum, cap, start_mode = payload
+    n = machine.n
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
     if start_mode == "center":
         start_code = (n // 2) * n + (n // 2)
     else:
         start_code = int(outer_codes[np.searchsorted(mu_cum, rng.random())])
     walk = WalkState(TorusPoint(start_code // n, start_code % n, n), seed=seed, stream=trial)
-    center = TorusPoint(n // 2, n // 2, n)
-    circles = _circle_masks(center, [R, r])
-    machine = TraversalMachine(n, circles, [_Ladder(level=0, inner=1, outer=0)], driving=0)
     try:
         _, clock = machine.run(walk, m, cap)
     except BudgetExceededError:
@@ -323,9 +320,10 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     formula = (2 / math.pi) * n * n * math.log(R / r)
     mu_cum = np.cumsum(pair.mu_outer)
     cap = int(200 * formula * max(cfg.budget_mult, 1.0))
+    machine = circle_machine(center, [R, r])
 
     trials_d1 = cfg.trials or 10_000
-    payload = (n, r, R, 1, cfg.seed, pair.outer_codes, mu_cum, cap, "mu")
+    payload = (machine, 1, cfg.seed, pair.outer_codes, mu_cum, cap, "mu")
     d1_raw = _map_trials(_excursion_clock_trial, payload, trials_d1, cfg.worker_count())
     d1_vals = np.array([v[0] for v in d1_raw if v is not None], dtype=float)
     d1_fail = sum(1 for v in d1_raw if v is None)
@@ -333,7 +331,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     d1_var_se = stats.variance_se(d1_vals)
 
     trials_dm = max(300, cfg.trials // 16) if cfg.trials else 2500
-    payload_m = (n, r, R, m, cfg.seed + 1, pair.outer_codes, mu_cum, cap * m, "center")
+    payload_m = (machine, m, cfg.seed + 1, pair.outer_codes, mu_cum, cap * m, "center")
     dm_raw = _map_trials(_excursion_clock_trial, payload_m, trials_dm, cfg.worker_count())
     dm_vals = np.array([v[1] for v in dm_raw if v is not None], dtype=float)
     dm_fail = sum(1 for v in dm_raw if v is None)
@@ -347,7 +345,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sweep_stats = {}
     sweep_trials = max(200, trials_dm // 8)
     for m_small in (9, 25, m):
-        pl = (n, r, R, m_small, cfg.seed + 2, pair.outer_codes, mu_cum, cap * m_small, "center")
+        pl = (machine, m_small, cfg.seed + 2, pair.outer_codes, mu_cum, cap * m_small, "center")
         raw = _map_trials(_excursion_clock_trial, pl, sweep_trials, cfg.worker_count())
         vals = np.array([v[1] for v in raw if v is not None], dtype=float)
         dev = np.abs(vals / (d1_exact * (m_small - 1)) - 1.0)
@@ -429,17 +427,13 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _transfer_trial(payload, trial):
-    n, start_code, center_code, radii, m, seed, cap = payload
-    walk = WalkState(TorusPoint(start_code // n, start_code % n, n), seed=seed, stream=trial)
-    center = TorusPoint(center_code // n, center_code % n, n)
-    circles = _circle_masks(center, radii)
-    ladders = [_Ladder(level=i, inner=i + 1, outer=i) for i in range(len(radii) - 1)]
-    machine = TraversalMachine(n, circles, ladders, driving=0)
+    machine, start, m, seed, cap = payload
+    walk = WalkState(start, seed=seed, stream=trial)
     try:
         record, _ = machine.run(walk, m, cap)
     except BudgetExceededError:
         return None
-    return tuple(record.counts[i] for i in range(1, len(radii) - 1))
+    return tuple(record.counts[i] for i in range(1, len(machine.ladders)))
 
 
 TRANSFER_SCHEMA = [
@@ -458,7 +452,7 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol, size_cap):
     chain = oracle.CircleChain(center, radii, n, size_cap=size_cap)
     cap = int(4000 * n * n * max(cfg.budget_mult, 1.0))
     tag_seed = {"base": 101, "doubled": 202}.get(tag, 0)
-    payload = (n, start.code, center.code, radii, 1, cfg.seed + tag_seed, cap)
+    payload = (circle_machine(center, radii), start, 1, cfg.seed + tag_seed, cap)
     outcomes = _map_trials(_transfer_trial, payload, trials, cfg.worker_count())
     good = [o for o in outcomes if o is not None]
     rows = []
@@ -625,13 +619,8 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     srw = gw.srw_traversal_samples(10, 5, samples, rng1)
     pvals = []
     for level in (1, 3, 5):
-        gw_samp = np.full(samples, 5, dtype=np.int64)
-        for _ in range(level):
-            pos = gw_samp > 0
-            nxt = np.zeros_like(gw_samp)
-            if pos.any():
-                nxt[pos] = rng2.negative_binomial(gw_samp[pos], 0.5)
-            gw_samp = nxt
+        generations = gw.gw_generations(np.full(samples, 5), rng2)
+        gw_samp = next(itertools.islice(generations, level - 1, None))
         hi = int(max(srw[:, level].max(), gw_samp.max())) + 1
         _, p = stats.two_sample_chisquare(
             np.bincount(srw[:, level], minlength=hi),
@@ -794,12 +783,8 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _curve_trial(payload, trial):
-    n, center_code, radii, m, seed, cap = payload
-    center = TorusPoint(center_code // n, center_code % n, n)
-    start = TorusPoint(center.x + int(radii[0]), center.y, n)
+    center, start, radii, m, seed, cap = payload
     walk = WalkState(start, seed=seed, stream=trial)
-    from .excursions import tilde_traversal
-
     try:
         record, _ = tilde_traversal(walk, center, radii, m, cap)
     except BudgetExceededError:
@@ -808,18 +793,10 @@ def _curve_trial(payload, trial):
 
 
 def _late_event_trial(payload, trial):
-    n, center_code, radii, m, seed, cap = payload
-    center = TorusPoint(center_code // n, center_code % n, n)
-    start = TorusPoint(center.x + int(radii[0]), center.y, n)
+    machine, start, watch, m, seed, cap = payload
     walk = WalkState(start, seed=seed, stream=trial)
-    circles = _circle_masks(center, radii)
-    target = np.zeros((n, n), dtype=bool)
-    target[center.x, center.y] = True
-    circles.append(target)
-    ladders = [_Ladder(level=i, inner=i + 1, outer=i) for i in range(len(radii) - 1)]
-    machine = TraversalMachine(n, circles, ladders, driving=0)
     try:
-        record, clock = machine.run(walk, m, cap, watch=len(circles) - 1)
+        record, clock = machine.run(walk, m, cap, watch=watch)
     except BudgetExceededError:
         return None
     return record, clock
@@ -862,19 +839,19 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
 
     trials = cfg.trials or 400
     cap = int(1000 * n * n * m_plus * max(cfg.budget_mult, 1.0))
-    payload = (n, TorusPoint(n // 2, n // 2, n).code, list(scales.radii), m_plus, cfg.seed, cap)
+    center = TorusPoint(n // 2, n // 2, n)
+    radii = list(scales.radii)
+    payload = (center, center.shifted(int(radii[0]), 0), radii, m_plus, cfg.seed, cap)
     outcomes = _map_trials(_curve_trial, payload, trials, cfg.worker_count())
     walk_profiles = np.array([o for o in outcomes if o is not None], dtype=np.int64)
 
     rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 5], dtype=np.uint64)))
     # bridge to extinction at the point level L, matching the (1 - i/L) centering
     gw_cond = gw.conditioned_extinction_samples(m_plus, L, trials, rng)
-    gw_free = np.zeros((trials, L), dtype=np.int64)
+    gw_free = np.empty((trials, L), dtype=np.int64)
     gw_free[:, 0] = m_plus
-    for i in range(1, L):
-        pos = gw_free[:, i - 1] > 0
-        if pos.any():
-            gw_free[pos, i] = rng.negative_binomial(gw_free[pos, i - 1], 0.5)
+    for i, pop in zip(range(1, L), gw.gw_generations(gw_free[:, 0], rng)):
+        gw_free[:, i] = pop
 
     rows = []
     checks = []
@@ -942,9 +919,14 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     b_plus = schedule.BarrierCurve("b_plus", late_scales, delta=late_params.delta)
     late_trials = max(1000, trials * 10)
     late_cap = int(2000 * late_n * late_n * late_m)
+    late_center = TorusPoint(late_n // 2, late_n // 2, late_n)
+    late_radii = list(late_scales.radii)
+    target = np.zeros((late_n, late_n), dtype=bool)
+    target[late_center.x, late_center.y] = True
     payload = (
-        late_n, TorusPoint(late_n // 2, late_n // 2, late_n).code,
-        list(late_scales.radii), late_m, cfg.seed + 9, late_cap,
+        circle_machine(late_center, late_radii, watch=target),
+        late_center.shifted(int(late_radii[0]), 0), len(late_radii),
+        late_m, cfg.seed + 9, late_cap,
     )
     outcomes = _map_trials(_late_event_trial, payload, late_trials, cfg.worker_count())
     late_rows = []
@@ -959,9 +941,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             hits += 1
     freq = hits / total if total else 0.0
     # GW corridor probability with the Delta envelope (terminal clause removed)
-    table = schedule.prob_table(
-        list(late_scales.radii), c1=tol["lemma23.c1"], c2=tol["lemma23.c2"]
-    )
+    table = schedule.prob_table(late_radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
     corridor = 0.0
     envelope = 0.0
     for i in window:
@@ -1022,27 +1002,16 @@ ORACLE_SCHEMA = [
 
 
 def _hit_prob_trial(payload, trial):
-    n, start_code, maskA_codes, maskB_codes, seed, cap = payload
-    walk = WalkState(TorusPoint(start_code // n, start_code % n, n), seed=seed, stream=trial)
-    maskA = np.zeros(n * n, dtype=bool)
-    maskA[maskA_codes] = True
-    maskB = np.zeros(n * n, dtype=bool)
-    maskB[maskB_codes] = True
-    either = (maskA | maskB).reshape(n, n)
-    from .lattice import advance_to_mask
-
+    start, A, either, seed, cap = payload
+    walk = WalkState(start, seed=seed, stream=trial)
     advance_to_mask(walk, either, cap, inclusive=True)
-    return 1 if maskA[walk.code] else 0
+    return 1 if A.flat[walk.code] else 0
 
 
 def _expected_hit_trial(payload, trial):
-    n, start_code, mask_codes, seed, cap = payload
-    walk = WalkState(TorusPoint(start_code // n, start_code % n, n), seed=seed, stream=trial)
-    mask = np.zeros(n * n, dtype=bool)
-    mask[mask_codes] = True
-    from .lattice import advance_to_mask
-
-    return advance_to_mask(walk, mask.reshape(n, n), cap, inclusive=True)
+    start, A, seed, cap = payload
+    walk = WalkState(start, seed=seed, stream=trial)
+    return advance_to_mask(walk, A, cap, inclusive=True)
 
 
 def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
@@ -1086,10 +1055,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             A = exterior_boundary_mask(ball_mask(x, r))
             B = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.hit_prob_exact(y, A, B, n)
-            payload = (
-                n, y.code, np.nonzero(A.reshape(-1))[0], np.nonzero(B.reshape(-1))[0],
-                cfg.seed + 21, 100 * n * n,
-            )
+            payload = (y, A, A | B, cfg.seed + 21, 100 * n * n)
             vals = _map_trials(_hit_prob_trial, payload, trials, cfg.worker_count())
             k = int(np.sum(vals))
             mc = k / trials
@@ -1105,7 +1071,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             A = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.expected_hit_exact(v, A, n)
             et_trials = max(20_000, trials // 5)
-            payload = (n, v.code, np.nonzero(A.reshape(-1))[0], cfg.seed + 22, 1000 * n * n)
+            payload = (v, A, cfg.seed + 22, 1000 * n * n)
             vals = np.array(
                 _map_trials(_expected_hit_trial, payload, et_trials, cfg.worker_count()),
                 dtype=float,

@@ -4,6 +4,9 @@ Positions live on the two-dimensional discrete torus of side ``n`` with the
 wrapped Euclidean metric.  The walk engine generates moves in blocks from a
 counter-based Philox stream so that trials keyed by ``(seed, stream)`` are
 reproducible and order-independent, while per-step work stays vectorised.
+Every operation that runs a walk until an event (a mask hit, the cover of
+the torus, the end of an R/D ladder) is a per-block ``stop`` callback of
+the one block loop, ``scan``.
 
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
 times, which only ask when a set is first entered.
@@ -235,6 +238,28 @@ def step(walk: WalkState) -> WalkState:
     return walk
 
 
+def scan(walk: WalkState, cap: int, stop, what) -> int:
+    """Run ``walk`` block by block until ``stop`` fires; returns steps taken.
+
+    ``stop(codes, taken)`` sees the positions after each of the next steps,
+    at most ``cap - taken`` of them, where ``taken`` counts the steps this
+    call has already made.  It returns the index in ``codes`` of the step
+    that ends the scan, or None to consume the whole block.  A scan that
+    reaches ``cap`` steps raises BudgetExceededError, worded
+    "<what()> within <cap> steps".
+    """
+    taken = 0
+    while taken < cap:
+        codes = walk.peek_block()[: int(cap - taken)]
+        j = stop(codes, taken)
+        if j is not None:
+            walk.consume(j + 1)
+            return taken + j + 1
+        walk.consume(codes.size)
+        taken += codes.size
+    raise BudgetExceededError(f"{what()} within {cap} steps", steps_taken=taken)
+
+
 def advance_to_mask(walk: WalkState, mask: np.ndarray, cap: int, inclusive: bool = True) -> int:
     """Run until the walk sits on ``mask``; returns steps taken by this call.
 
@@ -244,21 +269,12 @@ def advance_to_mask(walk: WalkState, mask: np.ndarray, cap: int, inclusive: bool
     flat = mask.reshape(-1)
     if inclusive and flat[walk.code]:
         return 0
-    taken = 0
-    while True:
-        codes = walk.peek_block()
-        limit = codes.size if taken + codes.size <= cap else int(cap - taken)
-        hits = np.nonzero(flat[codes[:limit]])[0]
-        if hits.size:
-            j = int(hits[0])
-            walk.consume(j + 1)
-            return taken + j + 1
-        walk.consume(limit)
-        taken += limit
-        if taken >= cap:
-            raise BudgetExceededError(
-                f"no hit within {cap} steps", steps_taken=taken
-            )
+
+    def first_hit(codes, taken):
+        hits = np.flatnonzero(flat[codes])
+        return int(hits[0]) if hits.size else None
+
+    return scan(walk, cap, first_hit, lambda: "no hit")
 
 
 def hitting_time(walk: WalkState, target, cap: int) -> int:
@@ -297,25 +313,16 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     remaining = n * n - 1
     if remaining == 0:
         return walk.steps
-    taken = 0
-    while True:
-        codes = walk.peek_block()
-        limit = codes.size if taken + codes.size <= cap else int(cap - taken)
-        block = codes[:limit]
-        fresh = ~visited[block]
-        if fresh.any():
-            idx = np.nonzero(fresh)[0]
-            cells, first = np.unique(block[idx], return_index=True)
-            visited[cells] = True
-            remaining -= cells.size
-            if remaining == 0:
-                j = int(idx[first].max())
-                walk.consume(j + 1)
-                return walk.steps
-        walk.consume(limit)
-        taken += limit
-        if taken >= cap:
-            raise BudgetExceededError(
-                f"torus not covered within {cap} steps ({remaining} cells left)",
-                steps_taken=taken,
-            )
+
+    def last_new_cell(codes, taken):
+        nonlocal remaining
+        idx = np.flatnonzero(~visited[codes])
+        if idx.size == 0:
+            return None
+        cells, first = np.unique(codes[idx], return_index=True)
+        visited[cells] = True
+        remaining -= cells.size
+        return int(idx[first].max()) if remaining == 0 else None
+
+    scan(walk, cap, last_new_cell, lambda: f"torus not covered ({remaining} cells left)")
+    return walk.steps

@@ -12,8 +12,8 @@ them, come from the spectral formula instead and need no solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
@@ -233,11 +233,19 @@ def green_exact(absorbing, probes, n: int, size_cap: int | None = None) -> Green
 
 
 def green_weighted_column(
-    absorbing, weights: dict[int, float], n: int, size_cap: int | None = None
+    absorbing,
+    weights: dict[int, float],
+    n: int,
+    size_cap: int | None = None,
+    system: GridSystem | None = None,
 ) -> np.ndarray:
-    """sum_v w(v) G(v, u) for all u, via one symmetric solve."""
+    """sum_v w(v) G(v, u) for all u, via one symmetric solve.
+
+    ``system`` reuses a GridSystem already built (and possibly factored) for
+    the same absorbing set.
+    """
     mask = _as_mask(absorbing, n)
-    sys = GridSystem(n, mask, size_cap=size_cap)
+    sys = system if system is not None else GridSystem(n, mask, size_cap=size_cap)
     rhs = np.zeros(sys.nfree)
     for code, w in weights.items():
         fi = sys.index[code]
@@ -261,7 +269,6 @@ class EquilibriumPair:
     q: float
     residual: float
     iterations: int
-    spectral_gap_estimate: float
 
 
 class EquilibriumWorkspace:
@@ -275,7 +282,6 @@ class EquilibriumWorkspace:
         n: int,
         tol: float = 1e-12,
         size_cap: int | None = None,
-        cache_dir: str | Path | None = None,
     ):
         if not 1 < r < R <= n / 2:
             raise ValueError("need 1 < r < R <= n/2")
@@ -284,65 +290,24 @@ class EquilibriumWorkspace:
         self.R = float(R)
         self.n = n
         self.tol = tol
-        self._size_cap = size_cap
         inner_mask = exterior_boundary_mask(ball_mask(y, r))
         outer_mask = exterior_boundary_mask(ball_mask(y, R))
         self.inner_mask = inner_mask
         self.outer_mask = outer_mask
         self.inner_codes = np.nonzero(inner_mask.reshape(-1))[0]
         self.outer_codes = np.nonzero(outer_mask.reshape(-1))[0]
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         # one system per absorbing circle, each factored at most once
         self._sys_inner = GridSystem(n, inner_mask, size_cap=size_cap)
         self._sys_outer = GridSystem(n, outer_mask, size_cap=size_cap)
-        if not self._load_kernels():
-            # inward kernel: from outer cells to the inner circle
-            rows_in, _ = harmonic_measure_exact(
-                self.outer_codes, inner_mask, n, system=self._sys_inner
-            )
-            # outward kernel: from inner cells to the outer circle
-            rows_out, _ = harmonic_measure_exact(
-                self.inner_codes, outer_mask, n, system=self._sys_outer
-            )
-            self.K_out2in = rows_in
-            self.K_in2out = rows_out
-            self._save_kernels()
-        self._pair: EquilibriumPair | None = None
-
-    # kernel cache ------------------------------------------------------------
-
-    def _cache_path(self) -> Path | None:
-        if self._cache_dir is None:
-            return None
-        key = f"eq_n{self.n}_y{self.y.code}_r{self.r:g}_R{self.R:g}_tol{self.tol:g}"
-        return self._cache_dir / f"{key}.npz"
-
-    def _load_kernels(self) -> bool:
-        path = self._cache_path()
-        if path is None or not path.exists():
-            return False
-        data = np.load(path)
-        if not (
-            np.array_equal(data["inner_codes"], self.inner_codes)
-            and np.array_equal(data["outer_codes"], self.outer_codes)
-        ):
-            return False
-        self.K_out2in = data["K_out2in"]
-        self.K_in2out = data["K_in2out"]
-        return True
-
-    def _save_kernels(self):
-        path = self._cache_path()
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            path,
-            inner_codes=self.inner_codes,
-            outer_codes=self.outer_codes,
-            K_out2in=self.K_out2in,
-            K_in2out=self.K_in2out,
+        # inward kernel: from outer cells to the inner circle
+        self.K_out2in, _ = harmonic_measure_exact(
+            self.outer_codes, inner_mask, n, system=self._sys_inner
         )
+        # outward kernel: from inner cells to the outer circle
+        self.K_in2out, _ = harmonic_measure_exact(
+            self.inner_codes, outer_mask, n, system=self._sys_outer
+        )
+        self._pair: EquilibriumPair | None = None
 
     # equilibrium pair ----------------------------------------------------------
 
@@ -352,15 +317,10 @@ class EquilibriumWorkspace:
             return self._pair
         compose = self.K_out2in @ self.K_in2out  # outer -> outer
         mu = np.full(self.outer_codes.size, 1.0 / self.outer_codes.size)
-        prev_delta = None
-        gap = 0.0
         for it in range(1, max_iters + 1):
             nxt = mu @ compose
             nxt /= nxt.sum()
             delta = np.abs(nxt - mu).max()
-            if prev_delta is not None and prev_delta > 0:
-                gap = 1.0 - delta / prev_delta
-            prev_delta = delta
             mu = nxt
             if delta < self.tol:
                 break
@@ -381,7 +341,6 @@ class EquilibriumWorkspace:
             q=q,
             residual=float(resid),
             iterations=it,
-            spectral_gap_estimate=float(gap),
         )
         return self._pair
 
@@ -456,8 +415,8 @@ class EquilibriumWorkspace:
         pair = self.equilibrium_pair()
         w_in = {int(c): float(w) for c, w in zip(self.inner_codes, pair.mu_inner)}
         w_out = {int(c): float(w) for c, w in zip(self.outer_codes, pair.mu_outer)}
-        m1 = green_weighted_column(self.outer_mask, w_in, self.n, size_cap=self._size_cap)
-        m2 = green_weighted_column(self.inner_mask, w_out, self.n, size_cap=self._size_cap)
+        m1 = green_weighted_column(self.outer_mask, w_in, self.n, system=self._sys_outer)
+        m2 = green_weighted_column(self.inner_mask, w_out, self.n, system=self._sys_inner)
         return m1 + m2
 
     def stationary_check(self) -> dict[str, float]:
@@ -628,17 +587,7 @@ def exact_cover_mean(n: int) -> float:
     ncells = n * n
     full = (1 << ncells) - 1
     nb = _neighbor_codes(n)
-    states = {}
-
-    def sid(pos, vis):
-        key = (pos, vis)
-        if key not in states:
-            states[key] = len(states)
-        return states[key]
-
     # Breadth-first enumeration of reachable states from (0, {0}).
-    from collections import deque
-
     start = (0, 1)
     queue = deque([start])
     seen = {start}

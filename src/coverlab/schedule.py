@@ -158,10 +158,6 @@ def linear_barrier(a: float, b: float, L: int):
     return f
 
 
-def i_L(i: int, L: int) -> int:
-    return min(i, L - i)
-
-
 def bump_lower(s: float, L: int, delta: float) -> float:
     """min(s, L-1-s)^(1/2-delta) on [0, L-1]."""
     if not 0 <= s <= L - 1:

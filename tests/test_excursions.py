@@ -16,7 +16,14 @@ from coverlab.excursions import (
     traversal_counts,
     validate_radii,
 )
-from coverlab.lattice import TorusPoint, WalkState, ball_mask, exterior_boundary_mask, step
+from coverlab.lattice import (
+    BudgetExceededError,
+    TorusPoint,
+    WalkState,
+    ball_mask,
+    exterior_boundary_mask,
+    step,
+)
 
 N = 64
 CENTER = TorusPoint(32, 32, N)
@@ -92,6 +99,19 @@ def test_traversal_counts_m0_all_zero():
     record, clock = traversal_counts(_walk(1), CENTER, RADII, m=0, cap=CAP)
     assert all(v == 0 for v in record.counts.values())
     assert clock.pairs == 0
+
+
+def test_traversal_counts_budget_error_keeps_departures_done():
+    _, clock = traversal_counts(_walk(2), CENTER, RADII, m=5, cap=CAP)
+    # the third departure lands on the last allowed step: no overrun
+    _, at_cap = traversal_counts(_walk(2), CENTER, RADII, m=3, cap=clock.departures[2])
+    assert at_cap.departures == clock.departures[:3]
+    # one step short of it: two departures done, the budget spent exactly
+    for cap, done in ((5, 0), (clock.departures[2] - 1, 2)):
+        with pytest.raises(BudgetExceededError) as err:
+            traversal_counts(_walk(2), CENTER, RADII, m=5, cap=cap)
+        assert err.value.steps_taken == cap
+        assert f"finished only {done}/5 departures within {cap} steps" in str(err.value)
 
 
 def test_radii_validation():

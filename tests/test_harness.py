@@ -117,12 +117,18 @@ def test_cover_anchors_recomputed_not_hardcoded():
     assert row["band_hi"] == pytest.approx(hit.max() * harmonic(n * n - 1) / scale, rel=1e-9)
 
 
-def test_worker_override_matches_serial(tmp_path):
-    cfg1 = ExperimentConfig(name="cover", n_values=(16,), trials=30, seed=9, workers=1)
-    cfg2 = ExperimentConfig(name="cover", n_values=(16,), trials=30, seed=9, workers=3)
-    r1 = run_cover_experiment(cfg1)
-    r2 = run_cover_experiment(cfg2)
-    assert r1.rows[0]["mean_steps"] == r2.rows[0]["mean_steps"]
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("cover", dict(n_values=(16,), trials=30)), ("transfer", dict(trials=300))],
+    ids=["cover", "transfer"],
+)
+def test_worker_override_matches_serial(name, kwargs):
+    # transfer's trial payload carries a prebuilt TraversalMachine, which
+    # must pickle to the worker processes and give the serial rows there
+    serial, pooled = (
+        REGISTRY[name](ExperimentConfig(name=name, seed=9, workers=w, **kwargs)) for w in (1, 2)
+    )
+    assert pooled.rows == serial.rows
 
 
 def test_workers_env_variable(monkeypatch):
@@ -137,6 +143,13 @@ def test_tolerance_overrides_apply():
         name="excursion", tolerance_overrides={"excursion.conc_p95_slack": 9.9}
     )
     assert cfg.tolerances()["excursion.conc_p95_slack"] == 9.9
+
+
+def test_unknown_tolerance_override_is_rejected():
+    # cover.band_hi was retired from the manifest; overriding it would change nothing
+    cfg = ExperimentConfig(name="cover", tolerance_overrides={"cover.band_hi": 2.0})
+    with pytest.raises(ValueError, match=r"cover\.band_hi"):
+        cfg.tolerances()
 
 
 def test_oracle_check_sections_isolated():

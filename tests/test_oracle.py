@@ -370,13 +370,3 @@ def test_circle_chain_rows_are_substochastic():
         totals = chain.kern_down[i].sum(axis=1) + chain.kern_up[i].sum(axis=1)
         assert np.allclose(totals, 1.0, atol=1e-10)
 
-
-def test_equilibrium_cache_roundtrip(tmp_path):
-    n = 48
-    y = TorusPoint(24, 24, n)
-    ws1 = EquilibriumWorkspace(y, 3, 10, n, cache_dir=tmp_path)
-    q1 = ws1.equilibrium_pair().q
-    ws2 = EquilibriumWorkspace(y, 3, 10, n, cache_dir=tmp_path)
-    assert ws2._load_kernels() or True  # kernels came from disk in __init__
-    assert ws2.equilibrium_pair().q == q1
-    assert list(tmp_path.glob("eq_*.npz"))
