@@ -2,7 +2,9 @@
 
 Each ``REGISTRY`` experiment runs once at a small config with seed 7, and
 the sha256 of every CSV it writes (``curves`` also writes ``.late.csv``)
-must equal the digest recorded below.  A refactor leaves every digest
+must equal the digest recorded below.  ``oracle-check`` runs twice: its
+Monte Carlo sections into ``oracle-check.csv``, and its exact-only
+``bracket`` and ``kac`` sections into ``oracle-check.exact.csv``.  A refactor leaves every digest
 unchanged; a change that moves any output byte fails here and must
 re-record the digests on purpose.
 
@@ -34,6 +36,7 @@ CONFIGS = {
 }
 
 ORACLE_SECTIONS = ("mc", "equilibrium")
+ORACLE_EXACT_SECTIONS = ("bracket", "kac")
 
 GOLDEN = {
     "cover.csv": "d9cd645b5dce9177dd8852a59223dc2d04c4a370e8297f2577a130d5284657fa",
@@ -44,6 +47,7 @@ GOLDEN = {
     "curves.csv": "a52f01593dd66e3609e1f48fd1aa95f3ff285090be096f9f56ba89dadc02daac",
     "curves.late.csv": "c167a8f0c2a87362a512cef224ff9634c825b52a49b2066a283dec54ab519a37",
     "oracle-check.csv": "9b22f2c72c258bbe9ff89f7ac08098286a44ad4c37c050b2de9eee55059625e2",
+    "oracle-check.exact.csv": "957c9e2d3803af8f184f2174f915143771ee745827e0a31b13d179426f8dd3ff",
 }
 
 
@@ -56,6 +60,14 @@ def _digests(outdir) -> dict[str, str]:
             REGISTRY[name](cfg, sections=ORACLE_SECTIONS)
         else:
             REGISTRY[name](cfg)
+    exact = ExperimentConfig(
+        name="oracle-check",
+        seed=SEED,
+        workers=1,
+        out=outdir / "oracle-check.exact.csv",
+        **CONFIGS["oracle-check"],
+    )
+    REGISTRY["oracle-check"](exact, sections=ORACLE_EXACT_SECTIONS)
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(outdir.glob("*.csv"))
