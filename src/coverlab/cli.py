@@ -63,20 +63,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     n_values = tuple(args.n) if args.n else ()
-    cfg = ExperimentConfig(
-        name=args.command,
-        n_values=n_values,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-        schedule_spec=args.schedule,
-        params=_params_from_arg(args.params, n_values[0] if n_values else 64),
-        kappa_plus=args.kappa_plus,
-        kappa_minus=args.kappa_minus,
-        budget_mult=args.budget_mult,
-        workers=args.workers,
-    )
     try:
+        cfg = ExperimentConfig(
+            name=args.command,
+            n_values=n_values,
+            trials=args.trials,
+            seed=args.seed,
+            out=args.out,
+            schedule_spec=args.schedule,
+            params=_params_from_arg(args.params, n_values[0] if n_values else 64),
+            kappa_plus=args.kappa_plus,
+            kappa_minus=args.kappa_minus,
+            budget_mult=args.budget_mult,
+            workers=args.workers,
+        )
         result = REGISTRY[args.command](cfg)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

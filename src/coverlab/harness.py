@@ -32,6 +32,7 @@ from .lattice import (
     cover_time,
     default_cover_budget,
     exterior_boundary_mask,
+    philox_stream,
 )
 
 # -- configuration -------------------------------------------------------------
@@ -55,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trial count must be >= 1 (0 selects the default)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
 
     def tolerances(self) -> dict[str, float]:
         tol = load_tolerances()
@@ -281,7 +284,7 @@ def _excursion_clock_trial(payload, trial):
     equilibrium start is the right law for the E[D_1] comparison."""
     machine, m, seed, outer_codes, mu_cum, cap, start_mode = payload
     n = machine.n
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    rng = philox_stream(seed, trial)
     if start_mode == "center":
         start_code = (n // 2) * n + (n // 2)
     else:
@@ -443,13 +446,13 @@ TRANSFER_SCHEMA = [
 ]
 
 
-def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol, size_cap):
+def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
     radii = [float(ell) ** (L - k) for k in range(L + 1)]
     validate_radii(radii, n=n)
     center = TorusPoint(n // 2, n // 2, n)
     start = TorusPoint(center.x + int(radii[0]), center.y, n)
     table = schedule.prob_table(radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
-    chain = oracle.CircleChain(center, radii, n, size_cap=size_cap)
+    chain = oracle.CircleChain(center, radii, n)
     cap = int(4000 * n * n * max(cfg.budget_mult, 1.0))
     tag_seed = {"base": 101, "doubled": 202}.get(tag, 0)
     payload = (circle_machine(center, radii), start, 1, cfg.seed + tag_seed, cap)
@@ -496,10 +499,8 @@ def run_transfer_check(cfg: ExperimentConfig) -> ExperimentResult:
     base_trials = cfg.trials or 50_000
     doubled_trials = max(2000, (cfg.trials or 20_000) // 3)
     rows = []
-    rows += _transfer_schedule_rows("base", 64, 3, 2.0, events, base_trials, cfg, tol, None)
-    rows += _transfer_schedule_rows(
-        "doubled", 130, 3, 4.0, events, doubled_trials, cfg, tol, 132
-    )
+    rows += _transfer_schedule_rows("base", 64, 3, 2.0, events, base_trials, cfg, tol)
+    rows += _transfer_schedule_rows("doubled", 130, 3, 4.0, events, doubled_trials, cfg, tol)
     checks = []
     for row in rows:
         if not row["conclusive"]:
@@ -614,8 +615,8 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
 
     # two-sample chi-square at scale
     samples = cfg.trials or 100_000
-    rng1 = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 11], dtype=np.uint64)))
-    rng2 = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 12], dtype=np.uint64)))
+    rng1 = philox_stream(cfg.seed, 11)
+    rng2 = philox_stream(cfg.seed, 12)
     srw = gw.srw_traversal_samples(10, 5, samples, rng1)
     pvals = []
     for level in (1, 3, 5):
@@ -660,7 +661,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Barrier-event sweep in both modes with the exact DP as cross-oracle."""
     tol = cfg.tolerances()
     trials = cfg.trials or 200_000
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 77], dtype=np.uint64)))
+    rng = philox_stream(cfg.seed, 77)
     rows = []
     checks = []
 
@@ -845,7 +846,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     outcomes = _map_trials(_curve_trial, payload, trials, cfg.worker_count())
     walk_profiles = np.array([o for o in outcomes if o is not None], dtype=np.int64)
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 5], dtype=np.uint64)))
+    rng = philox_stream(cfg.seed, 5)
     # bridge to extinction at the point level L, matching the (1 - i/L) centering
     gw_cond = gw.conditioned_extinction_samples(m_plus, L, trials, rng)
     gw_free = np.empty((trials, L), dtype=np.int64)

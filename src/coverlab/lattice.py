@@ -151,7 +151,8 @@ def boundary(points) -> frozenset:
     return frozenset(out)
 
 
-def _philox_stream(seed: int, stream: int) -> np.random.Generator:
+def philox_stream(seed: int, stream: int) -> np.random.Generator:
+    """The counter-based generator keyed by ``(seed, stream)``, each taken mod 2^64."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -171,13 +172,11 @@ class WalkState:
         seed: int = 0,
         stream: int = 0,
         forced_moves=None,
-        max_block: int = _MAX_BLOCK,
     ):
         self.n = start.n
         self._px = start.x
         self._py = start.y
         self.steps = 0
-        self._max_block = int(max_block)
         self._next_block = _FIRST_BLOCK
         if forced_moves is not None:
             self._forced = np.asarray(forced_moves, dtype=np.int64)
@@ -185,7 +184,7 @@ class WalkState:
             self._rng = None
         else:
             self._forced = None
-            self._rng = _philox_stream(seed, stream)
+            self._rng = philox_stream(seed, stream)
         self._codes = np.empty(0, dtype=np.int64)
         self._cursor = 0
 
@@ -206,8 +205,8 @@ class WalkState:
                 raise RuntimeError("forced move stream exhausted")
             self._forced_used += moves.size
         else:
-            size = min(self._next_block, self._max_block)
-            self._next_block = min(self._next_block * 2, self._max_block)
+            size = min(self._next_block, _MAX_BLOCK)
+            self._next_block = min(self._next_block * 2, _MAX_BLOCK)
             moves = self._rng.integers(0, 4, size=size, dtype=np.int64)
         cx = (self._px + np.cumsum(_DX[moves])) % self.n
         cy = (self._py + np.cumsum(_DY[moves])) % self.n

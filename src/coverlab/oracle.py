@@ -25,16 +25,18 @@ from .lattice import (
     advance_to_mask,
     ball_mask,
     exterior_boundary_mask,
+    philox_stream,
+    points_to_mask,
 )
 
-MAX_EXACT_N = 128
+# largest torus side solved exactly; the doubled transfer schedule runs at 130
+MAX_EXACT_N = 132
 RESIDUAL_TOL = 1e-10
-
-
-def _check_size(n: int, size_cap: int | None):
-    cap = MAX_EXACT_N if size_cap is None else size_cap
-    if n > cap:
-        raise ValueError(f"exact solves capped at n <= {cap} (got n = {n})")
+# power iteration of the equilibrium pair: stop when no entry moves by more
+POWER_TOL = 1e-12
+POWER_MAX_ITERS = 100_000
+# coupled_chain_run: step budget per walk leg, in units of n^2
+LEG_CAP_PER_CELL = 2000
 
 
 def _neighbor_codes(n: int) -> np.ndarray:
@@ -49,11 +51,24 @@ def _neighbor_codes(n: int) -> np.ndarray:
     return out
 
 
-class GridSystem:
-    """(I - Q) on the free cells of the torus for one absorbing set."""
+def _codes(points) -> np.ndarray:
+    return np.array(
+        [p.code if isinstance(p, TorusPoint) else int(p) for p in points], dtype=np.int64
+    )
 
-    def __init__(self, n: int, absorbing: np.ndarray, size_cap: int | None = None):
-        _check_size(n, size_cap)
+
+class GridSystem:
+    """(I - Q) on the free cells of the torus for one absorbing set.
+
+    Factored once on construction; every solve goes through ``solve``,
+    which takes one right-hand side or a matrix of them and checks the
+    residual.  The algorithms below are each one solve per right-hand-side
+    matrix (or per moment, for the hitting-moment hierarchy).
+    """
+
+    def __init__(self, n: int, absorbing: np.ndarray):
+        if n > MAX_EXACT_N:
+            raise ValueError(f"exact solves capped at n <= {MAX_EXACT_N} (got n = {n})")
         self.n = n
         flat = absorbing.reshape(-1)
         if flat.all():
@@ -63,26 +78,26 @@ class GridSystem:
         self.nfree = self.free_codes.size
         self.index = np.full(n * n, -1, dtype=np.int64)
         self.index[self.free_codes] = np.arange(self.nfree)
-        nb = _neighbor_codes(n)[self.free_codes]  # (nfree, 4)
-        cols = self.index[nb]
+        self._nb = _neighbor_codes(n)[self.free_codes]  # (nfree, 4)
+        self._Q = self._steps_to(self.index, self.nfree)
+        self._matrix = (identity(self.nfree, format="csr") - self._Q).tocsc()
+        self._lu = splu(self._matrix)
+
+    def _steps_to(self, position: np.ndarray, size: int) -> csr_matrix:
+        """(nfree, size) one-step probabilities onto the cells with position >= 0."""
+        cols = position[self._nb].reshape(-1)
         rows = np.repeat(np.arange(self.nfree), 4)
-        cols = cols.reshape(-1)
         keep = cols >= 0
         data = np.full(keep.sum(), 0.25)
-        Q = csr_matrix((data, (rows[keep], cols[keep])), shape=(self.nfree, self.nfree))
-        self._matrix = (identity(self.nfree, format="csr") - Q).tocsc()
-        self._Q = Q
-        self._nb = nb
-        self._lu = None
-
-    def _solve_raw(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            self._lu = splu(self._matrix)
-        return self._lu.solve(rhs)
+        return csr_matrix((data, (rows[keep], cols[keep])), shape=(self.nfree, size))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - Q) h = rhs on free cells, residual-checked."""
-        h = self._solve_raw(rhs)
+        """Solve (I - Q) h = rhs on free cells, residual-checked.
+
+        ``rhs`` is one vector of length nfree or an (nfree, k) matrix of k
+        right-hand sides, solved together.
+        """
+        h = self._lu.solve(rhs)
         resid = np.abs(self._matrix @ h - rhs).max()
         scale = max(1.0, np.abs(rhs).max())
         if resid > RESIDUAL_TOL * scale:
@@ -90,36 +105,94 @@ class GridSystem:
         return h
 
     def full_vector(self, h_free: np.ndarray) -> np.ndarray:
-        """Embed a free-cell vector into all N cells (zero on absorbing)."""
-        out = np.zeros(self.n * self.n, dtype=float)
+        """Embed free-cell values (a vector or columns) into all N cells, zero on absorbing."""
+        out = np.zeros((self.n * self.n,) + h_free.shape[1:])
         out[self.free_codes] = h_free
         return out
-
-    def apply_Q(self, h_free: np.ndarray) -> np.ndarray:
-        return self._Q @ h_free
 
     def one_step_to(self, target_codes: np.ndarray) -> csr_matrix:
         """Sparse (nfree, len(target_codes)) matrix of one-step probabilities."""
         tpos = np.full(self.n * self.n, -1, dtype=np.int64)
         tpos[target_codes] = np.arange(target_codes.size)
-        cols = tpos[self._nb].reshape(-1)
-        rows = np.repeat(np.arange(self.nfree), 4)
-        keep = cols >= 0
-        data = np.full(keep.sum(), 0.25)
-        return csr_matrix(
-            (data, (rows[keep], cols[keep])), shape=(self.nfree, target_codes.size)
-        )
+        return self._steps_to(tpos, target_codes.size)
+
+    def _units(self, free_idx: np.ndarray) -> np.ndarray:
+        """(nfree, k) right-hand sides, column j the unit vector at free_idx[j]."""
+        e = np.zeros((self.nfree, free_idx.size))
+        e[free_idx, np.arange(free_idx.size)] = 1.0
+        return e
+
+    def exit_distribution(self, source_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_v[S_H = u] for each source v and absorbing cell u; returns (rows, codes).
+
+        Solves against the sources when there are no more of them than absorbing
+        cells (the system is symmetric, so a Green column is the adjoint
+        solve), else against the one-step columns of the absorbing cells.
+        Sources that are themselves absorbed exit where they stand.
+        """
+        bcodes = np.nonzero(self.absorbing)[0]
+        B = self.one_step_to(bcodes)
+        idx = self.index[source_codes]
+        free = np.nonzero(idx >= 0)[0]
+        rows = np.zeros((source_codes.size, bcodes.size))
+        if 0 < free.size <= bcodes.size:
+            rows[free] = (B.T @ self.solve(self._units(idx[free]))).T
+        elif free.size:
+            rows[free] = self.solve(B.toarray())[idx[free]]
+        absorbed = np.nonzero(idx < 0)[0]
+        rows[absorbed, np.searchsorted(bcodes, source_codes[absorbed])] = 1.0
+        return rows, bcodes
+
+    def green_columns(self, codes: np.ndarray) -> np.ndarray:
+        """(N, len(codes)) Green columns G(., c); zero for absorbed c."""
+        idx = self.index[codes]
+        free = np.nonzero(idx >= 0)[0]
+        cols = np.zeros((self.n * self.n, codes.size))
+        if free.size:
+            cols[:, free] = self.full_vector(self.solve(self._units(idx[free])))
+        return cols
+
+    def weighted_green(self, codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_j weights[j] G(codes[j], u) for all u, by one symmetric solve."""
+        idx = self.index[codes]
+        if (idx < 0).any():
+            raise ValueError("weight placed on an absorbed cell")
+        rhs = np.zeros(self.nfree)
+        rhs[idx] = weights
+        return self.full_vector(self.solve(rhs))
+
+    def hitting_moments(self, k: int, exit_step=None, exit_moments=()) -> list[np.ndarray]:
+        """E_x[(H + F)^j] on free cells for j = 1..k, one solve per moment.
+
+        H is the hitting time of the absorbing set and F an independent
+        cost paid at the exit cell, with E[F^j] = exit_moments[j - 1] on the
+        cells whose one-step matrix is ``exit_step``; without them F = 0.
+        One-step analysis gives the Poisson hierarchy
+        (I - Q) m_j = 1 + sum_{0<i<j} C(j, i) (Q m_i + B f_i) + B f_j.
+        """
+        one = np.ones(self.nfree)
+        exit_terms = [exit_step @ f for f in exit_moments]
+        out = []
+        for j in range(1, k + 1):
+            rhs = one
+            for i in range(1, j):
+                term = self._Q @ out[i - 1]
+                if exit_terms:
+                    term = term + exit_terms[i - 1]
+                rhs = rhs + math.comb(j, i) * term
+            if exit_terms:
+                rhs = rhs + exit_terms[j - 1]
+            out.append(self.solve(rhs))
+        return out
 
 
 def _as_mask(target, n: int) -> np.ndarray:
     if isinstance(target, np.ndarray):
         return target
-    from .lattice import points_to_mask
-
     return points_to_mask(target, n)
 
 
-def hit_prob_exact(v: TorusPoint, A, B_set, n: int, size_cap: int | None = None) -> float:
+def hit_prob_exact(v: TorusPoint, A, B_set, n: int) -> float:
     """P_v[H_A < H_B] by the discrete Dirichlet problem (1 on A, 0 on B)."""
     maskA = _as_mask(A, n)
     maskB = _as_mask(B_set, n)
@@ -132,67 +205,35 @@ def hit_prob_exact(v: TorusPoint, A, B_set, n: int, size_cap: int | None = None)
         return 1.0
     if maskB.reshape(-1)[v.code]:
         return 0.0
-    sys = GridSystem(n, maskA | maskB, size_cap=size_cap)
+    sys = GridSystem(n, maskA | maskB)
     rhs = np.asarray(sys.one_step_to(np.nonzero(flatA)[0]).sum(axis=1)).ravel()
     h = sys.solve(rhs)
     return float(h[sys.index[v.code]])
 
 
-def expected_hit_exact(v: TorusPoint, A, n: int, size_cap: int | None = None) -> float:
+def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
     """E_v[H_A] by the Poisson equation (I - Q) h = 1, h = 0 on A."""
     maskA = _as_mask(A, n)
     if not maskA.any():
         raise ValueError("A must be nonempty")
     if maskA.reshape(-1)[v.code]:
         return 0.0
-    sys = GridSystem(n, maskA, size_cap=size_cap)
-    h = sys.solve(np.ones(sys.nfree))
-    return float(h[sys.index[v.code]])
+    sys = GridSystem(n, maskA)
+    return float(sys.hitting_moments(1)[0][sys.index[v.code]])
 
 
-def expected_hit_table(A, n: int, size_cap: int | None = None) -> np.ndarray:
+def expected_hit_table(A, n: int) -> np.ndarray:
     """E_v[H_A] for every cell v, as a flat length-N vector."""
-    maskA = _as_mask(A, n)
-    sys = GridSystem(n, maskA, size_cap=size_cap)
-    return sys.full_vector(sys.solve(np.ones(sys.nfree)))
+    sys = GridSystem(n, _as_mask(A, n))
+    return sys.full_vector(sys.hitting_moments(1)[0])
 
 
-def harmonic_measure_exact(
-    sources,
-    boundary,
-    n: int,
-    size_cap: int | None = None,
-    system: GridSystem | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exit distributions P_v[S_{H_boundary} = u] for each source v.
 
     Returns (rows, boundary_codes); rows has shape (len(sources), #boundary).
-    Uses one adjoint solve per source when that is the cheaper side, else one
-    Dirichlet solve per boundary vertex.  ``system`` reuses a GridSystem
-    already built (and possibly factored) for the same boundary.
     """
-    mask = _as_mask(boundary, n)
-    bcodes = np.nonzero(mask.reshape(-1))[0]
-    src = [p.code if isinstance(p, TorusPoint) else int(p) for p in sources]
-    sys = system if system is not None else GridSystem(n, mask, size_cap=size_cap)
-    B = sys.one_step_to(bcodes)
-    rows = np.zeros((len(src), bcodes.size))
-    free_sources = [(i, sys.index[c]) for i, c in enumerate(src) if sys.index[c] >= 0]
-    if len(free_sources) <= bcodes.size:
-        for i, fi in free_sources:
-            e = np.zeros(sys.nfree)
-            e[fi] = 1.0
-            g = sys.solve(e)  # symmetric system: adjoint = direct
-            rows[i] = g @ B
-    else:
-        H = sys.solve(B.toarray())
-        for i, fi in free_sources:
-            rows[i] = H[fi]
-    onb = {c: j for j, c in enumerate(bcodes)}
-    for i, c in enumerate(src):
-        if sys.index[c] < 0:
-            rows[i, onb[c]] = 1.0
-    return rows, bcodes
+    return GridSystem(n, _as_mask(boundary, n)).exit_distribution(_codes(sources))
 
 
 @dataclass
@@ -214,45 +255,18 @@ class GreenTable:
         return self.columns[self.probe_codes]
 
 
-def green_exact(absorbing, probes, n: int, size_cap: int | None = None) -> GreenTable:
+def green_exact(absorbing, probes, n: int) -> GreenTable:
     """Green table of the domain killed on ``absorbing`` at the probe cells."""
     mask = _as_mask(absorbing, n)
-    sys = GridSystem(n, mask, size_cap=size_cap)
-    pcodes = np.array(
-        [p.code if isinstance(p, TorusPoint) else int(p) for p in probes], dtype=np.int64
-    )
-    cols = np.zeros((n * n, pcodes.size))
-    for j, c in enumerate(pcodes):
-        fi = sys.index[c]
-        if fi < 0:
-            continue
-        e = np.zeros(sys.nfree)
-        e[fi] = 1.0
-        cols[:, j] = sys.full_vector(sys.solve(e))
+    pcodes = _codes(probes)
+    cols = GridSystem(n, mask).green_columns(pcodes)
     return GreenTable(n=n, absorbing=mask.reshape(-1), probe_codes=pcodes, columns=cols)
 
 
-def green_weighted_column(
-    absorbing,
-    weights: dict[int, float],
-    n: int,
-    size_cap: int | None = None,
-    system: GridSystem | None = None,
-) -> np.ndarray:
-    """sum_v w(v) G(v, u) for all u, via one symmetric solve.
-
-    ``system`` reuses a GridSystem already built (and possibly factored) for
-    the same absorbing set.
-    """
-    mask = _as_mask(absorbing, n)
-    sys = system if system is not None else GridSystem(n, mask, size_cap=size_cap)
-    rhs = np.zeros(sys.nfree)
-    for code, w in weights.items():
-        fi = sys.index[code]
-        if fi < 0:
-            raise ValueError("weight placed on an absorbed cell")
-        rhs[fi] = w
-    return sys.full_vector(sys.solve(rhs))
+def green_weighted_column(absorbing, weights: dict[int, float], n: int) -> np.ndarray:
+    """sum_v w(v) G(v, u) for all u, via one symmetric solve."""
+    sys = GridSystem(n, _as_mask(absorbing, n))
+    return sys.weighted_green(_codes(weights), np.array(list(weights.values()), dtype=float))
 
 
 # -- equilibrium pair and the excursion chain ---------------------------------
@@ -274,55 +288,42 @@ class EquilibriumPair:
 class EquilibriumWorkspace:
     """All exact tables for one (y, r, R, n) annulus, built once and reused."""
 
-    def __init__(
-        self,
-        y: TorusPoint,
-        r: float,
-        R: float,
-        n: int,
-        tol: float = 1e-12,
-        size_cap: int | None = None,
-    ):
+    def __init__(self, y: TorusPoint, r: float, R: float, n: int):
         if not 1 < r < R <= n / 2:
             raise ValueError("need 1 < r < R <= n/2")
         self.y = y
         self.r = float(r)
         self.R = float(R)
         self.n = n
-        self.tol = tol
         inner_mask = exterior_boundary_mask(ball_mask(y, r))
         outer_mask = exterior_boundary_mask(ball_mask(y, R))
         self.inner_mask = inner_mask
         self.outer_mask = outer_mask
         self.inner_codes = np.nonzero(inner_mask.reshape(-1))[0]
         self.outer_codes = np.nonzero(outer_mask.reshape(-1))[0]
-        # one system per absorbing circle, each factored at most once
-        self._sys_inner = GridSystem(n, inner_mask, size_cap=size_cap)
-        self._sys_outer = GridSystem(n, outer_mask, size_cap=size_cap)
+        # one system per absorbing circle, each factored once
+        self._sys_inner = GridSystem(n, inner_mask)
+        self._sys_outer = GridSystem(n, outer_mask)
         # inward kernel: from outer cells to the inner circle
-        self.K_out2in, _ = harmonic_measure_exact(
-            self.outer_codes, inner_mask, n, system=self._sys_inner
-        )
+        self.K_out2in, _ = self._sys_inner.exit_distribution(self.outer_codes)
         # outward kernel: from inner cells to the outer circle
-        self.K_in2out, _ = harmonic_measure_exact(
-            self.inner_codes, outer_mask, n, system=self._sys_outer
-        )
+        self.K_in2out, _ = self._sys_outer.exit_distribution(self.inner_codes)
         self._pair: EquilibriumPair | None = None
 
     # equilibrium pair ----------------------------------------------------------
 
-    def equilibrium_pair(self, max_iters: int = 100_000) -> EquilibriumPair:
+    def equilibrium_pair(self) -> EquilibriumPair:
         """Power-iterate the composed kernel to its stationary pair."""
         if self._pair is not None:
             return self._pair
         compose = self.K_out2in @ self.K_in2out  # outer -> outer
         mu = np.full(self.outer_codes.size, 1.0 / self.outer_codes.size)
-        for it in range(1, max_iters + 1):
+        for it in range(1, POWER_MAX_ITERS + 1):
             nxt = mu @ compose
             nxt /= nxt.sum()
             delta = np.abs(nxt - mu).max()
             mu = nxt
-            if delta < self.tol:
+            if delta < POWER_TOL:
                 break
         else:
             raise RuntimeError("power iteration did not converge")
@@ -363,19 +364,17 @@ class EquilibriumWorkspace:
     @staticmethod
     def _hit_table(sys: GridSystem) -> np.ndarray:
         """E_v[H] for every cell v, H the hitting time of the system's absorbing set."""
-        return sys.full_vector(sys.solve(np.ones(sys.nfree)))
+        return sys.full_vector(sys.hitting_moments(1)[0])
 
     def expected_inward_leg(self) -> float:
         """E over mu_outer of the hitting time of the inner circle."""
         pair = self.equilibrium_pair()
-        h = self._hit_table(self._sys_inner)
-        return float(pair.mu_outer @ h[self.outer_codes])
+        return float(pair.mu_outer @ self._hit_table(self._sys_inner)[self.outer_codes])
 
     def expected_outward_leg(self) -> float:
         """E over mu_inner of the hitting time of the outer circle."""
         pair = self.equilibrium_pair()
-        h = self._hit_table(self._sys_outer)
-        return float(pair.mu_inner @ h[self.inner_codes])
+        return float(pair.mu_inner @ self._hit_table(self._sys_outer)[self.inner_codes])
 
     def expected_d1(self) -> float:
         """Exact E over the pair of the full excursion length D_1."""
@@ -384,27 +383,21 @@ class EquilibriumWorkspace:
     def d1_moments(self) -> tuple[float, float]:
         """Exact (mean, variance) of D_1 for a walk started from mu_outer.
 
-        D_1 = H_in + H_out o theta_{H_in}.  For x off the inner circle let
-        phi(x) = E_x[D_1] and psi(x) = E_x[D_1^2]; on the inner circle they
-        are f1, f2, the first two moments of H_out.  One-step analysis gives
+        D_1 = H_in + H_out o theta_{H_in}.  Its first two moments from x off
+        the inner circle are the hitting moments of the inner circle with the
+        exit cost F = H_out, whose moments f1, f2 on the inner circle are the
+        plain hitting moments of the outer circle's system:
 
             (I - Q) phi = 1 + B f1,
             (I - Q) psi = 1 + 2 (Q phi + B f1) + B f2,
 
         with Q the free-to-free steps and B the steps onto the inner circle.
-        f1, f2 come from the same recursion on the outer circle's system.
         """
         pair = self.equilibrium_pair()
         so, si = self._sys_outer, self._sys_inner
-        one = np.ones(so.nfree)
-        h1 = so.solve(one)
-        h2 = so.solve(one + 2 * so.apply_Q(h1))
         at_inner = so.index[self.inner_codes]
-        B = si.one_step_to(self.inner_codes)
-        b1 = B @ h1[at_inner]
-        one = np.ones(si.nfree)
-        phi = si.solve(one + b1)
-        psi = si.solve(one + 2 * (si.apply_Q(phi) + b1) + B @ h2[at_inner])
+        f = [h[at_inner] for h in so.hitting_moments(2)]
+        phi, psi = si.hitting_moments(2, si.one_step_to(self.inner_codes), f)
         at_outer = si.index[self.outer_codes]
         mean = float(pair.mu_outer @ phi[at_outer])
         second = float(pair.mu_outer @ psi[at_outer])
@@ -413,10 +406,8 @@ class EquilibriumWorkspace:
     def stationary_measure(self) -> np.ndarray:
         """The invariant measure built from the two Green tables and the pair."""
         pair = self.equilibrium_pair()
-        w_in = {int(c): float(w) for c, w in zip(self.inner_codes, pair.mu_inner)}
-        w_out = {int(c): float(w) for c, w in zip(self.outer_codes, pair.mu_outer)}
-        m1 = green_weighted_column(self.outer_mask, w_in, self.n, system=self._sys_outer)
-        m2 = green_weighted_column(self.inner_mask, w_out, self.n, system=self._sys_inner)
+        m1 = self._sys_outer.weighted_green(self.inner_codes, pair.mu_inner)
+        m2 = self._sys_inner.weighted_green(self.outer_codes, pair.mu_outer)
         return m1 + m2
 
     def stationary_check(self) -> dict[str, float]:
@@ -450,7 +441,6 @@ def coupled_chain_run(
     length: int,
     seed: int = 0,
     stream: int = 0,
-    cap_per_leg: int | None = None,
 ) -> CoupledChainRun:
     """Simulate (X_l, I_l) with exact splitting measures from the oracle.
 
@@ -461,9 +451,8 @@ def coupled_chain_run(
     pair = ws.equilibrium_pair()
     nu = ws.nu_matrix()
     n = ws.n
-    if cap_per_leg is None:
-        cap_per_leg = 2000 * n * n
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    cap = LEG_CAP_PER_CELL * n * n
+    rng = philox_stream(seed, stream)
     inner_pos = {int(c): i for i, c in enumerate(ws.inner_codes)}
 
     starts = np.empty(length, dtype=np.int64)
@@ -473,15 +462,15 @@ def coupled_chain_run(
 
     # X_0: from x, run to D_1 = first outer hit after the first inner hit.
     walk = WalkState(TorusPoint(x.x, x.y, n), seed=seed, stream=stream + 1_000_000)
-    advance_to_mask(walk, ws.inner_mask, cap_per_leg, inclusive=True)
-    advance_to_mask(walk, ws.outer_mask, cap_per_leg, inclusive=False)
+    advance_to_mask(walk, ws.inner_mask, cap, inclusive=True)
+    advance_to_mask(walk, ws.outer_mask, cap, inclusive=False)
     start = walk.code
 
     for ell in range(length):
         leg = WalkState(
             TorusPoint(start // n, start % n, n), seed=seed, stream=stream + 2_000_000 + ell
         )
-        dur = advance_to_mask(leg, ws.inner_mask, cap_per_leg, inclusive=False)
+        dur = advance_to_mask(leg, ws.inner_mask, cap, inclusive=False)
         starts[ell] = start
         ends[ell] = leg.code
         durations[ell] = dur
@@ -507,33 +496,24 @@ def coupled_chain_run(
     )
 
 
-def equilibrium_pair(
-    y: TorusPoint, r: float, R: float, n: int, tol: float = 1e-12, size_cap: int | None = None
-) -> EquilibriumPair:
-    return EquilibriumWorkspace(y, r, R, n, tol=tol, size_cap=size_cap).equilibrium_pair()
+def equilibrium_pair(y: TorusPoint, r: float, R: float, n: int) -> EquilibriumPair:
+    return EquilibriumWorkspace(y, r, R, n).equilibrium_pair()
 
 
-def stationary_check(
-    y: TorusPoint, r: float, R: float, n: int, size_cap: int | None = None
-) -> dict[str, float]:
-    return EquilibriumWorkspace(y, r, R, n, size_cap=size_cap).stationary_check()
+def stationary_check(y: TorusPoint, r: float, R: float, n: int) -> dict[str, float]:
+    return EquilibriumWorkspace(y, r, R, n).stationary_check()
 
 
 # -- Kac moment hierarchy ------------------------------------------------------
 
 
-def kac_moment_check(A, n: int, size_cap: int | None = None) -> dict[str, float]:
+def kac_moment_check(A, n: int) -> dict[str, float]:
     """Exact E[T^m] for m <= 3 via the recursive Poisson hierarchy.
 
     Returns the worst ratios lhs/rhs of Kac's inequality
     E[T^m] <= m! E[T] (max E[T])^(m-1) over all start cells.
     """
-    mask = _as_mask(A, n)
-    sys = GridSystem(n, mask, size_cap=size_cap)
-    one = np.ones(sys.nfree)
-    h1 = sys.solve(one)
-    h2 = sys.solve(one + 2 * sys.apply_Q(h1))
-    h3 = sys.solve(one + 3 * sys.apply_Q(h1) + 3 * sys.apply_Q(h2))
+    h1, h2, h3 = GridSystem(n, _as_mask(A, n)).hitting_moments(3)
     hmax = h1.max()
     ratio2 = float((h2 / (2 * h1 * hmax)).max())
     ratio3 = float((h3 / (6 * h1 * hmax**2)).max())
@@ -626,36 +606,27 @@ class CircleChain:
     kernels onto the adjacent circles (unit steps cannot skip a circle).
     """
 
-    def __init__(self, center: TorusPoint, radii, n: int, size_cap: int | None = None):
+    def __init__(self, center: TorusPoint, radii, n: int):
         self.center = center
         self.radii = [float(r) for r in radii]
         self.n = n
         self.L = len(self.radii) - 1
+        if self.L < 1:
+            raise ValueError("a circle chain needs at least two circles")
         masks = [exterior_boundary_mask(ball_mask(center, r)) for r in self.radii]
         self.circle_codes = [np.nonzero(m.reshape(-1))[0] for m in masks]
+        if np.logical_or.reduce(masks).sum() != sum(c.size for c in self.circle_codes):
+            raise ValueError("circles share cells: the radii are too close")
         self.kern_down: dict[int, np.ndarray] = {}  # circle i -> circle i+1
         self.kern_up: dict[int, np.ndarray] = {}  # circle i -> circle i-1
-        # from the outermost circle the next circle hit is circle 1 surely
-        rows, bcodes = harmonic_measure_exact(
-            self.circle_codes[0], masks[1], n, size_cap=size_cap
-        )
-        assert np.array_equal(bcodes, self.circle_codes[1])
-        self.kern_down[0] = rows
-        for i in range(1, self.L):
-            absorbing = masks[i - 1] | masks[i + 1]
-            rows, bcodes = harmonic_measure_exact(
-                self.circle_codes[i], absorbing, n, size_cap=size_cap
-            )
-            up_pos = np.searchsorted(bcodes, self.circle_codes[i - 1])
-            down_pos = np.searchsorted(bcodes, self.circle_codes[i + 1])
-            self.kern_up[i] = rows[:, up_pos]
-            self.kern_down[i] = rows[:, down_pos]
-        # from the innermost circle the next circle hit is L-1 surely
-        rows, bcodes = harmonic_measure_exact(
-            self.circle_codes[self.L], masks[self.L - 1], n, size_cap=size_cap
-        )
-        assert np.array_equal(bcodes, self.circle_codes[self.L - 1])
-        self.kern_up[self.L] = rows
+        # from circle i the next circle hit is i-1 or i+1 (the end circles have one)
+        for i, codes in enumerate(self.circle_codes):
+            nbrs = [j for j in (i - 1, i + 1) if 0 <= j <= self.L]
+            absorbing = np.logical_or.reduce([masks[j] for j in nbrs])
+            rows, bcodes = GridSystem(n, absorbing).exit_distribution(codes)
+            for j in nbrs:
+                kern = self.kern_up if j < i else self.kern_down
+                kern[i] = rows[:, np.searchsorted(bcodes, self.circle_codes[j])]
 
     def event_probability(self, start: TorusPoint, m: int, targets: dict[int, int]) -> float:
         """P_start[T_i = targets[i] for all i, by the m-th top departure].

@@ -179,6 +179,16 @@ def test_cli_exit_codes(tmp_path):
     assert main(["not-an-experiment"]) == 2
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    from coverlab.cli import main
+
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(name="barrier", seed=-1)
+    for name in sorted(REGISTRY):
+        assert main([name, "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_failing_assertion_exit_code():
     from coverlab.cli import main
 

@@ -13,6 +13,7 @@ from coverlab.lattice import (
 from coverlab.oracle import (
     CircleChain,
     EquilibriumWorkspace,
+    GridSystem,
     coupled_chain_run,
     equilibrium_pair,
     exact_cover_mean,
@@ -135,6 +136,91 @@ def test_harmonic_measure_source_on_boundary():
     rows, bcodes = harmonic_measure_exact([src], boundary, n)
     j = int(np.nonzero(bcodes == src.code)[0][0])
     assert rows[0, j] == 1.0
+
+
+def _single_solves(sys, free_idx):
+    """Green columns G(., v) one unit right-hand side at a time."""
+    cols = []
+    for fi in free_idx:
+        e = np.zeros(sys.nfree)
+        e[fi] = 1.0
+        cols.append(sys.solve(e))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("radius, side", [(10.0, "sources"), (2.0, "boundary")])
+def test_harmonic_measure_both_sides_match_single_solves(radius, side):
+    n = 32
+    x = TorusPoint(16, 16, n)
+    boundary = exterior_boundary_mask(ball_mask(x, radius))
+    sys = GridSystem(n, boundary)
+    bcodes = np.nonzero(boundary.reshape(-1))[0]
+    # 40 free cells on the lines y = 3 and y = 29, off both circles, then a boundary cell
+    sources = [TorusPoint(i, 3, n) for i in range(n)] + [TorusPoint(i, 29, n) for i in range(8)]
+    free_count = len(sources)
+    sources.append(TorusPoint(*divmod(int(bcodes[0]), n), n))
+    assert (free_count <= bcodes.size) == (side == "sources")
+    rows, got_codes = harmonic_measure_exact(sources, boundary, n)
+    assert np.array_equal(got_codes, bcodes)
+    free_idx = sys.index[[p.code for p in sources[:-1]]]
+    expected = (sys.one_step_to(bcodes).T @ _single_solves(sys, free_idx)).T
+    assert np.abs(rows[:-1] - expected).max() <= 1e-13
+    assert rows[-1, 0] == 1.0 and rows[-1].sum() == 1.0
+
+
+def test_green_columns_match_single_solves():
+    n = 32
+    y = TorusPoint(16, 16, n)
+    absorbing = exterior_boundary_mask(ball_mask(y, 10.0))
+    probes = [y, TorusPoint(18, 16, n), TorusPoint(16, 20, n), TorusPoint(26, 16, n)]
+    table = green_exact(absorbing, probes, n)
+    sys = GridSystem(n, absorbing)
+    free_idx = sys.index[[p.code for p in probes[:3]]]
+    expected = sys.full_vector(_single_solves(sys, free_idx))
+    assert np.abs(table.columns[:, :3] - expected).max() <= 1e-13
+    assert not table.columns[:, 3].any()  # the last probe lies on the absorbing circle
+
+
+def test_residual_check_raises_for_a_matrix_right_hand_side(monkeypatch):
+    n = 16
+    sys = GridSystem(n, exterior_boundary_mask(ball_mask(TorusPoint(8, 8, n), 5.0)))
+    lu = sys._lu
+
+    class OneColumnOff:
+        def solve(self, rhs):
+            h = lu.solve(rhs)
+            h[:, 1] += 1e-6
+            return h
+
+    rhs = np.ones((sys.nfree, 3))
+    assert np.allclose(sys.solve(rhs), sys.solve(np.ones(sys.nfree))[:, None])
+    monkeypatch.setattr(sys, "_lu", OneColumnOff())
+    with pytest.raises(RuntimeError, match="residual"):
+        sys.solve(rhs)
+
+
+def test_hitting_moments_match_the_fundamental_matrix():
+    # with N = (I - Q)^-1: E[H] = N 1, E[H^2] = (2N - I) E[H], E[H^3] = N (1 + 3 Q h1 + 3 Q h2)
+    n = 8
+    A = np.zeros((n, n), dtype=bool)
+    A[1, 2] = A[5, 6] = True
+    sys = GridSystem(n, A)
+    N = np.linalg.inv(sys._matrix.toarray())
+    Q = np.eye(sys.nfree) - sys._matrix.toarray()
+    h1, h2, h3 = sys.hitting_moments(3)
+    one = np.ones(sys.nfree)
+    assert np.allclose(h1, N @ one, rtol=1e-12)
+    assert np.allclose(h2, 2 * N @ h1 - h1, rtol=1e-12)
+    assert np.allclose(h3, N @ (one + 3 * Q @ h1 + 3 * Q @ h2), rtol=1e-12)
+
+
+def test_circle_chain_rejects_overlapping_or_single_circles():
+    n = 48
+    center = TorusPoint(24, 24, n)
+    with pytest.raises(ValueError, match="share cells"):
+        CircleChain(center, [8.0, 7.5, 1.0], n)
+    with pytest.raises(ValueError, match="two circles"):
+        CircleChain(center, [8.0], n)
 
 
 def test_green_table_symmetry_and_diagonal():
