@@ -266,7 +266,7 @@ def green_exact(absorbing, probes, n: int) -> GreenTable:
 def green_weighted_column(absorbing, weights: dict[int, float], n: int) -> np.ndarray:
     """sum_v w(v) G(v, u) for all u, via one symmetric solve."""
     sys = GridSystem(n, _as_mask(absorbing, n))
-    return sys.weighted_green(_codes(weights), np.array(list(weights.values()), dtype=float))
+    return sys.weighted_green(_codes(weights.keys()), np.array(list(weights.values())))
 
 
 # -- equilibrium pair and the excursion chain ---------------------------------

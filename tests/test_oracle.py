@@ -21,6 +21,7 @@ from coverlab.oracle import (
     expected_hit_origin_table,
     expected_hit_table,
     green_exact,
+    green_weighted_column,
     harmonic_measure_exact,
     hit_prob_exact,
     kac_moment_check,
@@ -179,6 +180,9 @@ def test_green_columns_match_single_solves():
     expected = sys.full_vector(_single_solves(sys, free_idx))
     assert np.abs(table.columns[:, :3] - expected).max() <= 1e-13
     assert not table.columns[:, 3].any()  # the last probe lies on the absorbing circle
+    weights = {p.code: w for p, w in zip(probes[:3], (0.5, 0.3, 0.2))}
+    mixed = green_weighted_column(absorbing, weights, n)
+    assert np.abs(mixed - expected @ [0.5, 0.3, 0.2]).max() <= 1e-13
 
 
 def test_residual_check_raises_for_a_matrix_right_hand_side(monkeypatch):
