@@ -3,7 +3,8 @@
 The stopping-time ladder alternates R-events (arrivals on an inner circle)
 with D-events (returns to the outer circle).  All counting is a single
 streaming pass over the walk: every circle is baked into a per-cell bitmask
-label, and only label hits are touched in Python.
+label, and each block of the walk is read in numpy, one ladder at a time,
+so no Python code runs per hit.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .lattice import (
     scan,
     torus_distance,
 )
-
-_WAIT_R = 0
-_WAIT_D = 1
-
 
 @dataclass(frozen=True)
 class AnnulusSpec:
@@ -124,15 +121,14 @@ class TraversalMachine:
                 raise ValueError(f"circle {idx} is empty")
             label[mask.reshape(-1)] |= np.uint32(1 << idx)
         self._label = label
-        inner_of: dict[int, list[int]] = {}
-        outer_of: dict[int, list[int]] = {}
-        for li, lad in enumerate(self.ladders):
+        for lad in self.ladders:
             if lad.inner == lad.outer:
                 raise ValueError("ladder inner and outer circles must differ")
-            inner_of.setdefault(lad.inner, []).append(li)
-            outer_of.setdefault(lad.outer, []).append(li)
-        self._inner_of = inner_of
-        self._outer_of = outer_of
+        self._bits = [
+            (1 << lad.inner, 1 << lad.outer, lad.inner < lad.outer) for lad in self.ladders
+        ]
+        # the driving ladder first: its m-th departure cuts the others' block
+        self._order = [driving] + [li for li in range(len(self.ladders)) if li != driving]
 
     def run(
         self,
@@ -146,51 +142,88 @@ class TraversalMachine:
 
         ``watch`` names a circle index whose first hit time is recorded on the
         returned record (used for H_x bookkeeping in late-point detection).
+
+        Each block is read in numpy, one ladder at a time.  A unit step
+        cannot jump a circle, so a ladder only needs the hits on its own two
+        circles, in order.  On each hit it is in the phase the previous hit
+        left it in, and a hit's circles are handled in index order, each
+        feeding the ladders it is the inner (R-event) and then the outer
+        (D-event) circle of.  So where a cell lies on both of a ladder's
+        circles, the one with the lower index acts first.  The driving ladder
+        is read first; its m-th departure ends the block for every ladder.
         """
         nlad = len(self.ladders)
-        phase = [_WAIT_R] * nlad
+        waiting_d = [False] * nlad
         counts = [0] * nlad
         open_r = [0] * nlad
         intervals: list[list[tuple[int, int]]] = [[] for _ in range(nlad)]
         clock = ExcursionClock()
         watch_time: int | None = None
 
-        def on_circle(c: int, t: int) -> bool:
-            nonlocal watch_time
-            finished = False
-            if c == watch and watch_time is None:
-                watch_time = t
-            for li in self._inner_of.get(c, ()):
-                if phase[li] == _WAIT_R:
-                    phase[li] = _WAIT_D
-                    counts[li] += 1
-                    open_r[li] = t
-                    if li == self.driving:
-                        clock.returns.append(t)
-            for li in self._outer_of.get(c, ()):
-                if phase[li] == _WAIT_D:
-                    phase[li] = _WAIT_R
-                    if collect_intervals:
-                        intervals[li].append((open_r[li], t))
-                    if li == self.driving:
-                        clock.departures.append(t)
-                        if len(clock.departures) == m:
-                            finished = True
-            return finished
+        def events(li, hv):
+            """Ladder li's hits among the hit labels hv (as indices into hv),
+            its phase after each, and which are R- and D-events."""
+            inner, outer, inner_first = self._bits[li]
+            sel = np.flatnonzero(hv & (inner | outer))
+            v = hv[sel]
+            on_in = (v & inner) != 0
+            on_out = (v & outer) != 0
+            # a hit leaves the ladder waiting for D iff its inner circle acted last
+            after = on_in & ~on_out if inner_first else on_in
+            before = np.empty_like(after)
+            before[:1] = waiting_d[li]
+            before[1:] = after[:-1]
+            if inner_first:
+                r_ev = on_in & ~before
+                d_ev = on_out & (before | on_in)
+            else:
+                r_ev = on_in & (on_out | ~before)
+                d_ev = on_out & before
+            return sel, after, r_ev, d_ev
+
+        def take(li, t, after, r_ev, d_ev):
+            """Record ladder li's events at its hit times t."""
+            if t.size == 0:
+                return
+            r_t = t[r_ev].tolist()
+            d_t = t[d_ev].tolist()
+            if li == self.driving:
+                clock.returns.extend(r_t)
+                clock.departures.extend(d_t)
+            if collect_intervals:
+                # R- and D-events alternate: each D closes the R before it
+                starts = [open_r[li]] + r_t if waiting_d[li] else r_t
+                intervals[li].extend(zip(starts, d_t))
+            counts[li] += len(r_t)
+            if r_t:
+                open_r[li] = r_t[-1]
+            waiting_d[li] = bool(after[-1])
 
         def last_departure(codes, taken):
-            lab = self._label[codes]
+            nonlocal watch_time
+            lab = self._label.take(codes)
             hits = np.flatnonzero(lab)
-            for j, v in zip(hits.tolist(), lab[hits].tolist()):
-                t = taken + j + 1
-                done = False
-                while v:
-                    bit = v & -v
-                    done = on_circle(bit.bit_length() - 1, t) or done
-                    v ^= bit
-                if done:
-                    return j
-            return None
+            if hits.size == 0:
+                return None
+            hv = lab[hits]
+            times = hits + (taken + 1)
+            end = None
+            for li in self._order:
+                sel, after, r_ev, d_ev = events(li, hv)
+                if li == self.driving:
+                    d_at = np.flatnonzero(d_ev)
+                    need = m - len(clock.departures)
+                    if d_at.size >= need:
+                        k = d_at[need - 1] + 1
+                        end = int(sel[k - 1])
+                        hv = hv[: end + 1]
+                        sel, after, r_ev, d_ev = sel[:k], after[:k], r_ev[:k], d_ev[:k]
+                take(li, times[sel], after, r_ev, d_ev)
+            if watch is not None and watch_time is None:
+                seen = np.flatnonzero(hv & (1 << watch))
+                if seen.size:
+                    watch_time = int(times[seen[0]])
+            return None if end is None else int(hits[end])
 
         # the start cell is step 0: a one-cell block after taken = -1 steps
         if m and last_departure(np.array([walk.code]), -1) is None:

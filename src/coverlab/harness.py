@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gw, oracle, schedule, stats
-from .excursions import circle_machine, detect_late_event, tilde_traversal, validate_radii
+from .excursions import circle_machine, detect_late_event, validate_radii
 from .lattice import (
     BudgetExceededError,
     TorusPoint,
@@ -346,11 +346,13 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # deviation quantiles across an m-sweep: p90 * (m-1)/sqrt(m) should be
     # m-free if the relative spread shrinks like m^(-1/2)
     sweep_stats = {}
+    sweep_fail = 0
     sweep_trials = max(200, trials_dm // 8)
     for m_small in (9, 25, m):
         pl = (machine, m_small, cfg.seed + 2, pair.outer_codes, mu_cum, cap * m_small, "center")
         raw = _map_trials(_excursion_clock_trial, pl, sweep_trials, cfg.worker_count())
         vals = np.array([v[1] for v in raw if v is not None], dtype=float)
+        sweep_fail += sum(1 for v in raw if v is None)
         dev = np.abs(vals / (d1_exact * (m_small - 1)) - 1.0)
         sweep_stats[m_small] = float(np.quantile(dev, 0.90)) * (m_small - 1) / math.sqrt(m_small)
     spread_ratio = max(sweep_stats.values()) / min(sweep_stats.values())
@@ -367,7 +369,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     def add(metric, value, anchor, provenance):
         rows.append(
             dict(
-                n=n, r=r, R=R, m=m, trials=trials_d1, failures=d1_fail + dm_fail,
+                n=n, r=r, R=R, m=m, trials=trials_d1, failures=d1_fail + dm_fail + sweep_fail,
                 metric=metric, value=value, anchor=anchor, provenance=provenance,
             )
         )
@@ -784,13 +786,15 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _curve_trial(payload, trial):
-    center, start, radii, m, seed, cap = payload
+    """tilde_traversal's counts, with its r_1 mask and machine prebuilt."""
+    machine, shift_mask, start, m, seed, cap = payload
     walk = WalkState(start, seed=seed, stream=trial)
     try:
-        record, _ = tilde_traversal(walk, center, radii, m, cap)
+        used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
+        record, _ = machine.run(walk, m, cap - used)
     except BudgetExceededError:
         return None
-    return tuple(record.counts[i] for i in range(len(radii) - 1))
+    return tuple(record.counts[lad.level] for lad in machine.ladders)
 
 
 def _late_event_trial(payload, trial):
@@ -841,8 +845,12 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     trials = cfg.trials or 400
     cap = int(1000 * n * n * m_plus * max(cfg.budget_mult, 1.0))
     center = TorusPoint(n // 2, n // 2, n)
-    radii = list(scales.radii)
-    payload = (center, center.shifted(int(radii[0]), 0), radii, m_plus, cfg.seed, cap)
+    radii = validate_radii(scales.radii, n=n)
+    shift_mask = exterior_boundary_mask(ball_mask(center, radii[1]))
+    payload = (
+        circle_machine(center, radii), shift_mask, center.shifted(int(radii[0]), 0),
+        m_plus, cfg.seed, cap,
+    )
     outcomes = _map_trials(_curve_trial, payload, trials, cfg.worker_count())
     walk_profiles = np.array([o for o in outcomes if o is not None], dtype=np.int64)
 

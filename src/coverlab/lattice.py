@@ -8,6 +8,15 @@ Every operation that runs a walk until an event (a mask hit, the cover of
 the torus, the end of an R/D ladder) is a per-block ``stop`` callback of
 the one block loop, ``scan``.
 
+Moves are read straight from the raw 64-bit Philox words, and the stream
+format is unchanged: each move is the one ``Generator.integers(0, 4)``
+would give.  Numpy draws a bounded integer with Lemire's multiply-shift
+(Lemire, "Fast random integer generation in an interval", ACM TOMACS 2019)
+on one 32-bit half of a word, the low half first.  For a range of 4 the
+rejection threshold (2^32 - 4) mod 4 is 0, so nothing is ever rejected and
+the move is ``u32 * 4 >> 32``, the top two bits of the half.  Every block
+has an even size, so no half-word is left buffered between blocks.
+
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
 times, which only ask when a set is first entered.
 """
@@ -20,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
-_DX = np.array([1, -1, 0, 0], dtype=np.int64)
-_DY = np.array([0, 0, 1, -1], dtype=np.int64)
+_DX = np.array([1, -1, 0, 0], dtype=np.int32)
+_DY = np.array([0, 0, 1, -1], dtype=np.int32)
 
+# Both even, so every block uses whole raw words.
 _FIRST_BLOCK = 1 << 10
-_MAX_BLOCK = 1 << 17
+_MAX_BLOCK = 1 << 15
 
 
 class BudgetExceededError(RuntimeError):
@@ -164,6 +174,14 @@ class WalkState:
     ``forced_moves`` array), independent of how operations slice it, so any
     sequence of operations on equal-seed walks reproduces bit-for-bit.
     A WalkState is confined to one worker at a time and never shared.
+
+    The k-th move equals the k-th draw of
+    ``philox_stream(seed, stream).integers(0, 4, dtype=np.int64)``: it is
+    read as the top two bits of a 32-bit half of a raw Philox word, low half
+    first (see the module docstring), and blocks always have even sizes.
+    Positions are int32 flat codes ``x * n + y``; index tables with them
+    through ``take``, which numpy runs about twice as fast as ``table[codes]``
+    for int32 indices.
     """
 
     def __init__(
@@ -173,6 +191,8 @@ class WalkState:
         stream: int = 0,
         forced_moves=None,
     ):
+        if start.n * start.n > np.iinfo(np.int32).max:
+            raise ValueError(f"torus side {start.n} is too large for int32 cell codes")
         self.n = start.n
         self._px = start.x
         self._py = start.y
@@ -185,7 +205,7 @@ class WalkState:
         else:
             self._forced = None
             self._rng = philox_stream(seed, stream)
-        self._codes = np.empty(0, dtype=np.int64)
+        self._codes = np.empty(0, dtype=np.int32)
         self._cursor = 0
 
     @property
@@ -207,10 +227,25 @@ class WalkState:
         else:
             size = min(self._next_block, _MAX_BLOCK)
             self._next_block = min(self._next_block * 2, _MAX_BLOCK)
-            moves = self._rng.integers(0, 4, size=size, dtype=np.int64)
-        cx = (self._px + np.cumsum(_DX[moves])) % self.n
-        cy = (self._py + np.cumsum(_DY[moves])) % self.n
-        self._codes = cx * self.n + cy
+            raw = self._rng.bit_generator.random_raw(size // 2)
+            moves = np.empty(size, dtype=np.intp)
+            np.bitwise_and(raw >> 30, 3, out=moves[0::2], casting="unsafe")
+            np.right_shift(raw, 62, out=moves[1::2], casting="unsafe")
+        n = self.n
+        cx = _DX[moves]
+        cy = _DY[moves]
+        tmp = np.empty_like(cx)
+        for c, start in ((cx, self._px), (cy, self._py)):
+            np.cumsum(c, out=c)
+            c += start
+            # c - (c // n) * n is c % n; numpy divides by a scalar far faster
+            # than it takes a remainder
+            np.floor_divide(c, n, out=tmp)
+            tmp *= n
+            c -= tmp
+        cx *= n
+        cx += cy
+        self._codes = cx
         self._cursor = 0
 
     def peek_block(self) -> np.ndarray:
@@ -270,7 +305,7 @@ def advance_to_mask(walk: WalkState, mask: np.ndarray, cap: int, inclusive: bool
         return 0
 
     def first_hit(codes, taken):
-        hits = np.flatnonzero(flat[codes])
+        hits = np.flatnonzero(flat.take(codes))
         return int(hits[0]) if hits.size else None
 
     return scan(walk, cap, first_hit, lambda: "no hit")
@@ -315,7 +350,7 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
 
     def last_new_cell(codes, taken):
         nonlocal remaining
-        idx = np.flatnonzero(~visited[codes])
+        idx = np.flatnonzero(~visited.take(codes))
         if idx.size == 0:
             return None
         cells, first = np.unique(codes[idx], return_index=True)

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverlab.excursions import (
     AnnulusSpec,
     ExcursionClock,
+    TraversalMachine,
     TraversalRecord,
+    _Ladder,
     branching_level,
+    circle_machine,
     detect_late_event,
     excursion_clock,
     hat_traversal,
@@ -22,6 +27,7 @@ from coverlab.lattice import (
     WalkState,
     ball_mask,
     exterior_boundary_mask,
+    scan,
     step,
 )
 
@@ -112,6 +118,176 @@ def test_traversal_counts_budget_error_keeps_departures_done():
             traversal_counts(_walk(2), CENTER, RADII, m=5, cap=cap)
         assert err.value.steps_taken == cap
         assert f"finished only {done}/5 departures within {cap} steps" in str(err.value)
+
+
+def reference_run(machine, walk, m, cap, collect_intervals=False, watch=None):
+    """TraversalMachine.run as a per-hit Python ladder, the reference for the
+    per-block one: every labelled hit visits its circles in index order, each
+    circle feeding the ladders whose inner (R-event) and then outer (D-event)
+    circle it is."""
+    wait_r, wait_d = 0, 1
+    inner_of, outer_of = {}, {}
+    for li, lad in enumerate(machine.ladders):
+        inner_of.setdefault(lad.inner, []).append(li)
+        outer_of.setdefault(lad.outer, []).append(li)
+    nlad = len(machine.ladders)
+    phase = [wait_r] * nlad
+    counts = [0] * nlad
+    open_r = [0] * nlad
+    intervals = [[] for _ in range(nlad)]
+    clock = ExcursionClock()
+    watch_time = None
+
+    def on_circle(c, t):
+        nonlocal watch_time
+        finished = False
+        if c == watch and watch_time is None:
+            watch_time = t
+        for li in inner_of.get(c, ()):
+            if phase[li] == wait_r:
+                phase[li] = wait_d
+                counts[li] += 1
+                open_r[li] = t
+                if li == machine.driving:
+                    clock.returns.append(t)
+        for li in outer_of.get(c, ()):
+            if phase[li] == wait_d:
+                phase[li] = wait_r
+                if collect_intervals:
+                    intervals[li].append((open_r[li], t))
+                if li == machine.driving:
+                    clock.departures.append(t)
+                    if len(clock.departures) == m:
+                        finished = True
+        return finished
+
+    def last_departure(codes, taken):
+        lab = machine._label[codes]
+        hits = np.flatnonzero(lab)
+        for j, v in zip(hits.tolist(), lab[hits].tolist()):
+            t = taken + j + 1
+            done = False
+            while v:
+                bit = v & -v
+                done = on_circle(bit.bit_length() - 1, t) or done
+                v ^= bit
+            if done:
+                return j
+        return None
+
+    if m and last_departure(np.array([walk.code]), -1) is None:
+        scan(
+            walk, cap, last_departure,
+            lambda: f"driving ladder finished only {len(clock.departures)}/{m} departures",
+        )
+    record = TraversalRecord(
+        counts={lad.level: counts[li] for li, lad in enumerate(machine.ladders)},
+        driving_level=machine.ladders[machine.driving].level,
+        m=m,
+        intervals={lad.level: intervals[li] for li, lad in enumerate(machine.ladders)}
+        if collect_intervals
+        else None,
+        watch_time=watch_time,
+    )
+    return record, clock
+
+
+def _outcome(run, machine, start, seed, stream, m, cap, collect_intervals, watch):
+    """Everything one ladder run leaves behind: record and clock fields, or
+    the overrun's message and steps, plus where the walk stopped."""
+    walk = WalkState(start, seed=seed, stream=stream)
+    try:
+        record, clock = run(machine, walk, m, cap, collect_intervals, watch)
+    except BudgetExceededError as err:
+        return ("overrun", str(err), err.steps_taken, walk.steps, walk.code)
+    return (
+        record.counts, record.driving_level, record.m, record.intervals, record.watch_time,
+        clock.returns, clock.departures, walk.steps, walk.code,
+    )
+
+
+def _new_run(machine, walk, m, cap, collect_intervals, watch):
+    return machine.run(walk, m, cap, collect_intervals=collect_intervals, watch=watch)
+
+
+@st.composite
+def _concentric_machines(draw):
+    """circle_machine on 2-4 decreasing radii, some closer than one cell so
+    their circles share cells, with an optional watch mask.  A wide top
+    annulus makes walks that span several blocks."""
+    n = draw(st.sampled_from([48, 24, 12]))
+    center = TorusPoint(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n)
+    top = draw(st.sampled_from([n / 2 - 1, n / 4]))
+    halves = st.integers(2, int(2 * top) - 1)
+    rest = draw(st.lists(halves, min_size=1, max_size=3, unique=True))
+    radii = [top] + sorted((h / 2 for h in rest), reverse=True)
+    watch = None
+    if draw(st.booleans()):
+        watch = ball_mask(TorusPoint(draw(st.integers(0, n - 1)), 0, n), 1.5)
+    machine = circle_machine(center, radii, watch=watch)
+    return machine, len(radii) if watch is not None else None
+
+
+@st.composite
+def _shared_cell_machines(draw):
+    """Hand-built machines on random cell masks, so circles share cells and a
+    single hit can be an R- and a D-event of one ladder."""
+    n = draw(st.integers(6, 24))
+    k = draw(st.integers(2, 5))
+    density = draw(st.sampled_from([0.02, 0.1, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circles = []
+    for _ in range(k):
+        mask = rng.random((n, n)) < density
+        mask[rng.integers(n), rng.integers(n)] = True
+        circles.append(mask)
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    ladders = [_Ladder(level=i, inner=a, outer=b) for i, (a, b) in enumerate(chosen)]
+    machine = TraversalMachine(n, circles, ladders, driving=draw(st.integers(0, len(ladders) - 1)))
+    watch = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    return machine, watch
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(
+    built=st.one_of(_concentric_machines(), _shared_cell_machines()),
+    start=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    seed=st.integers(0, 2**32),
+    stream=st.integers(0, 2**32),
+    m=st.sampled_from([5, 4, 3, 2, 1, 0]),
+    cap=st.one_of(st.just(10**6), st.integers(1, 4000)),
+    collect_intervals=st.booleans(),
+)
+def test_block_ladder_matches_per_hit_reference(
+    built, start, seed, stream, m, cap, collect_intervals
+):
+    machine, watch = built
+    n = machine.n
+    point = TorusPoint(start[0] % n, start[1] % n, n)
+    args = (machine, point, seed, stream, m, cap, collect_intervals, watch)
+    assert _outcome(_new_run, *args) == _outcome(reference_run, *args)
+
+
+def test_block_ladder_overrun_mid_ladder_matches_reference():
+    machine = circle_machine(CENTER, RADII)
+    walk = _walk(3)
+    _, clock = machine.run(walk, 4, CAP)
+    assert walk.steps > 2 * 4096  # the walk spans several blocks
+    # caps that stop the walk between the second and third departures, at a
+    # block boundary and just before and after one
+    for cap in (
+        (clock.departures[1] + clock.departures[2]) // 2,
+        clock.departures[2] - 1,
+        1024 + 2048 + 4096,
+        1024 + 2048 + 4096 + 1,
+    ):
+        for intervals in (False, True):
+            args = (machine, TorusPoint(48, 32, N), 5, 3, 4, cap, intervals, None)
+            got = _outcome(_new_run, *args)
+            assert got == _outcome(reference_run, *args)
+            if cap < clock.departures[-1]:
+                assert got[0] == "overrun"
 
 
 def test_radii_validation():

@@ -14,6 +14,7 @@ from coverlab.lattice import (
     exterior_boundary_mask,
     hitting_time,
     mask_to_points,
+    philox_stream,
     step,
     torus_distance,
 )
@@ -108,6 +109,56 @@ def test_step_direction_frequencies():
         prev = cur
     freqs = counts / n_steps
     assert np.all(np.abs(freqs - 0.25) <= 0.002)
+
+
+def _int64_codes(moves, n, x, y):
+    """Flat codes of a walk from (x, y) with the int64 move formula."""
+    dx = np.array([1, -1, 0, 0], dtype=np.int64)[moves]
+    dy = np.array([0, 0, 1, -1], dtype=np.int64)[moves]
+    return ((x + np.cumsum(dx)) % n) * n + (y + np.cumsum(dy)) % n
+
+
+def _walk_codes(walk, total, slice_len):
+    """The next ``total`` codes of ``walk``, consumed ``slice_len`` at a time."""
+    out = []
+    got = 0
+    while got < total:
+        codes = walk.peek_block()[: min(slice_len, total - got)]
+        out.append(codes.copy())
+        walk.consume(codes.size)
+        got += codes.size
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [3, 50, 128])
+def test_walk_stream_matches_generator_integers(n):
+    # 300 000 moves cross the doubling first blocks and nine full-size ones;
+    # odd slice lengths make consumption straddle every block boundary
+    total = 300_000
+    for seed, stream, slice_len in ((0, 0, 1 << 20), (7, 3, 9_999), (2**63 + 5, 2**40, 77_777)):
+        x, y = seed % n, stream % n
+        walk = WalkState(TorusPoint(x, y, n), seed=seed, stream=stream)
+        got = _walk_codes(walk, total, slice_len)
+        moves = philox_stream(seed, stream).integers(0, 4, size=total, dtype=np.int64)
+        assert np.array_equal(got, _int64_codes(moves, n, x, y))
+        assert walk.steps == total
+        assert walk.code == got[-1]
+
+
+def test_forced_moves_match_int64_formula():
+    moves = np.random.default_rng(11).integers(0, 4, size=5_000)
+    for n in (3, 50, 128):
+        walk = WalkState(TorusPoint(1, n - 1, n), forced_moves=moves)
+        got = _walk_codes(walk, moves.size, 333)
+        assert np.array_equal(got, _int64_codes(moves, n, 1, n - 1))
+        with pytest.raises(RuntimeError, match="exhausted"):
+            step(walk)
+
+
+def test_walk_rejects_a_side_beyond_int32_codes():
+    WalkState(TorusPoint(0, 0, 46340), forced_moves=[0])
+    with pytest.raises(ValueError, match="int32"):
+        WalkState(TorusPoint(0, 0, 46341), forced_moves=[0])
 
 
 def test_walk_steps_are_unit_moves_and_reduced():
