@@ -50,7 +50,10 @@ def _params_from_arg(arg: str | None, n: int) -> schedule.ParamSet | None:
     try:
         alpha, beta, gamma, delta, cstar = (float(v) for v in arg.split(","))
     except ValueError as exc:
-        raise SystemExit(2) from exc
+        raise ValueError(
+            "--params needs five comma-separated numbers alpha,beta,gamma,delta,cstar "
+            f"(got {arg!r})"
+        ) from exc
     return schedule.ParamSet(
         n=n, alpha=alpha, beta=beta, gamma=gamma, delta=delta, c_star=cstar
     )

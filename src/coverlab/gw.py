@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+
+# the ufunc behind scipy.stats.nbinom.pmf, bit for bit; importing it from
+# scipy.special skips the import of scipy.stats
+from scipy.special._ufuncs import _nbinom_pmf
 
 from .stats import wilson_interval
 
@@ -89,7 +92,7 @@ def one_step_pmf(m: int, jmax: int) -> np.ndarray:
         out = np.zeros(jmax + 1)
         out[0] = 1.0
         return out
-    return sps.nbinom.pmf(np.arange(jmax + 1), m, 0.5)
+    return _nbinom_pmf(np.arange(jmax + 1), m, 0.5)
 
 
 def transition_matrix(cap: int) -> np.ndarray:
@@ -97,7 +100,7 @@ def transition_matrix(cap: int) -> np.ndarray:
     M = np.zeros((cap + 1, cap + 1))
     M[0, 0] = 1.0
     ks = np.arange(1, cap + 1)
-    M[1:, :] = sps.nbinom.pmf(np.arange(cap + 1)[None, :], ks[:, None], 0.5)
+    M[1:, :] = _nbinom_pmf(np.arange(cap + 1)[None, :], ks[:, None], 0.5)
     return M
 
 
@@ -121,7 +124,7 @@ def gw_joint_prob(m: int, vec) -> float:
         if prev == 0:
             prob *= 1.0 if v == 0 else 0.0
         else:
-            prob *= float(sps.nbinom.pmf(v, prev, 0.5))
+            prob *= float(_nbinom_pmf(v, prev, 0.5))
         prev = v
     return prob
 

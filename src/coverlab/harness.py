@@ -5,8 +5,9 @@ and the oracle cross-validation battery.
 Every experiment is a pure function of (config, master seed): trials draw
 from counter-based streams keyed by (seed, trial index), reduction is a fold
 in trial-index order, and CSV output is formatted deterministically, so a
-re-run reproduces the output byte for byte.  Failures (budget overruns) are
-counted per cell and excluded from summaries.
+re-run reproduces the output byte for byte.  ``_map_trials`` runs every
+trial, counts budget overruns and leaves those trials out of the summaries;
+``_result`` builds every result and writes every CSV.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class ExperimentResult:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
 
 def load_tolerances() -> dict[str, float]:
     """Tolerance manifest: plain key = value lines, '#' comments."""
@@ -132,23 +130,45 @@ def emit_csv(path: str | Path, rows: list[dict], schema: list[str]) -> Path:
     return path
 
 
-def _map_trials(fn, payload, n_trials: int, workers: int):
-    """Run fn(payload, trial_index) for every trial; deterministic order."""
+def _result(cfg, name, schema, rows, checks, late_rows=None) -> ExperimentResult:
+    """The experiment's result; writes its CSV when ``cfg.out`` is set, and
+    the late-event table beside it as ``.late.csv`` when there is one."""
+    if cfg.out:
+        emit_csv(cfg.out, rows, schema)
+        if late_rows is not None:
+            emit_csv(Path(cfg.out).with_suffix(".late.csv"), late_rows, LATE_SCHEMA)
+    return ExperimentResult(name, schema, rows, checks, late_rows=late_rows)
+
+
+def _map_trials(fn, payload, n_trials: int, cfg: ExperimentConfig):
+    """Run fn(payload, trial_index) for every trial on ``cfg``'s workers.
+
+    Returns (results of the trials that finished, in trial order, number of
+    trials that raised BudgetExceededError)."""
+    workers = cfg.worker_count()
     if workers <= 1:
-        return [fn(payload, t) for t in range(n_trials)]
-    chunks = max(workers * 4, 1)
-    ranges = [range(i, n_trials, chunks) for i in range(chunks)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_chunk, [(fn, payload, list(r)) for r in ranges]))
-    out: dict[int, object] = {}
-    for part in parts:
-        out.update(part)
-    return [out[t] for t in range(n_trials)]
+        out = _run_chunk((fn, payload, range(n_trials)))
+    else:
+        chunks = workers * 4
+        ranges = [range(i, n_trials, chunks) for i in range(chunks)]
+        out = {}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_run_chunk, [(fn, payload, r) for r in ranges]):
+                out.update(part)
+    finished = [out[t] for t in range(n_trials) if out[t] is not None]
+    return finished, n_trials - len(finished)
 
 
 def _run_chunk(args):
-    fn, payload, trial_list = args
-    return {t: fn(payload, t) for t in trial_list}
+    """Outcomes of the listed trials; None marks a budget overrun."""
+    fn, payload, trials = args
+    out = {}
+    for t in trials:
+        try:
+            out[t] = fn(payload, t)
+        except BudgetExceededError:
+            out[t] = None
+    return out
 
 
 def _parse_toy(spec: str) -> tuple[int, float]:
@@ -164,10 +184,7 @@ def _cover_trial(payload, trial):
     n, seed, budget_mult = payload
     walk = WalkState(TorusPoint(0, 0, n), seed=seed, stream=trial)
     cap = int(default_cover_budget(n) * budget_mult)
-    try:
-        return cover_time(walk, cap)
-    except BudgetExceededError:
-        return -1
+    return cover_time(walk, cap)
 
 
 COVER_SCHEMA = [
@@ -196,11 +213,8 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     gaps = []
     for n in n_values:
         trials = cfg.trials or default_trials.get(n, 500)
-        vals = _map_trials(_cover_trial, (n, cfg.seed, cfg.budget_mult), trials, cfg.worker_count())
-        arr = np.array(vals, dtype=float)
-        failures = int((arr < 0).sum())
-        good = arr[arr >= 0]
-        if good.size == 0:
+        vals, failures = _map_trials(_cover_trial, (n, cfg.seed, cfg.budget_mult), trials, cfg)
+        if not vals:
             rows.append(
                 dict.fromkeys(COVER_SCHEMA, float("nan"))
                 | dict(n=n, trials=trials, failures=failures, in_band=False)
@@ -209,6 +223,7 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 Check(f"cover_band_n{n}", False, f"all {trials} trials exceeded the budget")
             )
             continue
+        good = np.array(vals, dtype=float)
         summ = stats.summarize_mean(good)
         logn = math.log(n)
         loglog = math.log(logn)
@@ -267,10 +282,7 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 f"g({gaps[-1][0]})={gaps[-1][1]:.3f} > g({gaps[0][0]})={gaps[0][1]:.3f}",
             )
         )
-    result = ExperimentResult("cover", COVER_SCHEMA, rows, checks)
-    if cfg.out:
-        emit_csv(cfg.out, rows, COVER_SCHEMA)
-    return result
+    return _result(cfg, "cover", COVER_SCHEMA, rows, checks)
 
 
 # -- excursion length experiment --------------------------------------------------
@@ -290,10 +302,7 @@ def _excursion_clock_trial(payload, trial):
     else:
         start_code = int(outer_codes[np.searchsorted(mu_cum, rng.random())])
     walk = WalkState(TorusPoint(start_code // n, start_code % n, n), seed=seed, stream=trial)
-    try:
-        _, clock = machine.run(walk, m, cap)
-    except BudgetExceededError:
-        return None
+    _, clock = machine.run(walk, m, cap)
     return clock.departures[0], clock.departures[-1]
 
 
@@ -327,17 +336,15 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     trials_d1 = cfg.trials or 10_000
     payload = (machine, 1, cfg.seed, pair.outer_codes, mu_cum, cap, "mu")
-    d1_raw = _map_trials(_excursion_clock_trial, payload, trials_d1, cfg.worker_count())
-    d1_vals = np.array([v[0] for v in d1_raw if v is not None], dtype=float)
-    d1_fail = sum(1 for v in d1_raw if v is None)
+    d1_raw, d1_fail = _map_trials(_excursion_clock_trial, payload, trials_d1, cfg)
+    d1_vals = np.array([v[0] for v in d1_raw], dtype=float)
     d1_summ = stats.summarize_mean(d1_vals)
     d1_var_se = stats.variance_se(d1_vals)
 
     trials_dm = max(300, cfg.trials // 16) if cfg.trials else 2500
     payload_m = (machine, m, cfg.seed + 1, pair.outer_codes, mu_cum, cap * m, "center")
-    dm_raw = _map_trials(_excursion_clock_trial, payload_m, trials_dm, cfg.worker_count())
-    dm_vals = np.array([v[1] for v in dm_raw if v is not None], dtype=float)
-    dm_fail = sum(1 for v in dm_raw if v is None)
+    dm_raw, dm_fail = _map_trials(_excursion_clock_trial, payload_m, trials_dm, cfg)
+    dm_vals = np.array([v[1] for v in dm_raw], dtype=float)
     ratios = np.abs(dm_vals / (d1_exact * (m - 1)) - 1.0)
     p95 = float(np.quantile(ratios, 0.95))
     z975 = statistics.NormalDist().inv_cdf(0.975)
@@ -350,9 +357,9 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sweep_trials = max(200, trials_dm // 8)
     for m_small in (9, 25, m):
         pl = (machine, m_small, cfg.seed + 2, pair.outer_codes, mu_cum, cap * m_small, "center")
-        raw = _map_trials(_excursion_clock_trial, pl, sweep_trials, cfg.worker_count())
-        vals = np.array([v[1] for v in raw if v is not None], dtype=float)
-        sweep_fail += sum(1 for v in raw if v is None)
+        raw, fail = _map_trials(_excursion_clock_trial, pl, sweep_trials, cfg)
+        vals = np.array([v[1] for v in raw], dtype=float)
+        sweep_fail += fail
         dev = np.abs(vals / (d1_exact * (m_small - 1)) - 1.0)
         sweep_stats[m_small] = float(np.quantile(dev, 0.90)) * (m_small - 1) / math.sqrt(m_small)
     spread_ratio = max(sweep_stats.values()) / min(sweep_stats.values())
@@ -422,10 +429,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"log-survival fit R^2={r2:.4f} slope={slope:.3e}",
         ),
     ]
-    result = ExperimentResult("excursion", EXCURSION_SCHEMA, rows, checks)
-    if cfg.out:
-        emit_csv(cfg.out, rows, EXCURSION_SCHEMA)
-    return result
+    return _result(cfg, "excursion", EXCURSION_SCHEMA, rows, checks)
 
 
 # -- transfer-lemma ratio check ----------------------------------------------------
@@ -434,10 +438,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _transfer_trial(payload, trial):
     machine, start, m, seed, cap = payload
     walk = WalkState(start, seed=seed, stream=trial)
-    try:
-        record, _ = machine.run(walk, m, cap)
-    except BudgetExceededError:
-        return None
+    record, _ = machine.run(walk, m, cap)
     return tuple(record.counts[i] for i in range(1, len(machine.ladders)))
 
 
@@ -458,8 +459,7 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
     cap = int(4000 * n * n * max(cfg.budget_mult, 1.0))
     tag_seed = {"base": 101, "doubled": 202}.get(tag, 0)
     payload = (circle_machine(center, radii), start, 1, cfg.seed + tag_seed, cap)
-    outcomes = _map_trials(_transfer_trial, payload, trials, cfg.worker_count())
-    good = [o for o in outcomes if o is not None]
+    good, _ = _map_trials(_transfer_trial, payload, trials, cfg)
     rows = []
     for event in events:
         targets = {i + 1: event[i] for i in range(len(event))}
@@ -543,10 +543,7 @@ def run_transfer_check(cfg: ExperimentConfig) -> ExperimentResult:
                 f"doubled={abs(d['exact_ratio'] - 1):.5f} (exact chain)",
             )
         )
-    result = ExperimentResult("transfer", TRANSFER_SCHEMA, rows, checks)
-    if cfg.out:
-        emit_csv(cfg.out, rows, TRANSFER_SCHEMA)
-    return result
+    return _result(cfg, "transfer", TRANSFER_SCHEMA, rows, checks)
 
 
 # -- GW equivalence -----------------------------------------------------------------
@@ -559,8 +556,15 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact equality of the 1-D traversal law with the GW law on small cases,
     negative-binomial marginals, and a large-sample two-sample test."""
     tol = cfg.tolerances()
+    exact_tol = tol["gw.exact_tol"]
+    pmin = tol["gw.chisq_pmin"]
     rows = []
     checks = []
+
+    def row(case, metric, value, threshold, passed):
+        rows.append(
+            dict(case=case, metric=metric, value=value, threshold=threshold, passed=passed)
+        )
 
     worst = 0.0
     for m in (1, 2):
@@ -571,16 +575,11 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
                 gw_p = gw.gw_joint_prob(m, counts[1:])
                 worst = max(worst, abs(p - gw_p))
             worst = max(worst, 0.0 if overflow < 1e-2 else overflow)
-            rows.append(
-                dict(
-                    case=f"enum_m{m}_L{L}", metric="max_abs_diff", value=worst,
-                    threshold=tol["gw.exact_tol"], passed=worst < tol["gw.exact_tol"],
-                )
-            )
+            row(f"enum_m{m}_L{L}", "max_abs_diff", worst, exact_tol, worst < exact_tol)
     checks.append(
         Check(
             "gw_enumeration_equality",
-            worst < tol["gw.exact_tol"],
+            worst < exact_tol,
             f"max |enumerated - convolution| = {worst:.3e}",
         )
     )
@@ -593,13 +592,8 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
             [math.comb(m + j - 1, j) * 2.0 ** (-(m + j)) for j in range(81)]
         )
         nb_err = max(nb_err, float(np.abs(law - direct).max()))
-    rows.append(
-        dict(
-            case="nb_marginal", metric="max_abs_diff", value=nb_err,
-            threshold=tol["gw.exact_tol"], passed=nb_err < tol["gw.exact_tol"],
-        )
-    )
-    checks.append(Check("gw_nb_marginal_exact", nb_err < tol["gw.exact_tol"], f"err={nb_err:.3e}"))
+    row("nb_marginal", "max_abs_diff", nb_err, exact_tol, nb_err < exact_tol)
+    checks.append(Check("gw_nb_marginal_exact", nb_err < exact_tol, f"err={nb_err:.3e}"))
 
     # extinction formula vs convolution
     ext_err = 0.0
@@ -607,13 +601,8 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
         for k in range(1, 6):
             law = gw.iterate_law(m, k, cap=260)
             ext_err = max(ext_err, abs(float(law[0]) - gw.extinct_by(m, k)))
-    rows.append(
-        dict(
-            case="extinction", metric="max_abs_diff", value=ext_err,
-            threshold=tol["gw.exact_tol"], passed=ext_err < tol["gw.exact_tol"],
-        )
-    )
-    checks.append(Check("gw_extinction_exact", ext_err < tol["gw.exact_tol"], f"err={ext_err:.3e}"))
+    row("extinction", "max_abs_diff", ext_err, exact_tol, ext_err < exact_tol)
+    checks.append(Check("gw_extinction_exact", ext_err < exact_tol, f"err={ext_err:.3e}"))
 
     # two-sample chi-square at scale
     samples = cfg.trials or 100_000
@@ -630,23 +619,15 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
             np.bincount(gw_samp, minlength=hi),
         )
         pvals.append(p)
-        rows.append(
-            dict(
-                case=f"two_sample_T{level}", metric="chisq_p", value=p,
-                threshold=tol["gw.chisq_pmin"], passed=p > tol["gw.chisq_pmin"],
-            )
-        )
+        row(f"two_sample_T{level}", "chisq_p", p, pmin, p > pmin)
     checks.append(
         Check(
             "gw_two_sample_chisq",
-            all(p > tol["gw.chisq_pmin"] for p in pvals),
+            all(p > pmin for p in pvals),
             f"p-values {['%.4f' % p for p in pvals]} (m=5, L=10, {samples} samples)",
         )
     )
-    result = ExperimentResult("gw-check", GW_SCHEMA, rows, checks)
-    if cfg.out:
-        emit_csv(cfg.out, rows, GW_SCHEMA)
-    return result
+    return _result(cfg, "gw-check", GW_SCHEMA, rows, checks)
 
 
 # -- barrier sweep --------------------------------------------------------------------
@@ -657,6 +638,16 @@ BARRIER_SCHEMA = [
     "p_hat", "ci_lo", "ci_hi", "p_exact", "shape", "normalized", "prefactor",
     "preconditions_ok",
 ]
+
+
+def _barrier_row(mode, spec, trials, est, p_exact, shape, normalized, prefactor):
+    return dict(
+        mode=mode, L=spec.L, r=spec.r, x=spec.x, y=spec.y, a=spec.a, b=spec.b,
+        C=spec.C, epsilon=spec.epsilon, trials=trials, p_hat=est.p_hat,
+        ci_lo=est.ci_lo, ci_hi=est.ci_hi, p_exact=p_exact, shape=shape,
+        normalized=normalized, prefactor=prefactor,
+        preconditions_ok=not spec.violations(mode),
+    )
 
 
 def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
@@ -679,15 +670,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         shape = spec.r / (L - 2 * spec.r) * (1 - 1 / L) ** spec.start_population
         norm = est.p_hat / shape
         lower_norms.append(norm)
-        rows.append(
-            dict(
-                mode="lower", L=L, r=spec.r, x=spec.x, y=spec.y, a=spec.a, b=spec.b,
-                C=spec.C, epsilon=spec.epsilon, trials=trials, p_hat=est.p_hat,
-                ci_lo=est.ci_lo, ci_hi=est.ci_hi, p_exact=p_exact, shape=shape,
-                normalized=norm, prefactor=0.0,
-                preconditions_ok=not spec.violations("lower"),
-            )
-        )
+        rows.append(_barrier_row("lower", spec, trials, est, p_exact, shape, norm, 0.0))
         se = math.sqrt(max(est.p_hat * (1 - est.p_hat), 1e-12) / trials)
         checks.append(
             Check(
@@ -750,15 +733,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             )
     prefactor = max(ratios)
     for (spec, est, p_exact, shape), ratio in zip(upper_rows, ratios):
-        rows.append(
-            dict(
-                mode="upper", L=spec.L, r=spec.r, x=spec.x, y=spec.y, a=spec.a,
-                b=spec.b, C=spec.C, epsilon=spec.epsilon, trials=trials,
-                p_hat=est.p_hat, ci_lo=est.ci_lo, ci_hi=est.ci_hi, p_exact=p_exact,
-                shape=shape, normalized=ratio, prefactor=prefactor,
-                preconditions_ok=not spec.violations("upper"),
-            )
-        )
+        rows.append(_barrier_row("upper", spec, trials, est, p_exact, shape, ratio, prefactor))
     checks.append(
         Check(
             "barrier_upper_below_fitted_envelope",
@@ -776,10 +751,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             f"[{tol['barrier.upper_prefactor_min']}, {tol['barrier.upper_prefactor_max']}]",
         )
     )
-    result = ExperimentResult("barrier", BARRIER_SCHEMA, rows, checks)
-    if cfg.out:
-        emit_csv(cfg.out, rows, BARRIER_SCHEMA)
-    return result
+    return _result(cfg, "barrier", BARRIER_SCHEMA, rows, checks)
 
 
 # -- curve report -----------------------------------------------------------------
@@ -789,22 +761,15 @@ def _curve_trial(payload, trial):
     """tilde_traversal's counts, with its r_1 mask and machine prebuilt."""
     machine, shift_mask, start, m, seed, cap = payload
     walk = WalkState(start, seed=seed, stream=trial)
-    try:
-        used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
-        record, _ = machine.run(walk, m, cap - used)
-    except BudgetExceededError:
-        return None
+    used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
+    record, _ = machine.run(walk, m, cap - used)
     return tuple(record.counts[lad.level] for lad in machine.ladders)
 
 
 def _late_event_trial(payload, trial):
     machine, start, watch, m, seed, cap = payload
     walk = WalkState(start, seed=seed, stream=trial)
-    try:
-        record, clock = machine.run(walk, m, cap, watch=watch)
-    except BudgetExceededError:
-        return None
-    return record, clock
+    return machine.run(walk, m, cap, watch=watch)
 
 
 CURVE_SCHEMA = [
@@ -851,8 +816,8 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         circle_machine(center, radii), shift_mask, center.shifted(int(radii[0]), 0),
         m_plus, cfg.seed, cap,
     )
-    outcomes = _map_trials(_curve_trial, payload, trials, cfg.worker_count())
-    walk_profiles = np.array([o for o in outcomes if o is not None], dtype=np.int64)
+    outcomes, _ = _map_trials(_curve_trial, payload, trials, cfg)
+    walk_profiles = np.array(outcomes, dtype=np.int64)
 
     rng = philox_stream(cfg.seed, 5)
     # bridge to extinction at the point level L, matching the (1 - i/L) centering
@@ -937,17 +902,12 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         late_center.shifted(int(late_radii[0]), 0), len(late_radii),
         late_m, cfg.seed + 9, late_cap,
     )
-    outcomes = _map_trials(_late_event_trial, payload, late_trials, cfg.worker_count())
-    late_rows = []
-    hits = 0
-    total = 0
-    for out in outcomes:
-        if out is None:
-            continue
-        record, clock = out
-        total += 1
-        if detect_late_event(record, record.watch_time, clock, b_minus, b_plus, window):
-            hits += 1
+    outcomes, _ = _map_trials(_late_event_trial, payload, late_trials, cfg)
+    total = len(outcomes)
+    hits = sum(
+        1 for record, clock in outcomes
+        if detect_late_event(record, record.watch_time, clock, b_minus, b_plus, window)
+    )
     freq = hits / total if total else 0.0
     # GW corridor probability with the Delta envelope (terminal clause removed)
     table = schedule.prob_table(late_radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
@@ -963,15 +923,15 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             )
             envelope += hi * p
     se = math.sqrt(max(freq * (1 - freq), 1e-12) / max(total, 1))
-    for i in window:
-        late_rows.append(
-            dict(
-                n=late_n, L=late_L, ell=late_ell, m=late_m, level=i,
-                b_minus=b_minus(i), b_plus=b_plus(i), trials=total, hits=hits,
-                frequency=freq, gw_corridor_prob=corridor, envelope=envelope,
-                positive=hits > 0, below_envelope=freq <= envelope + 3 * se,
-            )
+    late_rows = [
+        dict(
+            n=late_n, L=late_L, ell=late_ell, m=late_m, level=i,
+            b_minus=b_minus(i), b_plus=b_plus(i), trials=total, hits=hits,
+            frequency=freq, gw_corridor_prob=corridor, envelope=envelope,
+            positive=hits > 0, below_envelope=freq <= envelope + 3 * se,
         )
+        for i in window
+    ]
     checks.append(
         Check(
             "late_event_positive",
@@ -994,12 +954,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             "(unvisited clause only removes mass)",
         )
     )
-    result = ExperimentResult("curves", CURVE_SCHEMA, rows, checks, late_rows=late_rows)
-    if cfg.out:
-        emit_csv(cfg.out, rows, CURVE_SCHEMA)
-        late_path = Path(cfg.out).with_suffix(".late.csv")
-        emit_csv(late_path, late_rows, LATE_SCHEMA)
-    return result
+    return _result(cfg, "curves", CURVE_SCHEMA, rows, checks, late_rows=late_rows)
 
 
 # -- oracle cross-validation ---------------------------------------------------------
@@ -1031,25 +986,35 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
     default runs all four.
     """
     tol = cfg.tolerances()
-    z = tol["oracle.mc_sigma"]
+    z_max = tol["oracle.mc_sigma"]
     trials = cfg.trials or 100_000
     sections = set(sections) if sections else {"mc", "bracket", "equilibrium", "kac"}
     rows = []
     checks = []
 
-    def book(case, n, metric, exact, mc, se, lo=None, hi=None):
-        zval = (mc - exact) / se if se > 0 else 0.0
-        passed = abs(zval) <= z
-        if lo is not None:
-            passed = passed and lo <= exact <= hi
+    def row(case, n, metric, exact, mc, passed, mc_se=0.0, z=0.0, lo=0.0, hi=0.0):
         rows.append(
             dict(
-                case=case, n=n, metric=metric, exact=exact, mc=mc, mc_se=se, z=zval,
-                lo=lo if lo is not None else 0.0, hi=hi if hi is not None else 0.0,
-                passed=passed,
+                case=case, n=n, metric=metric, exact=exact, mc=mc, mc_se=mc_se, z=z,
+                lo=lo, hi=hi, passed=passed,
             )
         )
-        checks.append(Check(f"oracle_{case}", passed, f"exact={exact:.5g} mc={mc:.5g} z={zval:+.2f}"))
+
+    def book(case, n, metric, exact, mc, se, lo=None, hi=None, overruns=0):
+        """One Monte Carlo row and its check; any budget overrun fails it."""
+        zval = (mc - exact) / se if se > 0 else 0.0
+        passed = abs(zval) <= z_max and not overruns
+        if lo is not None:
+            passed = passed and lo <= exact <= hi
+        row(case, n, metric, exact, mc, passed, se, zval, lo or 0.0, hi or 0.0)
+        detail = f"exact={exact:.5g} mc={mc:.5g} z={zval:+.2f}"
+        if overruns:
+            detail += f"; budget overruns: {overruns}"
+        checks.append(Check(f"oracle_{case}", passed, detail))
+
+    def book_mean(case, n, metric, exact, vals, overruns):
+        summ = stats.summarize_mean(vals or [math.nan])  # NaN if every trial overran
+        book(case, n, metric, exact, summ.mean, summ.se, overruns=overruns)
 
     if "mc" in sections:
         # five mixed configurations of hit_prob / expected_hit at n = 32 and 64
@@ -1065,11 +1030,11 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             B = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.hit_prob_exact(y, A, B, n)
             payload = (y, A, A | B, cfg.seed + 21, 100 * n * n)
-            vals = _map_trials(_hit_prob_trial, payload, trials, cfg.worker_count())
-            k = int(np.sum(vals))
-            mc = k / trials
-            se = math.sqrt(max(mc * (1 - mc), 1e-12) / trials)
-            book(case, n, "hit_prob", exact, mc, se)
+            vals, overruns = _map_trials(_hit_prob_trial, payload, trials, cfg)
+            done = max(len(vals), 1)  # if every trial overran, the check fails anyway
+            mc = sum(vals) / done
+            se = math.sqrt(max(mc * (1 - mc), 1e-12) / done)
+            book(case, n, "hit_prob", exact, mc, se, overruns=overruns)
 
         for case, n, R, start_off in (
             ("exit_time_n32", 32, 12.0, (0, 0)),
@@ -1081,12 +1046,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             exact = oracle.expected_hit_exact(v, A, n)
             et_trials = max(20_000, trials // 5)
             payload = (v, A, cfg.seed + 22, 1000 * n * n)
-            vals = np.array(
-                _map_trials(_expected_hit_trial, payload, et_trials, cfg.worker_count()),
-                dtype=float,
-            )
-            summ = stats.summarize_mean(vals)
-            book(case, n, "expected_hit", exact, summ.mean, summ.se)
+            vals, overruns = _map_trials(_expected_hit_trial, payload, et_trials, cfg)
+            book_mean(case, n, "expected_hit", exact, vals, overruns)
 
         # R^2 band for the center exit time (two-sided bound)
         n = 64
@@ -1097,13 +1058,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
 
         # tiny-torus cover chain oracle vs MC
         exact2 = oracle.exact_cover_mean(2)
-        cov_trials = 20_000
-        vals = [
-            cover_time(WalkState(TorusPoint(0, 0, 2), seed=cfg.seed + 23, stream=t))
-            for t in range(cov_trials)
-        ]
-        summ = stats.summarize_mean(vals)
-        book("cover_n2_chain", 2, "cover_mean", exact2, summ.mean, summ.se)
+        vals, overruns = _map_trials(_cover_trial, (2, cfg.seed + 23, 1.0), 20_000, cfg)
+        book_mean("cover_n2_chain", 2, "cover_mean", exact2, vals, overruns)
 
     if "bracket" in sections:
         c1, c2 = tol["lemma23.c1"], tol["lemma23.c2"]
@@ -1128,12 +1084,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             inside = lo <= p <= hi
             ok_all &= inside
             abs_all &= scaled <= bound
-            rows.append(
-                dict(
-                    case=f"bracket_r{r}_d{d}_R{R}", n=n, metric="hit_prob", exact=p,
-                    mc=ideal, mc_se=0.0, z=scaled, lo=lo, hi=hi, passed=inside,
-                )
-            )
+            row(f"bracket_r{r}_d{d}_R{R}", n, "hit_prob", p, ideal, inside, z=scaled, lo=lo, hi=hi)
         point_grid = [(16.0, 4), (24.0, 6), (28.0, 10), (20.0, 1), (16.0, 2)]
         for R, d in point_grid:
             y = TorusPoint(x.x + d, x.y, n)
@@ -1146,13 +1097,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             hi = (math.log(R / d) + err) / math.log(R)
             inside = lo <= p <= hi
             ok_all &= inside
-            rows.append(
-                dict(
-                    case=f"bracket_point_d{d}_R{R:g}", n=n, metric="hit_point", exact=p,
-                    mc=math.log(R / d) / math.log(R), mc_se=0.0, z=0.0, lo=lo, hi=hi,
-                    passed=inside,
-                )
-            )
+            ideal = math.log(R / d) / math.log(R)
+            row(f"bracket_point_d{d}_R{R:g}", n, "hit_point", p, ideal, inside, lo=lo, hi=hi)
         checks.append(
             Check(
                 "lemma23_brackets_c1_c2_2",
@@ -1181,13 +1127,9 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             worst_qshape = max(worst_qshape, (1 - pair.q) * R / r)
             d1 = ws.expected_d1()
             formula = (2 / math.pi) * n * n * math.log(R / r)
-            rows.append(
-                dict(
-                    case=f"equilibrium_r{r}_R{R}", n=n, metric="d1_exact", exact=d1,
-                    mc=formula, mc_se=0.0, z=(d1 / formula - 1) * r, lo=0.0, hi=0.0,
-                    passed=pair.residual < tol["equilibrium.residual_max"],
-                )
-            )
+            passed = pair.residual < tol["equilibrium.residual_max"]
+            z_rel = (d1 / formula - 1) * r
+            row(f"equilibrium_r{r}_R{R}", n, "d1_exact", d1, formula, passed, z=z_rel)
         checks.append(
             Check(
                 "equilibrium_fixed_point_residual",
@@ -1203,20 +1145,18 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             )
         )
         sc = oracle.stationary_check(TorusPoint(16, 16, 32), 3, 12, 32)
+        deviation = sc["max_rel_deviation"]
+        uniformity_max = tol["equilibrium.uniformity_max"]
         checks.append(
             Check(
                 "stationary_measure_uniform",
-                sc["max_rel_deviation"] < tol["equilibrium.uniformity_max"],
-                f"max relative deviation {sc['max_rel_deviation']:.2e}",
+                deviation < uniformity_max,
+                f"max relative deviation {deviation:.2e}",
             )
         )
-        rows.append(
-            dict(
-                case="stationary_n32", n=32, metric="uniformity",
-                exact=sc["max_rel_deviation"], mc=sc["m_at_center"], mc_se=0.0,
-                z=0.0, lo=0.0, hi=tol["equilibrium.uniformity_max"],
-                passed=sc["max_rel_deviation"] < tol["equilibrium.uniformity_max"],
-            )
+        row(
+            "stationary_n32", 32, "uniformity", deviation, sc["m_at_center"],
+            deviation < uniformity_max, hi=uniformity_max,
         )
         # E[G_1] = E_mu[H_inner] / q against the simulated splitting chain
         ws = oracle.EquilibriumWorkspace(x, 4, 16, n)
@@ -1236,14 +1176,10 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
         worst = 0.0
         for name, dom in (("ball8", dom1), ("two_points", dom2)):
             res = oracle.kac_moment_check(dom, n)
-            worst = max(worst, res["ratio_m2"], res["ratio_m3"])
-            rows.append(
-                dict(
-                    case=f"kac_{name}", n=n, metric="moment_ratio",
-                    exact=res["ratio_m2"], mc=res["ratio_m3"], mc_se=0.0, z=0.0,
-                    lo=0.0, hi=1.0, passed=max(res["ratio_m2"], res["ratio_m3"]) <= 1 + 1e-8,
-                )
-            )
+            ratio = max(res["ratio_m2"], res["ratio_m3"])
+            worst = max(worst, ratio)
+            passed = ratio <= 1 + 1e-8
+            row(f"kac_{name}", n, "moment_ratio", res["ratio_m2"], res["ratio_m3"], passed, hi=1.0)
         checks.append(
             Check(
                 "kac_moment_inequality",
@@ -1252,56 +1188,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             )
         )
 
-    result = ExperimentResult("oracle-check", ORACLE_SCHEMA, rows, checks)
-    if cfg.out:
-        emit_csv(cfg.out, rows, ORACLE_SCHEMA)
-    return result
-
-
-
-
-SCHEMA_DOCS = {
-    "cover": {
-        "n": ("torus side", "config"),
-        "trials": ("count", "config"),
-        "failures": ("count", "derived:budget"),
-        "mean_steps": ("steps", "derived:mc"),
-        "se_steps": ("steps", "derived:mc"),
-        "median_steps": ("steps", "derived:mc"),
-        "q10_steps": ("steps", "derived:mc"),
-        "q90_steps": ("steps", "derived:mc"),
-        "norm_mean": ("tau / (n^2 log^2 n)", "derived:mc"),
-        "tau_hat": ("tau / ((2/pi) n^2 log n)", "derived:mc"),
-        "tau_hat_se": ("same", "derived:mc"),
-        "anchor_leading": ("4/pi", "paper:leading_order"),
-        "anchor_second_order": ("(4/pi)(1 - ll/2l)", "paper:second_order"),
-        "anchor_2logn": ("tau_hat scale", "paper:main_theorem"),
-        "anchor_2logn_minus_ll": ("tau_hat scale", "paper:main_theorem"),
-        "band_lo": ("norm_mean scale", "oracle:matthews_lower"),
-        "band_hi": ("norm_mean scale", "oracle:matthews_upper"),
-        "in_band": ("bool", "oracle:matthews_bracket"),
-        "gap": ("2 log n - tau_hat", "derived:mc"),
-        "gap_se": ("same", "derived:mc"),
-        "loglog_n": ("log log n", "derived"),
-        "fitted_exponent": ("log|resid|/log loglog", "derived:fit"),
-    },
-    "excursion": dict.fromkeys(EXCURSION_SCHEMA, ("metric row", "mixed")),
-    "transfer": dict.fromkeys(TRANSFER_SCHEMA, ("event row", "mixed")),
-    "gw-check": dict.fromkeys(GW_SCHEMA, ("case row", "derived")),
-    "barrier": dict.fromkeys(BARRIER_SCHEMA, ("sweep cell", "mixed")),
-    "curves": dict.fromkeys(CURVE_SCHEMA, ("level row", "derived:mc")),
-    "oracle-check": dict.fromkeys(ORACLE_SCHEMA, ("case row", "mixed")),
-}
-
-EXPERIMENT_SCHEMAS = {
-    "cover": COVER_SCHEMA,
-    "excursion": EXCURSION_SCHEMA,
-    "transfer": TRANSFER_SCHEMA,
-    "gw-check": GW_SCHEMA,
-    "barrier": BARRIER_SCHEMA,
-    "curves": CURVE_SCHEMA,
-    "oracle-check": ORACLE_SCHEMA,
-}
+    return _result(cfg, "oracle-check", ORACLE_SCHEMA, rows, checks)
 
 
 REGISTRY = {

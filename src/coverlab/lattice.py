@@ -87,9 +87,6 @@ class BallSpec:
     def mask(self) -> np.ndarray:
         return ball_mask(self.center, self.radius)
 
-    def boundary_mask(self) -> np.ndarray:
-        return exterior_boundary_mask(self.mask())
-
 
 def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
     """Euclidean length of the minimal wrapped displacement between a and b."""

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
@@ -85,7 +85,7 @@ def two_sample_chisquare(counts_a, counts_b, min_expected: float = 5.0) -> tuple
         terms = (k1 * a - k2 * b) ** 2 / (a + b)
     stat = float(np.nansum(terms))
     df = a.size - 1
-    return stat, float(sps.chi2.sf(stat, df))
+    return stat, float(chdtrc(df, stat))
 
 
 def linear_fit_r2(x, y) -> tuple[float, float, float]:

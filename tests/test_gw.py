@@ -20,8 +20,9 @@ from coverlab.gw import (
     srw_traversal_counts,
     srw_traversal_samples,
     sub_gaussian_envelope,
+    transition_matrix,
 )
-from coverlab.stats import two_sample_chisquare
+from coverlab.stats import chdtrc, two_sample_chisquare
 
 
 def _rng(seed=0):
@@ -124,6 +125,29 @@ def test_nb_marginal_formula():
             assert law[j] == pytest.approx(
                 math.comb(m + j - 1, j) * 2.0 ** -(m + j), abs=1e-13
             )
+
+
+def test_scipy_special_laws_equal_scipy_stats_bitwise():
+    # gw and stats call the scipy.special ufuncs behind nbinom.pmf and chi2.sf,
+    # so importing coverlab skips scipy.stats; every output bit must agree
+    from scipy import stats as sps
+
+    M = transition_matrix(400)  # iterate_law's largest cap
+    nb = sps.nbinom.pmf(np.arange(401)[None, :], np.arange(1, 401)[:, None], 0.5)
+    assert np.array_equal(M[1:].view(np.int64), nb.view(np.int64))
+    for m in (1, 7, 300):
+        assert np.array_equal(one_step_pmf(m, 400), sps.nbinom.pmf(np.arange(401), m, 0.5))
+    vec = [3, 0]
+    assert gw_joint_prob(5, vec) == float(sps.nbinom.pmf(3, 5, 0.5)) * float(
+        sps.nbinom.pmf(0, 3, 0.5)
+    )
+    stat = np.concatenate([np.linspace(0.0, 400.0, 4001), [1e-300, 1e3, np.inf]])
+    df = np.arange(1, 121)[:, None]
+    sf = sps.chi2.sf(stat[None, :], df)
+    assert np.array_equal(chdtrc(df, stat[None, :]).view(np.int64), sf.view(np.int64))
+    a, b = np.array([40, 30, 20, 10]), np.array([35, 33, 22, 9])
+    stat_ab, p_ab = two_sample_chisquare(a, b)  # every bin >= 5: no pooling, df = 3
+    assert p_ab == float(sps.chi2.sf(stat_ab, 3))
 
 
 def test_srw_traversal_t0_is_m():

@@ -1,12 +1,18 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coverlab
+from coverlab import harness
 from coverlab.harness import (
     REGISTRY,
     Check,
     ExperimentConfig,
+    _map_trials,
     emit_csv,
     load_tolerances,
     run_barrier_sweep,
@@ -14,6 +20,7 @@ from coverlab.harness import (
     run_gw_equivalence,
     run_oracle_check,
 )
+from coverlab.lattice import BudgetExceededError
 
 
 def test_tolerance_manifest_loads_and_has_provenance_tags():
@@ -30,9 +37,6 @@ def test_tolerance_manifest_loads_and_has_provenance_tags():
         "barrier.lower_norm_min", "transfer.min_expected_hits",
     ):
         assert key in tol
-    from pathlib import Path
-    import coverlab
-
     text = (Path(coverlab.__file__).parent / "tolerances.txt").read_text()
     assert "[PAPER]" in text and "[DERIVED]" in text
 
@@ -205,14 +209,6 @@ def test_cli_failing_assertion_exit_code():
     assert not res.all_passed
 
 
-def test_schema_registry_documents_every_column():
-    from coverlab.harness import EXPERIMENT_SCHEMAS, SCHEMA_DOCS
-
-    assert set(EXPERIMENT_SCHEMAS) == set(REGISTRY)
-    for name, schema in EXPERIMENT_SCHEMAS.items():
-        assert set(schema) <= set(SCHEMA_DOCS[name]), name
-
-
 def test_prob_table_csv_dump(tmp_path):
     from coverlab.schedule import dump_prob_table_csv, prob_table
 
@@ -230,3 +226,68 @@ def test_cli_strict_schedule_too_shallow_is_usage_error():
     from coverlab.cli import main
 
     assert main(["curves", "--n", "64", "--schedule", "strict", "--trials", "10"]) == 2
+
+
+def test_cli_malformed_params_is_usage_error(capsys):
+    from coverlab.cli import main
+
+    assert main(["curves", "--params", "1,2"]) == 2
+    assert main(["curves", "--params", "a,b,c,d,e"]) == 2
+    assert "--params needs five" in capsys.readouterr().err
+
+
+def _square_or_overrun(overrun_at, trial):
+    if trial in overrun_at:
+        raise BudgetExceededError(f"trial {trial} overran", steps_taken=trial)
+    return trial * trial
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_trials_drops_and_counts_overruns_in_trial_order(workers):
+    cfg = ExperimentConfig(name="cover", workers=workers)
+    overrun_at = frozenset({0, 5, 6, 22})
+    results, overruns = _map_trials(_square_or_overrun, overrun_at, 23, cfg)
+    assert results == [t * t for t in range(23) if t not in overrun_at]
+    assert overruns == 4
+    assert _map_trials(_square_or_overrun, frozenset(range(3)), 3, cfg) == ([], 3)
+
+
+def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
+    original = harness._hit_prob_trial
+    overran = []
+
+    def overrun_once(payload, trial):
+        if payload[0].n == 32 and trial == 7:
+            overran.append(payload)
+            raise BudgetExceededError("forced overrun", steps_taken=0)
+        return original(payload, trial)
+
+    monkeypatch.setattr(harness, "_hit_prob_trial", overrun_once)
+    res = run_oracle_check(
+        ExperimentConfig(name="oracle-check", trials=400, seed=4, workers=1), sections=("mc",)
+    )
+    checks = {c.name: c for c in res.checks}
+    assert len(checks) == 7  # the battery ran to its end
+    assert not checks["oracle_hit_prob_n32"].passed
+    assert checks["oracle_hit_prob_n32"].detail.endswith("; budget overruns: 1")
+    others = [c for name, c in checks.items() if name != "oracle_hit_prob_n32"]
+    assert not any("overruns" in c.detail for c in others)
+    # the estimate is over the 399 trials that finished
+    row = next(r for r in res.rows if r["case"] == "hit_prob_n32")
+    finished = [original(overran[0], t) for t in range(400) if t != 7]
+    assert row["mc"] == sum(finished) / 399
+    assert not row["passed"]
+
+
+def test_harness_import_leaves_scipy_stats_out():
+    # scipy.stats costs about a second of import; gw and stats use scipy.special
+    src = str(Path(coverlab.__file__).resolve().parents[1])
+    code = (
+        "import sys, coverlab.harness; "
+        "print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
