@@ -137,10 +137,8 @@ def test_scipy_special_laws_equal_scipy_stats_bitwise():
     assert np.array_equal(M[1:].view(np.int64), nb.view(np.int64))
     for m in (1, 7, 300):
         assert np.array_equal(one_step_pmf(m, 400), sps.nbinom.pmf(np.arange(401), m, 0.5))
-    vec = [3, 0]
-    assert gw_joint_prob(5, vec) == float(sps.nbinom.pmf(3, 5, 0.5)) * float(
-        sps.nbinom.pmf(0, 3, 0.5)
-    )
+    p = gw_joint_prob(5, [3, 0])
+    assert p == float(sps.nbinom.pmf(3, 5, 0.5)) * float(sps.nbinom.pmf(0, 3, 0.5))
     stat = np.concatenate([np.linspace(0.0, 400.0, 4001), [1e-300, 1e3, np.inf]])
     df = np.arange(1, 121)[:, None]
     sf = sps.chi2.sf(stat[None, :], df)
