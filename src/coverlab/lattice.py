@@ -331,8 +331,9 @@ def default_cover_budget(n: int) -> int:
 def cover_time(walk: WalkState, cap: int | None = None) -> int:
     """First step index at which every torus vertex has been visited.
 
-    Visited cells are tracked in a flat bitset with a remaining counter;
-    each block is scanned once.
+    Visited cells are tracked in a flat bitset and counted after each block
+    that visits a new one; only the block that covers the torus is sorted,
+    to find the step that reached its last new cell.
     """
     n = walk.n
     if cap is None:
@@ -350,10 +351,13 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
         idx = np.flatnonzero(~visited.take(codes))
         if idx.size == 0:
             return None
-        cells, first = np.unique(codes[idx], return_index=True)
-        visited[cells] = True
-        remaining -= cells.size
-        return int(idx[first].max()) if remaining == 0 else None
+        new = codes[idx]
+        visited[new] = True
+        remaining = visited.size - np.count_nonzero(visited)
+        if remaining:
+            return None
+        _, first = np.unique(new, return_index=True)
+        return int(idx[first].max())
 
     scan(walk, cap, last_new_cell, lambda: f"torus not covered ({remaining} cells left)")
     return walk.steps

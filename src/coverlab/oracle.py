@@ -51,6 +51,23 @@ def _neighbor_codes(n: int) -> np.ndarray:
     return out
 
 
+def _reach(nb: np.ndarray, free: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Free cells a walk started from ``sources`` can enter before absorption.
+
+    A frontier search over the torus neighbours ``nb``.  An absorbed source
+    lends the search its free neighbours, which a walk from it never enters;
+    keeping them is harmless.
+    """
+    seen = np.zeros(free.size, dtype=bool)
+    frontier = np.unique(sources)
+    seen[frontier] = True
+    while frontier.size:
+        step = nb[frontier].reshape(-1)
+        frontier = np.unique(step[free[step] & ~seen[step]])
+        seen[frontier] = True
+    return seen & free
+
+
 def _codes(points) -> np.ndarray:
     return np.array(
         [p.code if isinstance(p, TorusPoint) else int(p) for p in points], dtype=np.int64
@@ -64,9 +81,15 @@ class GridSystem:
     which takes one right-hand side or a matrix of them and checks the
     residual.  The algorithms below are each one solve per right-hand-side
     matrix (or per moment, for the hitting-moment hierarchy).
+
+    With ``sources`` (flat cell codes) only the free cells a walk started
+    from them can enter are kept.  The full system is block diagonal over
+    these components, so every value read from a source (an exit law, a
+    hitting moment, a Green column) is the same; cells outside the kept set
+    read as zero.  Without ``sources`` every free cell is kept.
     """
 
-    def __init__(self, n: int, absorbing: np.ndarray):
+    def __init__(self, n: int, absorbing: np.ndarray, sources: np.ndarray | None = None):
         if n > MAX_EXACT_N:
             raise ValueError(f"exact solves capped at n <= {MAX_EXACT_N} (got n = {n})")
         self.n = n
@@ -74,14 +97,17 @@ class GridSystem:
         if flat.all():
             raise ValueError("no free cells")
         self.absorbing = flat
-        self.free_codes = np.nonzero(~flat)[0]
+        nb = _neighbor_codes(n)
+        free = ~flat if sources is None else _reach(nb, ~flat, sources)
+        self.free_codes = np.nonzero(free)[0]
         self.nfree = self.free_codes.size
         self.index = np.full(n * n, -1, dtype=np.int64)
         self.index[self.free_codes] = np.arange(self.nfree)
-        self._nb = _neighbor_codes(n)[self.free_codes]  # (nfree, 4)
+        self._nb = nb[self.free_codes]  # (nfree, 4)
         self._Q = self._steps_to(self.index, self.nfree)
         self._matrix = (identity(self.nfree, format="csr") - self._Q).tocsc()
-        self._lu = splu(self._matrix)
+        # absorbed sources with no free neighbour leave nothing to factor
+        self._lu = splu(self._matrix) if self.nfree else None
 
     def _steps_to(self, position: np.ndarray, size: int) -> csr_matrix:
         """(nfree, size) one-step probabilities onto the cells with position >= 0."""
@@ -205,7 +231,7 @@ def hit_prob_exact(v: TorusPoint, A, B_set, n: int) -> float:
         return 1.0
     if maskB.reshape(-1)[v.code]:
         return 0.0
-    sys = GridSystem(n, maskA | maskB)
+    sys = GridSystem(n, maskA | maskB, np.array([v.code]))
     rhs = np.asarray(sys.one_step_to(np.nonzero(flatA)[0]).sum(axis=1)).ravel()
     h = sys.solve(rhs)
     return float(h[sys.index[v.code]])
@@ -218,7 +244,7 @@ def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
         raise ValueError("A must be nonempty")
     if maskA.reshape(-1)[v.code]:
         return 0.0
-    sys = GridSystem(n, maskA)
+    sys = GridSystem(n, maskA, np.array([v.code]))
     return float(sys.hitting_moments(1)[0][sys.index[v.code]])
 
 
@@ -233,7 +259,8 @@ def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.nd
 
     Returns (rows, boundary_codes); rows has shape (len(sources), #boundary).
     """
-    return GridSystem(n, _as_mask(boundary, n)).exit_distribution(_codes(sources))
+    codes = _codes(sources)
+    return GridSystem(n, _as_mask(boundary, n), codes).exit_distribution(codes)
 
 
 @dataclass
@@ -303,7 +330,7 @@ class EquilibriumWorkspace:
         self.outer_codes = np.nonzero(outer_mask.reshape(-1))[0]
         # one system per absorbing circle, each factored once
         self._sys_inner = GridSystem(n, inner_mask)
-        self._sys_outer = GridSystem(n, outer_mask)
+        self._sys_outer = GridSystem(n, outer_mask, self.inner_codes)
         # inward kernel: from outer cells to the inner circle
         self.K_out2in, _ = self._sys_inner.exit_distribution(self.outer_codes)
         # outward kernel: from inner cells to the outer circle
@@ -363,7 +390,7 @@ class EquilibriumWorkspace:
 
     @staticmethod
     def _hit_table(sys: GridSystem) -> np.ndarray:
-        """E_v[H] for every cell v, H the hitting time of the system's absorbing set."""
+        """E_v[H] for every cell v the system keeps, H the hitting time of its absorbing set."""
         return sys.full_vector(sys.hitting_moments(1)[0])
 
     def expected_inward_leg(self) -> float:
@@ -623,7 +650,7 @@ class CircleChain:
         for i, codes in enumerate(self.circle_codes):
             nbrs = [j for j in (i - 1, i + 1) if 0 <= j <= self.L]
             absorbing = np.logical_or.reduce([masks[j] for j in nbrs])
-            rows, bcodes = GridSystem(n, absorbing).exit_distribution(codes)
+            rows, bcodes = GridSystem(n, absorbing, codes).exit_distribution(codes)
             for j in nbrs:
                 kern = self.kern_up if j < i else self.kern_down
                 kern[i] = rows[:, np.searchsorted(bcodes, self.circle_codes[j])]

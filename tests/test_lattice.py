@@ -279,3 +279,35 @@ def test_cover_time_n3_matches_exact_chain():
     exact = exact_cover_mean(3)
     assert exact == pytest.approx(24.1108, abs=1e-4)
     _assert_cover_mean_matches_exact_chain(3, exact)
+
+
+def _cover_by_steps(walk: WalkState, cap: int) -> tuple[int, int]:
+    """Step ``walk`` one move at a time until it covers the torus or makes ``cap``
+    moves; returns (steps, cells left unvisited)."""
+    visited = {walk.code}
+    while len(visited) < walk.n * walk.n and walk.steps < cap:
+        visited.add(step(walk).code)
+    return walk.steps, walk.n * walk.n - len(visited)
+
+
+# n up to 10 covers inside the first block; 16 and 24 cross block boundaries
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 24])
+def test_cover_time_matches_a_per_step_reference(n):
+    for stream in range(40 if n <= 10 else 8):
+        start = TorusPoint(stream, 3 * stream, n)
+        ref = WalkState(start, seed=17, stream=stream)
+        cover, left = _cover_by_steps(ref, 10**7)
+        assert left == 0
+        walk = WalkState(start, seed=17, stream=stream)
+        assert cover_time(walk) == cover
+        assert walk.code == ref.code
+        # a cap short of the cover overruns with the reference's count of cells left
+        cap = max(1, cover // 2)
+        ref = WalkState(start, seed=17, stream=stream)
+        _, left = _cover_by_steps(ref, cap)
+        walk = WalkState(start, seed=17, stream=stream)
+        with pytest.raises(BudgetExceededError) as err:
+            cover_time(walk, cap=cap)
+        assert str(err.value) == f"torus not covered ({left} cells left) within {cap} steps"
+        assert err.value.steps_taken == cap
+        assert walk.code == ref.code

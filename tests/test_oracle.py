@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coverlab import oracle
 from coverlab.lattice import (
     TorusPoint,
     WalkState,
@@ -460,3 +461,121 @@ def test_circle_chain_rows_are_substochastic():
         totals = chain.kern_down[i].sum(axis=1) + chain.kern_up[i].sum(axis=1)
         assert np.allclose(totals, 1.0, atol=1e-10)
 
+
+
+# -- systems restricted to the cells reachable from their sources ---------------
+
+
+def _record_systems(monkeypatch, restrict=True):
+    """Make ``oracle`` build recorded systems, restricted or on every free cell."""
+    built = []
+
+    class Recorded(GridSystem):
+        def __init__(self, n, absorbing, sources=None):
+            super().__init__(n, absorbing, sources if restrict else None)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "GridSystem", Recorded)
+    return built
+
+
+def _assert_kernels_equal(got: dict, ref: dict):
+    assert got.keys() == ref.keys()
+    for i in ref:
+        assert got[i].shape == ref[i].shape
+        assert np.abs(got[i] - ref[i]).max() <= 1e-13
+
+
+# unknowns per circle system, restricted to each circle's reach, for both
+# transfer schedules
+@pytest.mark.parametrize(
+    "n, radii, nfree",
+    [
+        (64, [8.0, 4.0, 2.0, 1.0], [4027, 172, 40, 9]),
+        (130, [64.0, 16.0, 4.0, 1.0], [16015, 12780, 788, 45]),
+    ],
+)
+def test_circle_chain_restricted_systems_match_full(monkeypatch, n, radii, nfree):
+    center = TorusPoint(n // 2, n // 2, n)
+    restricted = _record_systems(monkeypatch)
+    chain = CircleChain(center, radii, n)
+    assert [s.nfree for s in restricted] == nfree
+    full = _record_systems(monkeypatch, restrict=False)
+    ref = CircleChain(center, radii, n)
+    assert all(s.nfree > k for s, k in zip(full, nfree))
+    _assert_kernels_equal(chain.kern_up, ref.kern_up)
+    _assert_kernels_equal(chain.kern_down, ref.kern_down)
+
+
+def test_equilibrium_workspace_restricted_matches_full(monkeypatch):
+    n = 32
+    y = TorusPoint(16, 16, n)
+    restricted = _record_systems(monkeypatch)
+    ws = EquilibriumWorkspace(y, 3, 12, n)
+    full = _record_systems(monkeypatch, restrict=False)
+    ref = EquilibriumWorkspace(y, 3, 12, n)
+    # the outer circle's system keeps only the disc it encloses
+    assert restricted[1].nfree < full[1].nfree
+    assert restricted[0].nfree == full[0].nfree
+    assert np.abs(ws.K_out2in - ref.K_out2in).max() <= 1e-13
+    assert np.abs(ws.K_in2out - ref.K_in2out).max() <= 1e-13
+    assert ws.expected_d1() == pytest.approx(ref.expected_d1(), rel=1e-13)
+    for got, want in zip(ws.d1_moments(), ref.d1_moments()):
+        assert got == pytest.approx(want, rel=1e-12)
+    m, m_ref = ws.stationary_measure(), ref.stationary_measure()
+    assert np.abs(m - m_ref).max() <= 1e-13 * np.abs(m_ref).max()
+
+
+def test_restricted_system_follows_a_component_across_the_wrap():
+    # a disc centred on the corner cell spans all four corners of the array
+    n = 16
+    corner = TorusPoint(0, 0, n)
+    circle = exterior_boundary_mask(ball_mask(corner, 5.0))
+    inside = ball_mask(corner, 5.0)
+    sources = np.array([corner.code, TorusPoint(2, -3, n).code])
+    sys = GridSystem(n, circle, sources)
+    assert np.array_equal(sys.free_codes, np.nonzero(inside.reshape(-1))[0])
+    full = GridSystem(n, circle)
+    rows, bcodes = sys.exit_distribution(sources)
+    ref_rows, ref_bcodes = full.exit_distribution(sources)
+    assert np.array_equal(bcodes, ref_bcodes)
+    assert np.abs(rows - ref_rows).max() <= 1e-13
+    h = sys.full_vector(sys.hitting_moments(2)[1])
+    ref_h = full.full_vector(full.hitting_moments(2)[1])
+    assert np.abs(h - ref_h)[inside.reshape(-1)].max() <= 1e-12 * ref_h.max()
+    far = TorusPoint(8, 8, n)
+    assert expected_hit_exact(far, circle, n) == pytest.approx(
+        full.hitting_moments(1)[0][full.index[far.code]], rel=1e-13
+    )
+
+
+def test_restricted_system_with_absorbed_sources(monkeypatch):
+    factored = []
+    splu = oracle.splu
+
+    def checked_splu(matrix):
+        assert matrix.shape[0] > 0, "splu handed an empty matrix"
+        factored.append(matrix.shape[0])
+        return splu(matrix)
+
+    monkeypatch.setattr(oracle, "splu", checked_splu)
+    n = 16
+    absorbing = exterior_boundary_mask(ball_mask(TorusPoint(8, 8, n), 5.0))
+    absorbing[2:5, 2:5] = True  # (3, 3) has every neighbour absorbed
+    boxed = TorusPoint(3, 3, n)
+    on_circle = TorusPoint(13, 8, n)
+    assert absorbing[on_circle.x, on_circle.y]
+    # nothing free is reachable: no factorisation, each source exits where it stands
+    rows, bcodes = harmonic_measure_exact([boxed, boxed], absorbing, n)
+    assert factored == []
+    assert GridSystem(n, absorbing, np.array([boxed.code])).nfree == 0
+    assert np.array_equal(bcodes, np.nonzero(absorbing.reshape(-1))[0])
+    assert np.array_equal(rows, np.eye(bcodes.size)[[np.searchsorted(bcodes, boxed.code)] * 2])
+    # absorbed sources beside free ones, against the system on every free cell
+    sources = [on_circle, boxed, TorusPoint(8, 8, n), TorusPoint(0, 0, n)]
+    rows, bcodes = harmonic_measure_exact(sources, absorbing, n)
+    full = GridSystem(n, absorbing)
+    ref_rows, _ = full.exit_distribution(np.array([p.code for p in sources]))
+    assert np.abs(rows - ref_rows).max() <= 1e-13
+    assert rows[0, np.searchsorted(bcodes, on_circle.code)] == 1.0
+    assert rows[1, np.searchsorted(bcodes, boxed.code)] == 1.0
