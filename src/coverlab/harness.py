@@ -2,8 +2,9 @@
 transfer-lemma ratio checks, GW equivalence, barrier sweeps, curve reports,
 and the oracle cross-validation battery.
 
-Every experiment is a pure function of (config, master seed): trials draw
-from counter-based streams keyed by (seed, trial index), reduction is a fold
+Every experiment is a pure function of (config, master seed): trial t of a
+named section draws from the Philox key ``[stream_key(seed, experiment,
+section), t]``, so no two sections or seeds share a stream; reduction is a fold
 in trial-index order, and CSV output is formatted deterministically, so a
 re-run reproduces the output byte for byte.  ``_map_trials`` runs every
 trial, counts budget overruns and leaves those trials out of the summaries;
@@ -34,6 +35,7 @@ from .lattice import (
     default_cover_budget,
     exterior_boundary_mask,
     philox_stream,
+    stream_key,
 )
 
 # -- configuration -------------------------------------------------------------
@@ -181,8 +183,8 @@ def _parse_toy(spec: str) -> tuple[int, float]:
 
 
 def _cover_trial(payload, trial):
-    n, seed, budget_mult = payload
-    walk = WalkState(TorusPoint(0, 0, n), seed=seed, stream=trial)
+    n, key, budget_mult = payload
+    walk = WalkState(TorusPoint(0, 0, n), seed=key, stream=trial)
     cap = int(default_cover_budget(n) * budget_mult)
     return cover_time(walk, cap)
 
@@ -213,7 +215,8 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     gaps = []
     for n in n_values:
         trials = cfg.trials or default_trials.get(n, 500)
-        vals, failures = _map_trials(_cover_trial, (n, cfg.seed, cfg.budget_mult), trials, cfg)
+        payload = (n, stream_key(cfg.seed, "cover", f"n{n}"), cfg.budget_mult)
+        vals, failures = _map_trials(_cover_trial, payload, trials, cfg)
         if not vals:
             rows.append(
                 dict.fromkeys(COVER_SCHEMA, float("nan"))
@@ -289,21 +292,13 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _excursion_clock_trial(payload, trial):
-    """One D_m clock; start from the equilibrium outer measure or the center.
-
-    The center start makes the pre-equilibrium segment of D_m negligible,
-    matching the (m - 1) normalisation of the concentration statement; the
-    equilibrium start is the right law for the E[D_1] comparison."""
-    machine, m, seed, outer_codes, mu_cum, cap, start_mode = payload
+    """D_m of one clock, started from cell ``starts[trial]``."""
+    machine, m, key, starts, cap = payload
     n = machine.n
-    rng = philox_stream(seed, trial)
-    if start_mode == "center":
-        start_code = (n // 2) * n + (n // 2)
-    else:
-        start_code = int(outer_codes[np.searchsorted(mu_cum, rng.random())])
-    walk = WalkState(TorusPoint(start_code // n, start_code % n, n), seed=seed, stream=trial)
+    start = int(starts[trial])
+    walk = WalkState(TorusPoint(start // n, start % n, n), seed=key, stream=trial)
     _, clock = machine.run(walk, m, cap)
-    return clock.departures[0], clock.departures[-1]
+    return clock.departures[-1]
 
 
 EXCURSION_SCHEMA = [
@@ -334,17 +329,25 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cap = int(200 * formula * max(cfg.budget_mult, 1.0))
     machine = circle_machine(center, [R, r])
 
+    def clocks(section, m_cell, starts):
+        """D_m of one clock per start cell, and the cell's overruns."""
+        key = stream_key(cfg.seed, "excursion", section)
+        payload = (machine, m_cell, key, starts, cap * m_cell)
+        vals, fail = _map_trials(_excursion_clock_trial, payload, len(starts), cfg)
+        return np.array(vals, dtype=float), fail
+
+    # D_1 starts from the equilibrium outer measure, the right law for the
+    # E[D_1] comparison; the D_m cells start at the center, which makes the
+    # pre-equilibrium segment negligible, matching the (m - 1) normalisation
+    # of the concentration statement
     trials_d1 = cfg.trials or 10_000
-    payload = (machine, 1, cfg.seed, pair.outer_codes, mu_cum, cap, "mu")
-    d1_raw, d1_fail = _map_trials(_excursion_clock_trial, payload, trials_d1, cfg)
-    d1_vals = np.array([v[0] for v in d1_raw], dtype=float)
+    u = philox_stream(stream_key(cfg.seed, "excursion", "d1_start"), 0).random(trials_d1)
+    d1_vals, d1_fail = clocks("d1", 1, pair.outer_codes[np.searchsorted(mu_cum, u)])
     d1_summ = stats.summarize_mean(d1_vals)
     d1_var_se = stats.variance_se(d1_vals)
 
     trials_dm = max(300, cfg.trials // 16) if cfg.trials else 2500
-    payload_m = (machine, m, cfg.seed + 1, pair.outer_codes, mu_cum, cap * m, "center")
-    dm_raw, dm_fail = _map_trials(_excursion_clock_trial, payload_m, trials_dm, cfg)
-    dm_vals = np.array([v[1] for v in dm_raw], dtype=float)
+    dm_vals, dm_fail = clocks("dm", m, np.full(trials_dm, center.code))
     ratios = np.abs(dm_vals / (d1_exact * (m - 1)) - 1.0)
     p95 = float(np.quantile(ratios, 0.95))
     z975 = statistics.NormalDist().inv_cdf(0.975)
@@ -356,9 +359,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sweep_fail = 0
     sweep_trials = max(200, trials_dm // 8)
     for m_small in (9, 25, m):
-        pl = (machine, m_small, cfg.seed + 2, pair.outer_codes, mu_cum, cap * m_small, "center")
-        raw, fail = _map_trials(_excursion_clock_trial, pl, sweep_trials, cfg)
-        vals = np.array([v[1] for v in raw], dtype=float)
+        vals, fail = clocks(f"sweep_m{m_small}", m_small, np.full(sweep_trials, center.code))
         sweep_fail += fail
         dev = np.abs(vals / (d1_exact * (m_small - 1)) - 1.0)
         sweep_stats[m_small] = float(np.quantile(dev, 0.90)) * (m_small - 1) / math.sqrt(m_small)
@@ -436,14 +437,14 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _transfer_trial(payload, trial):
-    machine, start, m, seed, cap = payload
-    walk = WalkState(start, seed=seed, stream=trial)
+    machine, start, m, key, cap = payload
+    walk = WalkState(start, seed=key, stream=trial)
     record, _ = machine.run(walk, m, cap)
     return tuple(record.counts[i] for i in range(1, len(machine.ladders)))
 
 
 TRANSFER_SCHEMA = [
-    "schedule", "n", "L", "ell", "event", "m", "trials", "hits", "mc_prob", "mc_se",
+    "schedule", "n", "L", "ell", "event", "m", "trials", "failures", "hits", "mc_prob", "mc_se",
     "exact_walk_prob", "gw_prob", "mc_ratio", "exact_ratio", "bracket_lo", "bracket_hi",
     "in_bracket_mc", "in_bracket_exact", "conclusive",
 ]
@@ -457,9 +458,8 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
     table = schedule.prob_table(radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
     chain = oracle.CircleChain(center, radii, n)
     cap = int(4000 * n * n * max(cfg.budget_mult, 1.0))
-    tag_seed = {"base": 101, "doubled": 202}.get(tag, 0)
-    payload = (circle_machine(center, radii), start, 1, cfg.seed + tag_seed, cap)
-    good, _ = _map_trials(_transfer_trial, payload, trials, cfg)
+    payload = (circle_machine(center, radii), start, 1, stream_key(cfg.seed, "transfer", tag), cap)
+    good, failures = _map_trials(_transfer_trial, payload, trials, cfg)
     rows = []
     for event in events:
         targets = {i + 1: event[i] for i in range(len(event))}
@@ -477,7 +477,7 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
         rows.append(
             dict(
                 schedule=tag, n=n, L=L, ell=ell, event="T" + "_".join(map(str, event)),
-                m=1, trials=len(good), hits=hits, mc_prob=mc_p, mc_se=mc_se,
+                m=1, trials=len(good), failures=failures, hits=hits, mc_prob=mc_p, mc_se=mc_se,
                 exact_walk_prob=exact_p, gw_prob=gw_p, mc_ratio=mc_ratio,
                 exact_ratio=exact_ratio, bracket_lo=lo, bracket_hi=hi,
                 in_bracket_mc=(lo - rel3) <= mc_ratio <= (hi + rel3),
@@ -606,8 +606,8 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
 
     # two-sample chi-square at scale
     samples = cfg.trials or 100_000
-    rng1 = philox_stream(cfg.seed, 11)
-    rng2 = philox_stream(cfg.seed, 12)
+    rng1 = philox_stream(stream_key(cfg.seed, "gw-check", "srw"), 0)
+    rng2 = philox_stream(stream_key(cfg.seed, "gw-check", "gw"), 0)
     srw = gw.srw_traversal_samples(10, 5, samples, rng1)
     pvals = []
     for level in (1, 3, 5):
@@ -654,7 +654,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Barrier-event sweep in both modes with the exact DP as cross-oracle."""
     tol = cfg.tolerances()
     trials = cfg.trials or 200_000
-    rng = philox_stream(cfg.seed, 77)
+    rng = philox_stream(stream_key(cfg.seed, "barrier", "mc"), 0)
     rows = []
     checks = []
 
@@ -759,26 +759,26 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _curve_trial(payload, trial):
     """tilde_traversal's counts, with its r_1 mask and machine prebuilt."""
-    machine, shift_mask, start, m, seed, cap = payload
-    walk = WalkState(start, seed=seed, stream=trial)
+    machine, shift_mask, start, m, key, cap = payload
+    walk = WalkState(start, seed=key, stream=trial)
     used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
     record, _ = machine.run(walk, m, cap - used)
     return tuple(record.counts[lad.level] for lad in machine.ladders)
 
 
 def _late_event_trial(payload, trial):
-    machine, start, watch, m, seed, cap = payload
-    walk = WalkState(start, seed=seed, stream=trial)
+    machine, start, watch, m, key, cap = payload
+    walk = WalkState(start, seed=key, stream=trial)
     return machine.run(walk, m, cap, watch=watch)
 
 
 CURVE_SCHEMA = [
-    "source", "level", "m", "trials", "mean_count", "mean_sqrt", "centering",
+    "source", "level", "m", "trials", "failures", "mean_count", "mean_sqrt", "centering",
     "frac_above_a_plus", "frac_above_a_plus_2k", "frac_below_a_minus", "a_plus", "a_minus",
 ]
 
 LATE_SCHEMA = [
-    "n", "L", "ell", "m", "level", "b_minus", "b_plus", "trials", "hits",
+    "n", "L", "ell", "m", "level", "b_minus", "b_plus", "trials", "failures", "hits",
     "frequency", "gw_corridor_prob", "envelope", "positive", "below_envelope",
 ]
 
@@ -814,12 +814,12 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     shift_mask = exterior_boundary_mask(ball_mask(center, radii[1]))
     payload = (
         circle_machine(center, radii), shift_mask, center.shifted(int(radii[0]), 0),
-        m_plus, cfg.seed, cap,
+        m_plus, stream_key(cfg.seed, "curves", "walk"), cap,
     )
-    outcomes, _ = _map_trials(_curve_trial, payload, trials, cfg)
+    outcomes, walk_failures = _map_trials(_curve_trial, payload, trials, cfg)
     walk_profiles = np.array(outcomes, dtype=np.int64)
 
-    rng = philox_stream(cfg.seed, 5)
+    rng = philox_stream(stream_key(cfg.seed, "curves", "gw"), 0)
     # bridge to extinction at the point level L, matching the (1 - i/L) centering
     gw_cond = gw.conditioned_extinction_samples(m_plus, L, trials, rng)
     gw_free = np.empty((trials, L), dtype=np.int64)
@@ -831,10 +831,10 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     checks = []
     centering_ok = True
     kappa_monotone_ok = True
-    for source, profiles in (
-        ("walk_tilde", walk_profiles),
-        ("gw_conditioned", gw_cond[:, :L]),
-        ("gw_free", gw_free),
+    for source, profiles, failures in (
+        ("walk_tilde", walk_profiles, walk_failures),
+        ("gw_conditioned", gw_cond[:, :L], 0),
+        ("gw_free", gw_free, 0),
     ):
         for i in range(1, L):
             col = profiles[:, i]
@@ -847,7 +847,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             centering = math.sqrt(m_plus) * (1 - i / L)
             rows.append(
                 dict(
-                    source=source, level=i, m=m_plus, trials=profiles.shape[0],
+                    source=source, level=i, m=m_plus, trials=profiles.shape[0], failures=failures,
                     mean_count=float(col.mean()), mean_sqrt=float(np.sqrt(col).mean()),
                     centering=centering, frac_above_a_plus=f_above,
                     frac_above_a_plus_2k=f_above2, frac_below_a_minus=f_below,
@@ -900,9 +900,9 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     payload = (
         circle_machine(late_center, late_radii, watch=target),
         late_center.shifted(int(late_radii[0]), 0), len(late_radii),
-        late_m, cfg.seed + 9, late_cap,
+        late_m, stream_key(cfg.seed, "curves", "late"), late_cap,
     )
-    outcomes, _ = _map_trials(_late_event_trial, payload, late_trials, cfg)
+    outcomes, late_failures = _map_trials(_late_event_trial, payload, late_trials, cfg)
     total = len(outcomes)
     hits = sum(
         1 for record, clock in outcomes
@@ -926,7 +926,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     late_rows = [
         dict(
             n=late_n, L=late_L, ell=late_ell, m=late_m, level=i,
-            b_minus=b_minus(i), b_plus=b_plus(i), trials=total, hits=hits,
+            b_minus=b_minus(i), b_plus=b_plus(i), trials=total, failures=late_failures, hits=hits,
             frequency=freq, gw_corridor_prob=corridor, envelope=envelope,
             positive=hits > 0, below_envelope=freq <= envelope + 3 * se,
         )
@@ -966,15 +966,15 @@ ORACLE_SCHEMA = [
 
 
 def _hit_prob_trial(payload, trial):
-    start, A, either, seed, cap = payload
-    walk = WalkState(start, seed=seed, stream=trial)
+    start, A, either, key, cap = payload
+    walk = WalkState(start, seed=key, stream=trial)
     advance_to_mask(walk, either, cap, inclusive=True)
     return 1 if A.flat[walk.code] else 0
 
 
 def _expected_hit_trial(payload, trial):
-    start, A, seed, cap = payload
-    walk = WalkState(start, seed=seed, stream=trial)
+    start, A, key, cap = payload
+    walk = WalkState(start, seed=key, stream=trial)
     return advance_to_mask(walk, A, cap, inclusive=True)
 
 
@@ -1029,7 +1029,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             A = exterior_boundary_mask(ball_mask(x, r))
             B = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.hit_prob_exact(y, A, B, n)
-            payload = (y, A, A | B, cfg.seed + 21, 100 * n * n)
+            payload = (y, A, A | B, stream_key(cfg.seed, "oracle-check", case), 100 * n * n)
             vals, overruns = _map_trials(_hit_prob_trial, payload, trials, cfg)
             done = max(len(vals), 1)  # if every trial overran, the check fails anyway
             mc = sum(vals) / done
@@ -1045,7 +1045,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             A = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.expected_hit_exact(v, A, n)
             et_trials = max(20_000, trials // 5)
-            payload = (v, A, cfg.seed + 22, 1000 * n * n)
+            payload = (v, A, stream_key(cfg.seed, "oracle-check", case), 1000 * n * n)
             vals, overruns = _map_trials(_expected_hit_trial, payload, et_trials, cfg)
             book_mean(case, n, "expected_hit", exact, vals, overruns)
 
@@ -1058,7 +1058,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
 
         # tiny-torus cover chain oracle vs MC
         exact2 = oracle.exact_cover_mean(2)
-        vals, overruns = _map_trials(_cover_trial, (2, cfg.seed + 23, 1.0), 20_000, cfg)
+        payload = (2, stream_key(cfg.seed, "oracle-check", "cover_n2_chain"), 1.0)
+        vals, overruns = _map_trials(_cover_trial, payload, 20_000, cfg)
         book_mean("cover_n2_chain", 2, "cover_mean", exact2, vals, overruns)
 
     if "bracket" in sections:
@@ -1154,15 +1155,17 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
                 f"max relative deviation {deviation:.2e}",
             )
         )
+        # rounded so that the CSV does not pin the solver's rounding noise
         row(
-            "stationary_n32", 32, "uniformity", deviation, sc["m_at_center"],
+            "stationary_n32", 32, "uniformity", round(deviation, 12), sc["m_at_center"],
             deviation < uniformity_max, hi=uniformity_max,
         )
         # E[G_1] = E_mu[H_inner] / q against the simulated splitting chain
         ws = oracle.EquilibriumWorkspace(x, 4, 16, n)
         pair = ws.equilibrium_pair()
         expected_g1 = ws.expected_inward_leg() / pair.q
-        run = oracle.coupled_chain_run(ws, x, length=700, seed=cfg.seed + 31)
+        key = stream_key(cfg.seed, "oracle-check", "coupled_chain_g1")
+        run = oracle.coupled_chain_run(ws, x, length=700, seed=key)
         blocks = run.block_sums[1:]  # G_m, m >= 1 are identically distributed
         summ = stats.summarize_mean(blocks)
         book("coupled_chain_g1", n, "block_sum_mean", expected_g1, summ.mean, summ.se)

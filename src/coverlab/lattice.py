@@ -23,6 +23,7 @@ times, which only ask when a set is first entered.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -158,6 +159,20 @@ def boundary(points) -> frozenset:
     return frozenset(out)
 
 
+def stream_key(seed: int, experiment: str, section: str) -> int:
+    """The 64-bit Philox key word of one named section of one experiment.
+
+    The first 8 bytes, little-endian, of the BLAKE2b hash of
+    ``repr((seed, experiment, section))``.  Trial t of the section draws from
+    ``philox_stream(stream_key(...), t)``, so no two sections and no two
+    seeds share a stream (Salmon et al., "Parallel random numbers: as easy
+    as 1, 2, 3", SC'11).  Python's ``hash`` is salted per process for
+    strings, so it is not used.
+    """
+    text = repr((int(seed), experiment, section)).encode()
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "little")
+
+
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
     """The counter-based generator keyed by ``(seed, stream)``, each taken mod 2^64."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -170,6 +185,8 @@ class WalkState:
     The stream of moves is a pure function of ``(seed, stream)`` (or of the
     ``forced_moves`` array), independent of how operations slice it, so any
     sequence of operations on equal-seed walks reproduces bit-for-bit.
+    Experiments pass a ``stream_key`` as ``seed`` and the trial index as
+    ``stream``.
     A WalkState is confined to one worker at a time and never shared.
 
     The k-th move equals the k-th draw of

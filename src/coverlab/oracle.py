@@ -467,19 +467,20 @@ def coupled_chain_run(
     x: TorusPoint,
     length: int,
     seed: int = 0,
-    stream: int = 0,
 ) -> CoupledChainRun:
     """Simulate (X_l, I_l) with exact splitting measures from the oracle.
 
     Start points come from mu_outer (on regeneration) or nu_z (otherwise);
     each inward leg is an honest walk segment, so durations and endpoints
-    carry the exact conditional law.
+    carry the exact conditional law.  Under the key ``seed``, stream 0 draws
+    the coins and start cells, stream 1 the walk to X_0, and stream 2 + l
+    the l-th inward leg.
     """
     pair = ws.equilibrium_pair()
     nu = ws.nu_matrix()
     n = ws.n
     cap = LEG_CAP_PER_CELL * n * n
-    rng = philox_stream(seed, stream)
+    rng = philox_stream(seed, 0)
     inner_pos = {int(c): i for i, c in enumerate(ws.inner_codes)}
 
     starts = np.empty(length, dtype=np.int64)
@@ -488,15 +489,13 @@ def coupled_chain_run(
     flags = np.empty(length, dtype=np.int64)
 
     # X_0: from x, run to D_1 = first outer hit after the first inner hit.
-    walk = WalkState(TorusPoint(x.x, x.y, n), seed=seed, stream=stream + 1_000_000)
+    walk = WalkState(TorusPoint(x.x, x.y, n), seed=seed, stream=1)
     advance_to_mask(walk, ws.inner_mask, cap, inclusive=True)
     advance_to_mask(walk, ws.outer_mask, cap, inclusive=False)
     start = walk.code
 
     for ell in range(length):
-        leg = WalkState(
-            TorusPoint(start // n, start % n, n), seed=seed, stream=stream + 2_000_000 + ell
-        )
+        leg = WalkState(TorusPoint(start // n, start % n, n), seed=seed, stream=2 + ell)
         dur = advance_to_mask(leg, ws.inner_mask, cap, inclusive=False)
         starts[ell] = start
         ends[ell] = leg.code

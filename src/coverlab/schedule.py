@@ -176,19 +176,13 @@ def bump_upper(s: float, L: int, delta: float) -> float:
 class BarrierCurve:
     """Evaluable control curve; kind selects the formula and rounding."""
 
-    kind: str  # a_plus | a_minus | b_plus | b_minus | linear
+    kind: str  # a_plus | a_minus | b_plus | b_minus
     scales: DerivedScales | None = None
     kappa: float = 2.0
     delta: float = 0.05
-    a: float = 0.0
-    b: float = 0.0
-    L_override: int | None = None
 
     def __call__(self, i):
         sc = self.scales
-        if self.kind == "linear":
-            L = self.L_override if self.L_override is not None else sc.L
-            return self.a + (self.b - self.a) * i / L
         if sc is None:
             raise ValueError("scaled curves need a DerivedScales")
         L = sc.L

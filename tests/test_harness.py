@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import coverlab
-from coverlab import harness
+from coverlab import harness, lattice, oracle
 from coverlab.harness import (
     REGISTRY,
     Check,
@@ -291,3 +291,72 @@ def test_harness_import_leaves_scipy_stats_out():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# one tiny config per experiment; the trial floors still apply
+STREAM_CONFIGS = {
+    "cover": dict(n_values=(8, 12), trials=3),
+    "excursion": dict(n_values=(32,), trials=20),
+    "transfer": dict(trials=20),
+    "gw-check": dict(trials=300),
+    "barrier": dict(trials=300),
+    "curves": dict(trials=3),
+    "oracle-check": dict(trials=50),
+}
+
+
+def _stream_log(seed):
+    """Run every experiment once at ``seed``; per experiment, the
+    (seed, experiment, section, key) of each stream_key call and the key
+    word of each philox_stream call."""
+    real_key, real_stream = lattice.stream_key, lattice.philox_stream
+    log = {}
+
+    def stream_key(s, experiment, section):
+        key = real_key(s, experiment, section)
+        current["derived"].append((s, experiment, section, key))
+        return key
+
+    def philox_stream(word, stream):
+        current["words"].append(word)
+        return real_stream(word, stream)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (lattice, harness, oracle):
+            for name, fake in (("stream_key", stream_key), ("philox_stream", philox_stream)):
+                if hasattr(module, name):
+                    mp.setattr(module, name, fake)
+        for name, kwargs in STREAM_CONFIGS.items():
+            current = log[name] = {"derived": [], "words": []}
+            REGISTRY[name](ExperimentConfig(name=name, seed=seed, workers=1, **kwargs))
+    return log
+
+
+@pytest.fixture(scope="module")
+def stream_logs():
+    assert set(STREAM_CONFIGS) == set(REGISTRY)
+    return {seed: _stream_log(seed) for seed in (3, 4)}
+
+
+def test_every_stream_comes_from_a_named_section(stream_logs):
+    for seed, log in stream_logs.items():
+        for name, got in log.items():
+            assert got["words"], name
+            sections = [(e, c) for _, e, c, _ in got["derived"]]
+            # each section is derived once per run, under the run's seed and name
+            assert len(sections) == len(set(sections)), (name, sections)
+            assert {(s, e) for s, e, _, _ in got["derived"]} == {(seed, name)}
+            keys = {key for *_, key in got["derived"]}
+            assert set(got["words"]) <= keys, (name, set(got["words"]) - keys)
+
+
+def test_runs_at_adjacent_seeds_share_no_stream(stream_logs):
+    words = [
+        {w for got in log.values() for w in got["words"]} for log in stream_logs.values()
+    ]
+    assert words[0] and words[1]
+    assert not words[0] & words[1]
+    # and no two experiments share one
+    for log in stream_logs.values():
+        per_experiment = [set(got["words"]) for got in log.values()]
+        assert sum(map(len, per_experiment)) == len(set().union(*per_experiment))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coverlab
 from coverlab.lattice import (
     BallSpec,
     BudgetExceededError,
@@ -16,6 +21,7 @@ from coverlab.lattice import (
     mask_to_points,
     philox_stream,
     step,
+    stream_key,
     torus_distance,
 )
 
@@ -128,6 +134,29 @@ def _walk_codes(walk, total, slice_len):
         walk.consume(codes.size)
         got += codes.size
     return np.concatenate(out)
+
+
+# stream_key(7, "cover", "n16"): BLAKE2b of "(7, 'cover', 'n16')", first 8 bytes little-endian
+STREAM_KEY_7_COVER_N16 = 10725293465982372454
+
+
+def test_stream_key_is_pinned_and_independent_of_the_hash_seed():
+    assert stream_key(7, "cover", "n16") == STREAM_KEY_7_COVER_N16
+    assert stream_key(np.int64(7), "cover", "n16") == STREAM_KEY_7_COVER_N16
+    assert 0 <= stream_key(2**70, "cover", "n16") < 2**64
+    # distinct names give distinct keys
+    keys = {stream_key(s, e, c) for s in (0, 1) for e in ("cover", "excursion") for c in ("a", "b")}
+    assert len(keys) == 8
+    # Python's str hash is salted per process; the key must not be
+    src = str(Path(coverlab.__file__).resolve().parents[1])
+    code = "from coverlab.lattice import stream_key; print(stream_key(7, 'cover', 'n16'))"
+    for hash_seed in ("1", "4242"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True,
+        )
+        assert int(out.stdout) == STREAM_KEY_7_COVER_N16
 
 
 @pytest.mark.parametrize("n", [3, 50, 128])

@@ -84,8 +84,7 @@ def test_linear_barrier_endpoints_and_iL():
     f = linear_barrier(3.0, 7.0, 10)
     assert f(0) == 3.0
     assert f(10) == 7.0
-    curve = BarrierCurve("linear", a=3.0, b=7.0, L_override=10)
-    assert curve(5) == 5.0
+    assert f(5) == 5.0
 
 
 def test_bumps_vanish_at_endpoints_and_min_of_branches():
