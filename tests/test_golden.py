@@ -6,7 +6,8 @@ must equal the digest recorded below.  ``oracle-check`` runs twice: its
 Monte Carlo sections into ``oracle-check.csv``, and its exact-only
 ``bracket`` and ``kac`` sections into ``oracle-check.exact.csv``.  A refactor leaves every digest
 unchanged; a change that moves any output byte fails here and must
-re-record the digests on purpose.
+re-record the digests on purpose.  They were last re-recorded on purpose
+for stream format 2: one named stream key per section (lattice.stream_key).
 
 The digests depend on numpy's Philox and negative-binomial samplers and on
 scipy's solvers, so the versions they were taken under are recorded too,
@@ -39,14 +40,14 @@ ORACLE_SECTIONS = ("mc", "equilibrium")
 ORACLE_EXACT_SECTIONS = ("bracket", "kac")
 
 GOLDEN = {
-    "cover.csv": "d9cd645b5dce9177dd8852a59223dc2d04c4a370e8297f2577a130d5284657fa",
-    "excursion.csv": "73b09099ed5f185068da5ed1f7796beef6da1d24c47718a613988b0416da4bb3",
-    "transfer.csv": "26df9bb82b17961b839cb59c86b703776843cbe44d8ce024a9269a79f687d2f7",
-    "gw-check.csv": "5a2b1df5f785892bb5cd47d85627696d67f50a779e01c4aeadc6c8e4273eee5d",
-    "barrier.csv": "b5cca72711b565653977d213ebf8bd40cf8d78727c62e151d2a9c89261963566",
-    "curves.csv": "a52f01593dd66e3609e1f48fd1aa95f3ff285090be096f9f56ba89dadc02daac",
-    "curves.late.csv": "c167a8f0c2a87362a512cef224ff9634c825b52a49b2066a283dec54ab519a37",
-    "oracle-check.csv": "9b22f2c72c258bbe9ff89f7ac08098286a44ad4c37c050b2de9eee55059625e2",
+    "cover.csv": "03c3f9c92862d9bb3f24bd6f4829f968babfcd8513b2884e3b2944151bab795c",
+    "excursion.csv": "071df65070e0d69fdf1892d375e62c89328eae89c7aff09c11003676b4c7a45e",
+    "transfer.csv": "96aab0d417945251c5d4dbbddb78efc884dd7f37e85d20bed58c82a0765aeefb",
+    "gw-check.csv": "35ba37515a24bcd1e5dc5280a751504db28308822861f199da2d9cc6b7c82ca8",
+    "barrier.csv": "edb72e95cd77ae2edcd35ca99531ff48cae26e8969f23db0f8ca44867a91008f",
+    "curves.csv": "0585181483c2ae54df8a868168756517eb904b777fb633ad1d1bcc81fb170ddb",
+    "curves.late.csv": "a3348ad5052d1211b5337593974ea2f4eaf57b85a436622ed1e2929071fd8b03",
+    "oracle-check.csv": "c2877b362437e6e5f1191d361f7326198e19a971a955d91cd76fe8578dd40368",
     "oracle-check.exact.csv": "957c9e2d3803af8f184f2174f915143771ee745827e0a31b13d179426f8dd3ff",
 }
 
