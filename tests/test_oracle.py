@@ -553,10 +553,10 @@ def test_restricted_system_with_absorbed_sources(monkeypatch):
     factored = []
     splu = oracle.splu
 
-    def checked_splu(matrix):
+    def checked_splu(matrix, **kwargs):
         assert matrix.shape[0] > 0, "splu handed an empty matrix"
         factored.append(matrix.shape[0])
-        return splu(matrix)
+        return splu(matrix, **kwargs)
 
     monkeypatch.setattr(oracle, "splu", checked_splu)
     n = 16
