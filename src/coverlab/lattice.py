@@ -160,15 +160,9 @@ def boundary(points) -> frozenset:
 
 
 def stream_key(seed: int, experiment: str, section: str) -> int:
-    """The 64-bit Philox key word of one named section of one experiment.
-
-    The first 8 bytes, little-endian, of the BLAKE2b hash of
-    ``repr((seed, experiment, section))``.  Trial t of the section draws from
-    ``philox_stream(stream_key(...), t)``, so no two sections and no two
-    seeds share a stream (Salmon et al., "Parallel random numbers: as easy
-    as 1, 2, 3", SC'11).  Python's ``hash`` is salted per process for
-    strings, so it is not used.
-    """
+    """Philox key word of one named section of an experiment: the first 8
+    bytes, little-endian, of BLAKE2b over ``repr((seed, experiment, section))``.
+    Python's ``hash`` is not used: it is salted per process for strings."""
     text = repr((int(seed), experiment, section)).encode()
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "little")
 

@@ -143,10 +143,6 @@ STREAM_KEY_7_COVER_N16 = 10725293465982372454
 def test_stream_key_is_pinned_and_independent_of_the_hash_seed():
     assert stream_key(7, "cover", "n16") == STREAM_KEY_7_COVER_N16
     assert stream_key(np.int64(7), "cover", "n16") == STREAM_KEY_7_COVER_N16
-    assert 0 <= stream_key(2**70, "cover", "n16") < 2**64
-    # distinct names give distinct keys
-    keys = {stream_key(s, e, c) for s in (0, 1) for e in ("cover", "excursion") for c in ("a", "b")}
-    assert len(keys) == 8
     # Python's str hash is salted per process; the key must not be
     src = str(Path(coverlab.__file__).resolve().parents[1])
     code = "from coverlab.lattice import stream_key; print(stream_key(7, 'cover', 'n16'))"
