@@ -13,6 +13,28 @@ from . import schedule
 from .harness import REGISTRY, ExperimentConfig
 
 
+# the flags each subcommand reads besides --trials, --seed and --out; each
+# dest is the ExperimentConfig field it sets, and any other flag is a usage error
+_N_ONE = ("--n", dict(dest="n_values", type=int, nargs=1, help="torus side"))
+_N_MANY = ("--n", dict(dest="n_values", type=int, nargs="+", help="torus sides"))
+_WORKERS = ("--workers", dict(type=int, help="worker processes for the trial map"))
+_CURVES = (
+    ("--schedule", dict(dest="schedule_spec", help="radii schedule: 'strict' or 'toy:L,ell'")),
+    ("--params", dict(help="alpha,beta,gamma,delta,cstar (comma separated)")),
+    ("--kappa-plus", dict(type=float, help="kappa of the upper curve a+")),
+    ("--kappa-minus", dict(type=float, help="kappa of the lower curve a-")),
+)
+FLAGS = {
+    "cover": (_N_MANY, _WORKERS),
+    "excursion": (_N_ONE, _WORKERS),
+    "transfer": (_WORKERS,),
+    "gw-check": (),
+    "barrier": (),
+    "curves": (_N_ONE, _WORKERS, *_CURVES),
+    "oracle-check": (_WORKERS,),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coverlab",
@@ -21,32 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, runner in REGISTRY.items():
         p = sub.add_parser(name, help=(runner.__doc__ or "").strip().splitlines()[0])
-        p.add_argument("--n", type=int, nargs="*", default=None, help="torus side(s)")
         p.add_argument("--trials", type=int, default=0, help="trial count (0 = default)")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", type=str, default=None, help="CSV output path")
-        p.add_argument(
-            "--schedule",
-            type=str,
-            default="toy:4,2",
-            help="radii schedule: 'strict' or 'toy:L,ell'",
-        )
-        p.add_argument(
-            "--params",
-            type=str,
-            default=None,
-            help="alpha,beta,gamma,delta,cstar (comma separated)",
-        )
-        p.add_argument("--kappa-plus", type=float, default=2.0)
-        p.add_argument("--kappa-minus", type=float, default=2.0)
-        p.add_argument("--budget-mult", type=float, default=1.0)
-        p.add_argument("--workers", type=int, default=None)
+        for flag, kwargs in FLAGS[name]:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def _params_from_arg(arg: str | None, n: int) -> schedule.ParamSet | None:
-    if arg is None:
-        return None
+def _params_from_arg(arg: str, n: int) -> schedule.ParamSet:
     try:
         alpha, beta, gamma, delta, cstar = (float(v) for v in arg.split(","))
     except ValueError as exc:
@@ -65,22 +70,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    n_values = tuple(args.n) if args.n else ()
+    fields = {k: v for k, v in vars(args).items() if v is not None}
+    name = fields.pop("command")
+    if "n_values" in fields:
+        fields["n_values"] = tuple(fields["n_values"])
     try:
-        cfg = ExperimentConfig(
-            name=args.command,
-            n_values=n_values,
-            trials=args.trials,
-            seed=args.seed,
-            out=args.out,
-            schedule_spec=args.schedule,
-            params=_params_from_arg(args.params, n_values[0] if n_values else 64),
-            kappa_plus=args.kappa_plus,
-            kappa_minus=args.kappa_minus,
-            budget_mult=args.budget_mult,
-            workers=args.workers,
-        )
-        result = REGISTRY[args.command](cfg)
+        if "params" in fields:
+            n = fields.get("n_values", (64,))[0]
+            fields["params"] = _params_from_arg(fields["params"], n)
+        cfg = ExperimentConfig(name=name, **fields)
+        result = REGISTRY[name](cfg)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +52,6 @@ class ExperimentConfig:
     params: schedule.ParamSet | None = None
     kappa_plus: float = 2.0
     kappa_minus: float = 2.0
-    budget_mult: float = 1.0
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
     workers: int | None = None
 
     def __post_init__(self):
@@ -61,14 +59,6 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1 (0 selects the default)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
-
-    def tolerances(self) -> dict[str, float]:
-        tol = load_tolerances()
-        unknown = sorted(set(self.tolerance_overrides) - set(tol))
-        if unknown:
-            raise ValueError(f"tolerance overrides {unknown} name no key of tolerances.txt")
-        tol.update(self.tolerance_overrides)
-        return tol
 
     def worker_count(self) -> int:
         if self.workers is not None:
@@ -183,10 +173,9 @@ def _parse_toy(spec: str) -> tuple[int, float]:
 
 
 def _cover_trial(payload, trial):
-    n, key, budget_mult = payload
+    n, key = payload
     walk = WalkState(TorusPoint(0, 0, n), seed=key, stream=trial)
-    cap = int(default_cover_budget(n) * budget_mult)
-    return cover_time(walk, cap)
+    return cover_time(walk, default_cover_budget(n))
 
 
 COVER_SCHEMA = [
@@ -207,7 +196,7 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     is Matthews' exact bracket on E[t_cov] (oracle.matthews_cover_bracket)
     in norm_mean units, which any correct engine's mean must sit inside.
     """
-    tol = cfg.tolerances()
+    tol = load_tolerances()
     n_values = cfg.n_values or (64, 128, 256)
     default_trials = {64: 3000, 128: 2000, 256: 1200}
     rows = []
@@ -215,7 +204,7 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     gaps = []
     for n in n_values:
         trials = cfg.trials or default_trials.get(n, 500)
-        payload = (n, stream_key(cfg.seed, "cover", f"n{n}"), cfg.budget_mult)
+        payload = (n, stream_key(cfg.seed, "cover", f"n{n}"))
         vals, failures = _map_trials(_cover_trial, payload, trials, cfg)
         if not vals:
             rows.append(
@@ -314,7 +303,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cycles close to independent, |D_m / (E[D_1](m-1)) - 1| has 95th
     percentile z_0.975 relSD(D_1) / sqrt(m-1), and the check allows the
     manifest's slack for the sampling error of that quantile."""
-    tol = cfg.tolerances()
+    tol = load_tolerances()
     n = cfg.n_values[0] if cfg.n_values else 128
     r, m = 4.0, 100
     R = 32.0 if n >= 128 else n / 4.0
@@ -326,7 +315,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     d1_relsd = math.sqrt(d1_var_exact) / d1_mean_exact
     formula = (2 / math.pi) * n * n * math.log(R / r)
     mu_cum = np.cumsum(pair.mu_outer)
-    cap = int(200 * formula * max(cfg.budget_mult, 1.0))
+    cap = int(200 * formula)
     machine = circle_machine(center, [R, r])
 
     def clocks(section, m_cell, starts):
@@ -457,7 +446,7 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
     start = TorusPoint(center.x + int(radii[0]), center.y, n)
     table = schedule.prob_table(radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
     chain = oracle.CircleChain(center, radii, n)
-    cap = int(4000 * n * n * max(cfg.budget_mult, 1.0))
+    cap = 4000 * n * n
     payload = (circle_machine(center, radii), start, 1, stream_key(cfg.seed, "transfer", tag), cap)
     good, failures = _map_trials(_transfer_trial, payload, trials, cfg)
     rows = []
@@ -496,7 +485,7 @@ def run_transfer_check(cfg: ExperimentConfig) -> ExperimentResult:
     circle-hit chain (harmonic-measure kernel products), which makes the
     ell-doubling improvement check noise-free.
     """
-    tol = cfg.tolerances()
+    tol = load_tolerances()
     events = [(0, 0), (1, 0), (2, 0)]
     base_trials = cfg.trials or 50_000
     doubled_trials = max(2000, (cfg.trials or 20_000) // 3)
@@ -555,7 +544,7 @@ GW_SCHEMA = ["case", "metric", "value", "threshold", "passed"]
 def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact equality of the 1-D traversal law with the GW law on small cases,
     negative-binomial marginals, and a large-sample two-sample test."""
-    tol = cfg.tolerances()
+    tol = load_tolerances()
     exact_tol = tol["gw.exact_tol"]
     pmin = tol["gw.chisq_pmin"]
     rows = []
@@ -652,7 +641,7 @@ def _barrier_row(mode, spec, trials, est, p_exact, shape, normalized, prefactor)
 
 def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Barrier-event sweep in both modes with the exact DP as cross-oracle."""
-    tol = cfg.tolerances()
+    tol = load_tolerances()
     trials = cfg.trials or 200_000
     rng = philox_stream(stream_key(cfg.seed, "barrier", "mc"), 0)
     rows = []
@@ -785,12 +774,11 @@ LATE_SCHEMA = [
 
 def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     """Traversal-profile envelope report at a toy schedule, with GW twins, plus
-    the late-point corridor event frequency against its GW envelope."""
-    tol = cfg.tolerances()
+    the late-point corridor event frequency against the GW corridor
+    probability; the Delta-inflated envelope is reported, not asserted."""
+    tol = load_tolerances()
     n = cfg.n_values[0] if cfg.n_values else 64
-    params = cfg.params or schedule.ParamSet(
-        n=n, kappa_plus=cfg.kappa_plus, kappa_minus=cfg.kappa_minus
-    )
+    params = cfg.params or schedule.ParamSet(n=n)
     if cfg.schedule_spec == "strict":
         scales = schedule.derive_scales(params)
     else:
@@ -808,7 +796,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     a_minus = schedule.BarrierCurve("a_minus", scales, kappa=cfg.kappa_minus)
 
     trials = cfg.trials or 400
-    cap = int(1000 * n * n * m_plus * max(cfg.budget_mult, 1.0))
+    cap = 1000 * n * n * m_plus
     center = TorusPoint(n // 2, n // 2, n)
     radii = validate_radii(scales.radii, n=n)
     shift_mask = exterior_boundary_mask(ball_mask(center, radii[1]))
@@ -830,7 +818,6 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     checks = []
     centering_ok = True
-    kappa_monotone_ok = True
     for source, profiles, failures in (
         ("walk_tilde", walk_profiles, walk_failures),
         ("gw_conditioned", gw_cond[:, :L], 0),
@@ -854,8 +841,6 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
                     a_plus=ap, a_minus=am,
                 )
             )
-            if f_above2 > f_above:
-                kappa_monotone_ok = False
             if source == "gw_conditioned":
                 se = float(np.sqrt(col).std(ddof=1) / math.sqrt(col.size))
                 if abs(float(np.sqrt(col).mean()) - centering) > tol[
@@ -867,13 +852,6 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             "curves_level0_equals_m",
             bool((walk_profiles[:, 0] == m_plus).all()) if walk_profiles.size else False,
             f"T_0 = m+ = {m_plus} on all {walk_profiles.shape[0]} profiles",
-        )
-    )
-    checks.append(
-        Check(
-            "curves_a_plus_monotone_in_kappa",
-            kappa_monotone_ok,
-            "fraction above a+ never increases when kappa+ doubles",
         )
     )
     checks.append(
@@ -941,13 +919,6 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     )
     checks.append(
         Check(
-            "late_event_below_gw_envelope",
-            freq <= envelope + 3 * se,
-            f"freq={freq:.5f} <= Delta-inflated envelope={envelope:.5f} + 3se",
-        )
-    )
-    checks.append(
-        Check(
             "late_event_below_corridor",
             freq <= 1.5 * corridor + 3 * se,
             f"freq={freq:.5f} <= 1.5 * corridor={corridor:.5f} + 3se "
@@ -985,7 +956,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
     ``sections`` selects from {'mc', 'bracket', 'equilibrium', 'kac'};
     default runs all four.
     """
-    tol = cfg.tolerances()
+    tol = load_tolerances()
     z_max = tol["oracle.mc_sigma"]
     trials = cfg.trials or 100_000
     sections = set(sections) if sections else {"mc", "bracket", "equilibrium", "kac"}
@@ -1058,7 +1029,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
 
         # tiny-torus cover chain oracle vs MC
         exact2 = oracle.exact_cover_mean(2)
-        payload = (2, stream_key(cfg.seed, "oracle-check", "cover_n2_chain"), 1.0)
+        payload = (2, stream_key(cfg.seed, "oracle-check", "cover_n2_chain"))
         vals, overruns = _map_trials(_cover_trial, payload, 20_000, cfg)
         book_mean("cover_n2_chain", 2, "cover_mean", exact2, vals, overruns)
 

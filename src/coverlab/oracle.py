@@ -189,6 +189,11 @@ class GridSystem:
         rhs[idx] = weights
         return self.full_vector(self.solve(rhs))
 
+    def expected_hit(self) -> np.ndarray:
+        """E_v[H] for every cell v, H the hitting time of the absorbing set
+        (zero on absorbed cells and on cells the system does not keep)."""
+        return self.full_vector(self.hitting_moments(1)[0])
+
     def hitting_moments(self, k: int, exit_step=None, exit_moments=()) -> list[np.ndarray]:
         """E_x[(H + F)^j] on free cells for j = 1..k, one solve per moment.
 
@@ -246,14 +251,12 @@ def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
         raise ValueError("A must be nonempty")
     if maskA.reshape(-1)[v.code]:
         return 0.0
-    sys = GridSystem(n, maskA, np.array([v.code]))
-    return float(sys.hitting_moments(1)[0][sys.index[v.code]])
+    return float(GridSystem(n, maskA, np.array([v.code])).expected_hit()[v.code])
 
 
 def expected_hit_table(A, n: int) -> np.ndarray:
     """E_v[H_A] for every cell v, as a flat length-N vector."""
-    sys = GridSystem(n, _as_mask(A, n))
-    return sys.full_vector(sys.hitting_moments(1)[0])
+    return GridSystem(n, _as_mask(A, n)).expected_hit()
 
 
 def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -390,20 +393,15 @@ class EquilibriumWorkspace:
 
     # exact expectations --------------------------------------------------------
 
-    @staticmethod
-    def _hit_table(sys: GridSystem) -> np.ndarray:
-        """E_v[H] for every cell v the system keeps, H the hitting time of its absorbing set."""
-        return sys.full_vector(sys.hitting_moments(1)[0])
-
     def expected_inward_leg(self) -> float:
         """E over mu_outer of the hitting time of the inner circle."""
         pair = self.equilibrium_pair()
-        return float(pair.mu_outer @ self._hit_table(self._sys_inner)[self.outer_codes])
+        return float(pair.mu_outer @ self._sys_inner.expected_hit()[self.outer_codes])
 
     def expected_outward_leg(self) -> float:
         """E over mu_inner of the hitting time of the outer circle."""
         pair = self.equilibrium_pair()
-        return float(pair.mu_inner @ self._hit_table(self._sys_outer)[self.inner_codes])
+        return float(pair.mu_inner @ self._sys_outer.expected_hit()[self.inner_codes])
 
     def expected_d1(self) -> float:
         """Exact E over the pair of the full excursion length D_1."""

@@ -17,8 +17,9 @@ from .excursions import validate_radii
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Free parameters; the unknown paper constants default to plotting values
-    (c1 = c2 = 1, kappa = 2, c_star = 2) and are never asserted as ground truth."""
+    """Free parameters of the scale family and its constraints; the unknown
+    paper constant c_star defaults to a plotting value and is never asserted
+    as ground truth."""
 
     n: int
     delta: float = 0.05
@@ -26,10 +27,6 @@ class ParamSet:
     alpha: float = 0.2
     beta: float = 0.35
     c_star: float = 2.0
-    kappa_plus: float = 2.0
-    kappa_minus: float = 2.0
-    c1: float = 1.0
-    c2: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -92,8 +89,9 @@ class DerivedScales:
 
 
 def derive_scales(p: ParamSet, strict: bool = False) -> DerivedScales:
-    """All scales from the exact formulas; ``strict`` enforces the asymptotic
-    parameter constraints (opt-in: they cannot hold at desk-scale n)."""
+    """All scales from the exact formulas: ell and L here, the rest as in
+    ``toy_scales``; ``strict`` enforces the asymptotic parameter constraints
+    (opt-in: they cannot hold at desk-scale n)."""
     if p.n < 16:
         raise ValueError("need n >= 16 so that log log n > 0")
     if strict:
@@ -107,14 +105,7 @@ def derive_scales(p: ParamSet, strict: bool = False) -> DerivedScales:
     L = math.floor(logn / math.log(ell) - p.c_star * w)
     if L < 1:
         raise ValueError("L < 1: n too small for the chosen (alpha, beta, c_star)")
-    s = loglog**p.gamma
-    base = 2 * logn**2 / math.log(ell)
-    m_plus = math.floor((1 - loglog / (2 * logn) + s / logn) * base)
-    m_minus = math.ceil((1 - loglog / (2 * logn) - s / logn) * base)
-    radii = tuple(ell ** (L - k) for k in range(L + 1))
-    return DerivedScales(
-        n=p.n, ell=ell, w=w, L=L, s=s, m_plus=m_plus, m_minus=m_minus, radii=radii, loglog=loglog
-    )
+    return toy_scales(p.n, L, ell, p)
 
 
 def toy_scales(
@@ -308,22 +299,6 @@ class ProbTable:
 
 def prob_table(radii, c1: float = 1.0, c2: float = 1.0) -> ProbTable:
     return ProbTable(radii, c1=c1, c2=c2)
-
-
-def dump_prob_table_csv(table: ProbTable, path) -> None:
-    """Deterministic 7-column dump: (i1, i2, i3, p_minus, p_plus, delta_minus,
-    delta_plus); reversed (i1 > i3) rows carry the outward orientation."""
-    from pathlib import Path
-
-    cols = ["i1", "i2", "i3", "p_minus", "p_plus", "delta_minus", "delta_plus"]
-    lines = [",".join(cols)]
-    for row in table.rows():
-        lines.append(
-            ",".join(
-                str(row[c]) if isinstance(row[c], int) else f"{row[c]:.10g}" for c in cols
-            )
-        )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def transfer_bracket(

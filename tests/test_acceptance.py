@@ -187,3 +187,16 @@ def test_criterion_10_determinism(tmp_path):
         print(f"  [{'pass' if same else 'FAIL'}] determinism_{name}")
     print(f"ACCEPTANCE 10 (determinism): {'pass' if all_ok else 'FAIL'}")
     assert all_ok
+
+
+def test_criterion_11_curve_report():
+    """Curve report at defaults: T_0 = m+ on every walk profile, conditioned GW
+    sqrt(T_i) near its centering, and the late-point event seen often enough
+    and no more often than 1.5 times its GW corridor probability allows."""
+    res = run_curve_report(ExperimentConfig(name="curves", seed=SEED))
+    ok, checks = _report("11 (curve report)", res)
+    assert [c.name for c in checks] == [
+        "curves_level0_equals_m", "curves_gw_sqrt_centering",
+        "late_event_positive", "late_event_below_corridor",
+    ]
+    assert ok, [c.detail for c in checks if not c.passed]

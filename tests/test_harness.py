@@ -76,7 +76,7 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_cover_experiment_small_run_and_failure_accounting(tmp_path):
+def test_cover_experiment_small_run_and_failure_accounting(tmp_path, monkeypatch):
     cfg = ExperimentConfig(
         name="cover", n_values=(16, 24), trials=40, seed=3, out=tmp_path / "cover.csv"
     )
@@ -84,9 +84,11 @@ def test_cover_experiment_small_run_and_failure_accounting(tmp_path):
     assert len(res.rows) == 2
     assert all(r["failures"] == 0 for r in res.rows)
     assert (tmp_path / "cover.csv").exists()
-    # a starved budget records failures instead of raising
+    # a starved budget records failures instead of raising; covering the
+    # 16 x 16 torus takes at least 255 steps
+    monkeypatch.setattr(harness, "default_cover_budget", lambda n: 100)
     starved = run_cover_experiment(
-        ExperimentConfig(name="cover", n_values=(16,), trials=10, seed=3, budget_mult=1e-4)
+        ExperimentConfig(name="cover", n_values=(16,), trials=10, seed=3, workers=1)
     )
     assert starved.rows[0]["failures"] == 10
 
@@ -142,20 +144,6 @@ def test_workers_env_variable(monkeypatch):
     assert ExperimentConfig(name="cover").worker_count() == 1
 
 
-def test_tolerance_overrides_apply():
-    cfg = ExperimentConfig(
-        name="excursion", tolerance_overrides={"excursion.conc_p95_slack": 9.9}
-    )
-    assert cfg.tolerances()["excursion.conc_p95_slack"] == 9.9
-
-
-def test_unknown_tolerance_override_is_rejected():
-    # cover.band_hi was retired from the manifest; overriding it would change nothing
-    cfg = ExperimentConfig(name="cover", tolerance_overrides={"cover.band_hi": 2.0})
-    with pytest.raises(ValueError, match=r"cover\.band_hi"):
-        cfg.tolerances()
-
-
 def test_oracle_check_sections_isolated():
     res = run_oracle_check(
         ExperimentConfig(name="oracle-check", trials=500), sections=("kac",)
@@ -193,32 +181,77 @@ def test_negative_seed_is_a_usage_error(capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
-def test_cli_failing_assertion_exit_code():
+def test_cli_failing_assertion_exit_code(monkeypatch):
     from coverlab.cli import main
 
+    assert main(["gw-check", "--trials", "2000"]) == 0
     # an impossible tolerance forces an assertion failure -> exit code 1
-    rc = main(["gw-check", "--trials", "2000"])
-    assert rc == 0
-    import coverlab.harness as h
+    real = harness.load_tolerances
+    monkeypatch.setattr(harness, "load_tolerances", lambda: {**real(), "gw.chisq_pmin": 1.1})
+    assert main(["gw-check", "--trials", "2000"]) == 1
 
-    res = h.run_gw_equivalence(
-        ExperimentConfig(
-            name="gw-check", trials=2000, tolerance_overrides={"gw.chisq_pmin": 1.1}
-        )
-    )
-    assert not res.all_passed
+
+# the flags each subcommand reads; every other (subcommand, flag) pair is a usage error
+CLI_FLAGS = {
+    "cover": {"--n", "--workers"},
+    "excursion": {"--n", "--workers"},
+    "transfer": {"--workers"},
+    "gw-check": set(),
+    "barrier": set(),
+    "curves": {"--n", "--workers", "--schedule", "--params", "--kappa-plus", "--kappa-minus"},
+    "oracle-check": {"--workers"},
+}
+FLAG_VALUES = {
+    "--n": "64", "--trials": "10", "--seed": "1", "--out": "x.csv", "--schedule": "strict",
+    "--params": "0.2,0.35,0.96,0.05,2", "--kappa-plus": "3", "--kappa-minus": "3",
+    "--budget-mult": "2", "--workers": "2",
+}
+
+
+def test_cli_registers_only_the_flags_each_subcommand_reads():
+    from coverlab.cli import build_parser, main
+
+    parser = build_parser()
+    accepted = 0
+    for name in REGISTRY:
+        for flag, value in FLAG_VALUES.items():
+            if flag in CLI_FLAGS[name] | {"--trials", "--seed", "--out"}:
+                parser.parse_args([name, flag, value])  # parsing only: nothing runs
+                accepted += 1
+            else:
+                # one trial keeps the run short if the flag were accepted
+                assert main([name, flag, value, "--trials", "1"]) == 2, (name, flag)
+    assert accepted == 33
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--schedule", "strict", "--n", "8", "--trials", "1"],
+        ["gw-check", "--workers", "2", "--trials", "300"],
+        ["transfer", "--n", "64", "--trials", "20"],
+        ["excursion", "--n", "32", "64", "--trials", "20"],
+        ["barrier", "--budget-mult", "2", "--trials", "300"],
+    ],
+    ids=["cover-schedule", "gw-check-workers", "transfer-n", "excursion-two-n", "barrier-budget"],
+)
+def test_cli_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    from coverlab.cli import main
+
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_prob_table_csv_dump(tmp_path):
-    from coverlab.schedule import dump_prob_table_csv, prob_table
+    from coverlab.schedule import prob_table
 
     table = prob_table([8.0, 4.0, 1.0], c1=1.0, c2=1.0)
-    out = tmp_path / "table.csv"
-    dump_prob_table_csv(table, out)
+    cols = ["i1", "i2", "i3", "p_minus", "p_plus", "delta_minus", "delta_plus"]
+    out = emit_csv(tmp_path / "table.csv", table.rows(), cols)
     lines = out.read_text().splitlines()
     assert lines[0] == "i1,i2,i3,p_minus,p_plus,delta_minus,delta_plus"
     assert len(lines) == 1 + len(table.rows())
-    dump_prob_table_csv(table, tmp_path / "again.csv")
+    emit_csv(tmp_path / "again.csv", table.rows(), cols)
     assert out.read_bytes() == (tmp_path / "again.csv").read_bytes()
 
 
