@@ -59,12 +59,19 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1 (0 selects the default)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
+        self.worker_count()
 
     def worker_count(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
         env = os.environ.get("COVERLAB_WORKERS")
-        return max(1, int(env)) if env else 1
+        if self.workers is not None:
+            workers, source = self.workers, "workers"
+        elif env:
+            workers, source = int(env), "COVERLAB_WORKERS"
+        else:
+            return 1
+        if workers < 1:
+            raise ValueError(f"{source} must be >= 1 (got {workers})")
+        return workers
 
 
 @dataclass

@@ -1,12 +1,13 @@
-"""Exact discrete potential theory on small tori by sparse linear solves.
+"""Exact discrete potential theory on tori from the spectral hitting-time table.
 
 Hitting probabilities, expected hitting times, harmonic measure, Green
 functions, the equilibrium measure pair, the Bernoulli-splitting excursion
-chain, and exact circle-chain event probabilities.  Systems are (I - Q) over
-the non-absorbed cells with Q the quarter-adjacency; they are solved by a
-sparse LU factorisation and every solve is residual-checked.  Point-to-point
-hitting times on the whole torus, and Matthews' cover-time bracket built on
-them, come from the spectral formula instead and need no solve.
+chain, and exact circle-chain event probabilities.  The walk is translation
+invariant, so one fft2 gives every point-to-point hitting time
+T(u, v) = E_u H_v; for an absorbing set A the strong Markov property at H_A
+turns T into one dense (|A| + 1) system, solved with a residual check, and
+every other quantity is a convolution with T.  Matthews' cover-time bracket
+reads the table directly.  No quantity is capped in n.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import splu
+from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import (
     TorusPoint,
@@ -29,8 +29,6 @@ from .lattice import (
     points_to_mask,
 )
 
-# largest torus side solved exactly; the doubled transfer schedule runs at 130
-MAX_EXACT_N = 132
 RESIDUAL_TOL = 1e-10
 # power iteration of the equilibrium pair: stop when no entry moves by more
 POWER_TOL = 1e-12
@@ -51,23 +49,6 @@ def _neighbor_codes(n: int) -> np.ndarray:
     return out
 
 
-def _reach(nb: np.ndarray, free: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Free cells a walk started from ``sources`` can enter before absorption.
-
-    A frontier search over the torus neighbours ``nb``.  An absorbed source
-    lends the search its free neighbours, which a walk from it never enters;
-    keeping them is harmless.
-    """
-    seen = np.zeros(free.size, dtype=bool)
-    frontier = np.unique(sources)
-    seen[frontier] = True
-    while frontier.size:
-        step = nb[frontier].reshape(-1)
-        frontier = np.unique(step[free[step] & ~seen[step]])
-        seen[frontier] = True
-    return seen & free
-
-
 def _codes(points) -> np.ndarray:
     return np.array(
         [p.code if isinstance(p, TorusPoint) else int(p) for p in points], dtype=np.int64
@@ -75,148 +56,139 @@ def _codes(points) -> np.ndarray:
 
 
 class GridSystem:
-    """(I - Q) on the free cells of the torus for one absorbing set.
+    """The hitting law of one absorbing set A on the n x n torus.
 
-    Factored once on construction; every solve goes through ``solve``,
-    which takes one right-hand side or a matrix of them and checks the
-    residual.  The algorithms below are each one solve per right-hand-side
-    matrix (or per moment, for the hitting-moment hierarchy).
+    With T(u, v) = E_u H_v = ``expected_hit_origin_table(n)[v - u]``, the
+    strong Markov property at H_A gives, for every cell x and every b in A,
 
-    With ``sources`` (flat cell codes) only the free cells a walk started
-    from them can enter are kept.  The full system is block diagonal over
-    these components, so every value read from a source (an exit law, a
-    hitting moment, a Green column) is the same; cells outside the kept set
-    read as zero.  Without ``sources`` every free cell is kept.
+        T(x, b) = E_x H_A + sum_a P_x(X_{H_A} = a) T(a, b),
+
+    and sum_a P_x(a) = 1 closes a (k + 1) system for k = |A|, with one
+    right-hand side (T(A, x), n^2) per x.  The unknown E_x H_A is carried as
+    E_x H_A / n^2 and the normalisation row is scaled by n^2, so that T's
+    entries of order n^2 log n do not dwarf the ones.  For the circle of
+    radius n/4 that, with T's mean taken out, gives a condition number of 66
+    at n = 128 and 5e2 at n = 1024, against 5e11 and 3e16 unscaled.  The
+    matrix is symmetric and factored once; every solve goes through
+    ``solve``, which checks the residual.
     """
 
-    def __init__(self, n: int, absorbing: np.ndarray, sources: np.ndarray | None = None):
-        if n > MAX_EXACT_N:
-            raise ValueError(f"exact solves capped at n <= {MAX_EXACT_N} (got n = {n})")
-        self.n = n
+    def __init__(self, n: int, absorbing: np.ndarray):
         flat = absorbing.reshape(-1)
         if flat.all():
             raise ValueError("no free cells")
+        self.n = n
         self.absorbing = flat
-        nb = _neighbor_codes(n)
-        free = ~flat if sources is None else _reach(nb, ~flat, sources)
-        self.free_codes = np.nonzero(free)[0]
-        self.nfree = self.free_codes.size
-        self.index = np.full(n * n, -1, dtype=np.int64)
-        self.index[self.free_codes] = np.arange(self.nfree)
-        self._nb = nb[self.free_codes]  # (nfree, 4)
-        self._Q = self._steps_to(self.index, self.nfree)
-        self._matrix = (identity(self.nfree, format="csr") - self._Q).tocsc()
-        # absorbed sources with no free neighbour leave nothing to factor; the
-        # matrix is symmetric, and a minimum-degree ordering of A^T + A about
-        # halves the LU fill of the default column ordering at n = 130
-        self._lu = splu(self._matrix, permc_spec="MMD_AT_PLUS_A") if self.nfree else None
+        self.codes = np.nonzero(flat)[0]
+        # every identity below survives T -> T - const (the exit law sums to
+        # 1), and a zero-mean T drops the constant part of each field it is
+        # convolved with, which would otherwise cancel in the Green sums
+        table = expected_hit_origin_table(n)
+        self._table = table - table.mean()
+        self._table_hat = np.fft.rfft2(self._table).real  # T is even: its transform is real
+        k = self.codes.size
+        matrix = np.full((k + 1, k + 1), float(n * n))
+        matrix[:k, :k] = self._hit_times(self.codes)
+        matrix[k, k] = 0.0
+        self._matrix = matrix
+        self._lu = lu_factor(matrix)
 
-    def _steps_to(self, position: np.ndarray, size: int) -> csr_matrix:
-        """(nfree, size) one-step probabilities onto the cells with position >= 0."""
-        cols = position[self._nb].reshape(-1)
-        rows = np.repeat(np.arange(self.nfree), 4)
-        keep = cols >= 0
-        data = np.full(keep.sum(), 0.25)
-        return csr_matrix((data, (rows[keep], cols[keep])), shape=(self.nfree, size))
+    def _hit_times(self, sources: np.ndarray) -> np.ndarray:
+        """(k, len(sources)) table T(a, x) for a in A and each source x."""
+        n = self.n
+        ax, ay = divmod(self.codes, n)
+        sx, sy = divmod(sources, n)
+        return self._table[(sx[None, :] - ax[:, None]) % n, (sy[None, :] - ay[:, None]) % n]
+
+    def _convolve(self, fields: np.ndarray) -> np.ndarray:
+        """(T * g)(x) = sum_y T(x, y) g(y) for each length-N row g of ``fields``."""
+        n = self.n
+        grids = fields.reshape(fields.shape[:-1] + (n, n))
+        return np.fft.irfft2(np.fft.rfft2(grids) * self._table_hat, s=(n, n)).reshape(fields.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - Q) h = rhs on free cells, residual-checked.
+        """Solve the (k + 1) system, residual-checked.
 
-        ``rhs`` is one vector of length nfree or an (nfree, k) matrix of k
+        ``rhs`` is one vector of length k + 1 or a (k + 1, m) matrix of m
         right-hand sides, solved together.
         """
-        h = self._lu.solve(rhs)
+        h = lu_solve(self._lu, rhs)
         resid = np.abs(self._matrix @ h - rhs).max()
         scale = max(1.0, np.abs(rhs).max())
         if resid > RESIDUAL_TOL * scale:
             raise RuntimeError(f"solver residual {resid:.3e} above tolerance")
         return h
 
-    def full_vector(self, h_free: np.ndarray) -> np.ndarray:
-        """Embed free-cell values (a vector or columns) into all N cells, zero on absorbing."""
-        out = np.zeros((self.n * self.n,) + h_free.shape[1:])
-        out[self.free_codes] = h_free
-        return out
-
-    def one_step_to(self, target_codes: np.ndarray) -> csr_matrix:
-        """Sparse (nfree, len(target_codes)) matrix of one-step probabilities."""
-        tpos = np.full(self.n * self.n, -1, dtype=np.int64)
-        tpos[target_codes] = np.arange(target_codes.size)
-        return self._steps_to(tpos, target_codes.size)
-
-    def _units(self, free_idx: np.ndarray) -> np.ndarray:
-        """(nfree, k) right-hand sides, column j the unit vector at free_idx[j]."""
-        e = np.zeros((self.nfree, free_idx.size))
-        e[free_idx, np.arange(free_idx.size)] = 1.0
-        return e
-
     def exit_distribution(self, source_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """P_v[S_H = u] for each source v and absorbing cell u; returns (rows, codes).
 
-        Solves against the sources when there are no more of them than absorbing
-        cells (the system is symmetric, so a Green column is the adjoint
-        solve), else against the one-step columns of the absorbing cells.
-        Sources that are themselves absorbed exit where they stand.
+        One right-hand-side column per source.  Sources that are themselves
+        absorbed exit where they stand.
         """
-        bcodes = np.nonzero(self.absorbing)[0]
-        B = self.one_step_to(bcodes)
-        idx = self.index[source_codes]
-        free = np.nonzero(idx >= 0)[0]
-        rows = np.zeros((source_codes.size, bcodes.size))
-        if 0 < free.size <= bcodes.size:
-            rows[free] = (B.T @ self.solve(self._units(idx[free]))).T
-        elif free.size:
-            rows[free] = self.solve(B.toarray())[idx[free]]
-        absorbed = np.nonzero(idx < 0)[0]
-        rows[absorbed, np.searchsorted(bcodes, source_codes[absorbed])] = 1.0
-        return rows, bcodes
+        n2 = float(self.n * self.n)
+        rhs = np.vstack([self._hit_times(source_codes), np.full(source_codes.size, n2)])
+        rows = self.solve(rhs)[:-1].T
+        absorbed = np.nonzero(self.absorbing[source_codes])[0]
+        rows[absorbed] = 0.0
+        rows[absorbed, np.searchsorted(self.codes, source_codes[absorbed])] = 1.0
+        return rows, self.codes
+
+    def _green_sum(self, g: np.ndarray, f=0.0) -> np.ndarray:
+        """sum_y G(x, y) g(y) + sum_a P_x(X_{H_A} = a) f(a) for every cell x.
+
+        ``g`` holds one length-N field per row, ``f`` one value per cell of
+        A per row (or 0).  The Green identity
+        G(x, y) = (E_x H_A + sum_a P_x(a) T(a, y) - T(x, y)) / n^2
+        makes n^2 times the sum equal w . (T(A, x), n^2) - (T * g)(x), where
+        w solves the system against (c + n^2 f, n^2 sum g) with c = T * g on
+        A: one transposed solve (the matrix is symmetric) and two
+        convolutions.  G vanishes on A, so g is read off A only, and the sum
+        is exactly f on A.
+        """
+        n2 = float(self.n * self.n)
+        g = np.where(self.absorbing, 0.0, g)
+        tg = self._convolve(g)
+        rhs = np.concatenate([tg[..., self.codes] + n2 * f, n2 * g.sum(-1, keepdims=True)], -1)
+        w = self.solve(rhs.T).T
+        weights = -g
+        weights[..., self.codes] += w[..., :-1]
+        out = (self._convolve(weights) + n2 * w[..., -1:]) / n2
+        out[..., self.codes] = f
+        return out
 
     def green_columns(self, codes: np.ndarray) -> np.ndarray:
         """(N, len(codes)) Green columns G(., c); zero for absorbed c."""
-        idx = self.index[codes]
-        free = np.nonzero(idx >= 0)[0]
-        cols = np.zeros((self.n * self.n, codes.size))
-        if free.size:
-            cols[:, free] = self.full_vector(self.solve(self._units(idx[free])))
-        return cols
+        units = np.zeros((codes.size, self.n * self.n))
+        units[np.arange(codes.size), codes] = 1.0
+        return self._green_sum(units).T
 
     def weighted_green(self, codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_j weights[j] G(codes[j], u) for all u, by one symmetric solve."""
-        idx = self.index[codes]
-        if (idx < 0).any():
+        """sum_j weights[j] G(codes[j], u) for all u (G is symmetric)."""
+        if self.absorbing[codes].any():
             raise ValueError("weight placed on an absorbed cell")
-        rhs = np.zeros(self.nfree)
-        rhs[idx] = weights
-        return self.full_vector(self.solve(rhs))
+        g = np.zeros(self.n * self.n)
+        g[codes] = weights
+        return self._green_sum(g)
 
     def expected_hit(self) -> np.ndarray:
-        """E_v[H] for every cell v, H the hitting time of the absorbing set
-        (zero on absorbed cells and on cells the system does not keep)."""
-        return self.full_vector(self.hitting_moments(1)[0])
+        """E_v[H] for every cell v, H the hitting time of the absorbing set."""
+        return self.hitting_moments(1)[0]
 
-    def hitting_moments(self, k: int, exit_step=None, exit_moments=()) -> list[np.ndarray]:
-        """E_x[(H + F)^j] on free cells for j = 1..k, one solve per moment.
+    def hitting_moments(self, k: int, exit_moments=()) -> list[np.ndarray]:
+        """E_x[(H + F)^j] for every cell x and j = 1..k, one solve per moment.
 
         H is the hitting time of the absorbing set and F an independent
         cost paid at the exit cell, with E[F^j] = exit_moments[j - 1] on the
-        cells whose one-step matrix is ``exit_step``; without them F = 0.
-        One-step analysis gives the Poisson hierarchy
-        (I - Q) m_j = 1 + sum_{0<i<j} C(j, i) (Q m_i + B f_i) + B f_j.
+        absorbing cells (in code order); without them F = 0.  Off A,
+        S = H + F is 1 + S o theta_1, so
+        E_x S^j = sum_a P_x(a) f_j(a) + sum_y G(x, y) E_y[S^j - (S - 1)^j],
+        and S^j - (S - 1)^j = sum_{i<j} C(j, i) (-1)^(j-i+1) S^i.
         """
-        one = np.ones(self.nfree)
-        exit_terms = [exit_step @ f for f in exit_moments]
-        out = []
+        out = [np.ones(self.n * self.n)]
         for j in range(1, k + 1):
-            rhs = one
-            for i in range(1, j):
-                term = self._Q @ out[i - 1]
-                if exit_terms:
-                    term = term + exit_terms[i - 1]
-                rhs = rhs + math.comb(j, i) * term
-            if exit_terms:
-                rhs = rhs + exit_terms[j - 1]
-            out.append(self.solve(rhs))
-        return out
+            g = sum(math.comb(j, i) * (-1) ** (j - i + 1) * out[i] for i in range(j))
+            out.append(self._green_sum(g, exit_moments[j - 1] if exit_moments else 0.0))
+        return out[1:]
 
 
 def _as_mask(target, n: int) -> np.ndarray:
@@ -233,15 +205,8 @@ def hit_prob_exact(v: TorusPoint, A, B_set, n: int) -> float:
         raise ValueError("A and B must be nonempty")
     if (maskA & maskB).any():
         raise ValueError("A and B must be disjoint")
-    flatA = maskA.reshape(-1)
-    if flatA[v.code]:
-        return 1.0
-    if maskB.reshape(-1)[v.code]:
-        return 0.0
-    sys = GridSystem(n, maskA | maskB, np.array([v.code]))
-    rhs = np.asarray(sys.one_step_to(np.nonzero(flatA)[0]).sum(axis=1)).ravel()
-    h = sys.solve(rhs)
-    return float(h[sys.index[v.code]])
+    rows, bcodes = GridSystem(n, maskA | maskB).exit_distribution(np.array([v.code]))
+    return float(rows[0, maskA.reshape(-1)[bcodes]].sum())
 
 
 def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
@@ -249,9 +214,7 @@ def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
     maskA = _as_mask(A, n)
     if not maskA.any():
         raise ValueError("A must be nonempty")
-    if maskA.reshape(-1)[v.code]:
-        return 0.0
-    return float(GridSystem(n, maskA, np.array([v.code])).expected_hit()[v.code])
+    return float(GridSystem(n, maskA).expected_hit()[v.code])
 
 
 def expected_hit_table(A, n: int) -> np.ndarray:
@@ -264,8 +227,7 @@ def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.nd
 
     Returns (rows, boundary_codes); rows has shape (len(sources), #boundary).
     """
-    codes = _codes(sources)
-    return GridSystem(n, _as_mask(boundary, n), codes).exit_distribution(codes)
+    return GridSystem(n, _as_mask(boundary, n)).exit_distribution(_codes(sources))
 
 
 @dataclass
@@ -335,7 +297,7 @@ class EquilibriumWorkspace:
         self.outer_codes = np.nonzero(outer_mask.reshape(-1))[0]
         # one system per absorbing circle, each factored once
         self._sys_inner = GridSystem(n, inner_mask)
-        self._sys_outer = GridSystem(n, outer_mask, self.inner_codes)
+        self._sys_outer = GridSystem(n, outer_mask)
         # inward kernel: from outer cells to the inner circle
         self.K_out2in, _ = self._sys_inner.exit_distribution(self.outer_codes)
         # outward kernel: from inner cells to the outer circle
@@ -412,22 +374,14 @@ class EquilibriumWorkspace:
 
         D_1 = H_in + H_out o theta_{H_in}.  Its first two moments from x off
         the inner circle are the hitting moments of the inner circle with the
-        exit cost F = H_out, whose moments f1, f2 on the inner circle are the
-        plain hitting moments of the outer circle's system:
-
-            (I - Q) phi = 1 + B f1,
-            (I - Q) psi = 1 + 2 (Q phi + B f1) + B f2,
-
-        with Q the free-to-free steps and B the steps onto the inner circle.
+        exit cost F = H_out, whose moments on the inner circle are the plain
+        hitting moments of the outer circle's system.
         """
         pair = self.equilibrium_pair()
-        so, si = self._sys_outer, self._sys_inner
-        at_inner = so.index[self.inner_codes]
-        f = [h[at_inner] for h in so.hitting_moments(2)]
-        phi, psi = si.hitting_moments(2, si.one_step_to(self.inner_codes), f)
-        at_outer = si.index[self.outer_codes]
-        mean = float(pair.mu_outer @ phi[at_outer])
-        second = float(pair.mu_outer @ psi[at_outer])
+        f = [h[self.inner_codes] for h in self._sys_outer.hitting_moments(2)]
+        phi, psi = self._sys_inner.hitting_moments(2, f)
+        mean = float(pair.mu_outer @ phi[self.outer_codes])
+        second = float(pair.mu_outer @ psi[self.outer_codes])
         return mean, second - mean * mean
 
     def stationary_measure(self) -> np.ndarray:
@@ -539,7 +493,8 @@ def kac_moment_check(A, n: int) -> dict[str, float]:
     Returns the worst ratios lhs/rhs of Kac's inequality
     E[T^m] <= m! E[T] (max E[T])^(m-1) over all start cells.
     """
-    h1, h2, h3 = GridSystem(n, _as_mask(A, n)).hitting_moments(3)
+    mask = _as_mask(A, n).reshape(-1)
+    h1, h2, h3 = (h[~mask] for h in GridSystem(n, mask).hitting_moments(3))
     hmax = h1.max()
     ratio2 = float((h2 / (2 * h1 * hmax)).max())
     ratio3 = float((h3 / (6 * h1 * hmax**2)).max())
@@ -554,8 +509,9 @@ def expected_hit_origin_table(n: int) -> np.ndarray:
 
     With eigenvalues lambda_k = (cos(2 pi k_1/n) + cos(2 pi k_2/n)) / 2,
     E_x[H_0] = sum_{k != 0} (1 - cos(2 pi k.x/n)) / (1 - lambda_k); one fft2
-    evaluates every x at once.  No linear solve, so n is not capped by
-    MAX_EXACT_N.
+    evaluates every x at once, with no linear solve and no cap on n.  By
+    translation invariance E_u H_v is the entry at v - u, so this table is
+    all of the walk's potential theory that ``GridSystem`` needs.
     """
     c = np.cos(2 * np.pi * np.arange(n) / n)
     w = np.zeros((n, n))
@@ -649,7 +605,7 @@ class CircleChain:
         for i, codes in enumerate(self.circle_codes):
             nbrs = [j for j in (i - 1, i + 1) if 0 <= j <= self.L]
             absorbing = np.logical_or.reduce([masks[j] for j in nbrs])
-            rows, bcodes = GridSystem(n, absorbing, codes).exit_distribution(codes)
+            rows, bcodes = GridSystem(n, absorbing).exit_distribution(codes)
             for j in nbrs:
                 kern = self.kern_up if j < i else self.kern_down
                 kern[i] = rows[:, np.searchsorted(bcodes, self.circle_codes[j])]

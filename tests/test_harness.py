@@ -96,7 +96,7 @@ def test_cover_experiment_small_run_and_failure_accounting(tmp_path, monkeypatch
 def test_cover_anchors_recomputed_not_hardcoded():
     import math
 
-    from coverlab.oracle import expected_hit_table
+    from lu_reference import LUSystem
 
     n = 16
     res = run_cover_experiment(
@@ -107,10 +107,10 @@ def test_cover_anchors_recomputed_not_hardcoded():
     assert row["anchor_second_order"] == pytest.approx(
         (4 / math.pi) * (1 - math.log(logn) / (2 * logn))
     )
-    # the band is Matthews' bracket, recomputed here from a linear-solve table
+    # the band is Matthews' bracket, recomputed here from a sparse-LU table
     origin = np.zeros((n, n), dtype=bool)
     origin[0, 0] = True
-    hit = expected_hit_table(origin, n).reshape(n, n)
+    hit = LUSystem(n, origin).expected_hit().reshape(n, n)
 
     def harmonic(k):
         return sum(1 / j for j in range(1, k + 1))
@@ -125,8 +125,13 @@ def test_cover_anchors_recomputed_not_hardcoded():
 
 @pytest.mark.parametrize(
     "name, kwargs",
-    [("cover", dict(n_values=(16,), trials=30)), ("transfer", dict(trials=300))],
-    ids=["cover", "transfer"],
+    [
+        ("cover", dict(n_values=(16,), trials=30)),
+        ("transfer", dict(trials=300)),
+        ("excursion", dict(n_values=(32,), trials=20)),
+        ("curves", dict(trials=3)),
+    ],
+    ids=["cover", "transfer", "excursion", "curves"],
 )
 def test_worker_override_matches_serial(name, kwargs):
     # transfer's trial payload carries a prebuilt TraversalMachine, which
@@ -135,6 +140,7 @@ def test_worker_override_matches_serial(name, kwargs):
         REGISTRY[name](ExperimentConfig(name=name, seed=9, workers=w, **kwargs)) for w in (1, 2)
     )
     assert pooled.rows == serial.rows
+    assert pooled.late_rows == serial.late_rows
 
 
 def test_workers_env_variable(monkeypatch):
@@ -142,6 +148,23 @@ def test_workers_env_variable(monkeypatch):
     assert ExperimentConfig(name="cover").worker_count() == 2
     monkeypatch.delenv("COVERLAB_WORKERS")
     assert ExperimentConfig(name="cover").worker_count() == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_workers_is_a_usage_error(monkeypatch, capsys, value):
+    from coverlab.cli import main
+
+    with pytest.raises(ValueError, match=f"workers must be >= 1 \\(got {value}\\)"):
+        ExperimentConfig(name="transfer", workers=int(value))
+    assert main(["transfer", "--workers", value]) == 2
+    assert f"workers must be >= 1 (got {value})" in capsys.readouterr().err
+    monkeypatch.setenv("COVERLAB_WORKERS", value)
+    with pytest.raises(ValueError, match=f"COVERLAB_WORKERS must be >= 1 \\(got {value}\\)"):
+        ExperimentConfig(name="transfer")
+    assert main(["transfer"]) == 2
+    assert f"COVERLAB_WORKERS must be >= 1 (got {value})" in capsys.readouterr().err
+    # the flag overrides the environment
+    assert ExperimentConfig(name="transfer", workers=2).worker_count() == 2
 
 
 def test_oracle_check_sections_isolated():
@@ -313,11 +336,12 @@ def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
 
 
 def test_harness_import_leaves_scipy_stats_out():
-    # scipy.stats costs about a second of import; gw and stats use scipy.special
+    # scipy.stats costs about a second of import; gw and stats use scipy.special.
+    # The oracle solves dense systems with scipy.linalg and needs no scipy.sparse
     src = str(Path(coverlab.__file__).resolve().parents[1])
     code = (
         "import sys, coverlab.harness; "
-        "print([m for m in sys.modules if m.startswith('scipy.stats')])"
+        "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse'))])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

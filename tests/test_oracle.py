@@ -30,6 +30,7 @@ from coverlab.oracle import (
     stationary_check,
 )
 from coverlab.stats import summarize_mean, two_sample_chisquare, variance_se
+from lu_reference import LUSystem, neighbor_codes
 
 
 def test_hit_prob_boundary_conditions():
@@ -61,11 +62,24 @@ def test_hit_prob_rejects_overlapping_sets():
         hit_prob_exact(TorusPoint(0, 0, n), A, A, n)
 
 
-def test_size_cap_enforced():
+def test_exact_engine_past_the_old_cap():
+    # at n = 256, identities that need no second solver to check them
     n = 256
-    x = TorusPoint(128, 128, n)
-    with pytest.raises(ValueError):
-        expected_hit_exact(x, exterior_boundary_mask(ball_mask(x, 20.0)), n)
+    y = TorusPoint(128, 128, n)
+    ws = EquilibriumWorkspace(y, 4, 32, n)
+    inner = ws.inner_mask
+    h = expected_hit_table(inner, n).reshape(n, n)
+    one_step = sum(np.roll(h, s, axis=a) for s in (1, -1) for a in (0, 1)) / 4
+    assert np.abs(h - one_step - 1)[~inner].max() <= 1e-13 * h.max()
+    assert not h[inner].any()
+    for kernel in (ws.K_out2in, ws.K_in2out):
+        assert np.abs(kernel.sum(axis=1) - 1).max() <= 1e-13
+    assert ws.d1_moments()[0] == pytest.approx(ws.expected_d1(), rel=1e-13)
+    A = np.zeros((n, n), dtype=bool)
+    B = np.zeros((n, n), dtype=bool)
+    A[y.x + 40, y.y] = True
+    B[y.x, y.y - 40] = True
+    assert hit_prob_exact(y, A, B, n) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expected_hit_zero_inside_and_band():
@@ -141,7 +155,7 @@ def test_harmonic_measure_source_on_boundary():
 
 
 def _single_solves(sys, free_idx):
-    """Green columns G(., v) one unit right-hand side at a time."""
+    """Green columns G(., v) of the LU reference, one unit right-hand side at a time."""
     cols = []
     for fi in free_idx:
         e = np.zeros(sys.nfree)
@@ -155,9 +169,10 @@ def test_harmonic_measure_both_sides_match_single_solves(radius, side):
     n = 32
     x = TorusPoint(16, 16, n)
     boundary = exterior_boundary_mask(ball_mask(x, radius))
-    sys = GridSystem(n, boundary)
+    sys = LUSystem(n, boundary)
     bcodes = np.nonzero(boundary.reshape(-1))[0]
-    # 40 free cells on the lines y = 3 and y = 29, off both circles, then a boundary cell
+    # 40 free cells on the lines y = 3 and y = 29, off both circles, then a
+    # boundary cell: more sources than boundary cells, or fewer
     sources = [TorusPoint(i, 3, n) for i in range(n)] + [TorusPoint(i, 29, n) for i in range(8)]
     free_count = len(sources)
     sources.append(TorusPoint(*divmod(int(bcodes[0]), n), n))
@@ -176,7 +191,7 @@ def test_green_columns_match_single_solves():
     absorbing = exterior_boundary_mask(ball_mask(y, 10.0))
     probes = [y, TorusPoint(18, 16, n), TorusPoint(16, 20, n), TorusPoint(26, 16, n)]
     table = green_exact(absorbing, probes, n)
-    sys = GridSystem(n, absorbing)
+    sys = LUSystem(n, absorbing)
     free_idx = sys.index[[p.code for p in probes[:3]]]
     expected = sys.full_vector(_single_solves(sys, free_idx))
     assert np.abs(table.columns[:, :3] - expected).max() <= 1e-13
@@ -189,34 +204,44 @@ def test_green_columns_match_single_solves():
 def test_residual_check_raises_for_a_matrix_right_hand_side(monkeypatch):
     n = 16
     sys = GridSystem(n, exterior_boundary_mask(ball_mask(TorusPoint(8, 8, n), 5.0)))
-    lu = sys._lu
+    lu_solve = oracle.lu_solve
 
-    class OneColumnOff:
-        def solve(self, rhs):
-            h = lu.solve(rhs)
-            h[:, 1] += 1e-6
-            return h
+    def one_column_off(lu, rhs):
+        h = lu_solve(lu, rhs)
+        h[:, 1] += 1e-6
+        return h
 
-    rhs = np.ones((sys.nfree, 3))
-    assert np.allclose(sys.solve(rhs), sys.solve(np.ones(sys.nfree))[:, None])
-    monkeypatch.setattr(sys, "_lu", OneColumnOff())
+    rhs = np.ones((sys.codes.size + 1, 3))
+    assert np.allclose(sys.solve(rhs), sys.solve(np.ones(sys.codes.size + 1))[:, None])
+    monkeypatch.setattr(oracle, "lu_solve", one_column_off)
     with pytest.raises(RuntimeError, match="residual"):
         sys.solve(rhs)
 
 
 def test_hitting_moments_match_the_fundamental_matrix():
-    # with N = (I - Q)^-1: E[H] = N 1, E[H^2] = (2N - I) E[H], E[H^3] = N (1 + 3 Q h1 + 3 Q h2)
+    # with N = (I - Q)^-1: E[H] = N 1, E[H^2] = (2N - I) E[H], E[H^3] = N (1 + 3 Q h1 + 3 Q h2);
+    # with an exit cost F of moments f1, f2 on A and B the steps onto A:
+    # E[H + F] = N (1 + B f1), E[(H + F)^2] = N (1 + 2 (Q m1 + B f1) + B f2)
     n = 8
     A = np.zeros((n, n), dtype=bool)
     A[1, 2] = A[5, 6] = True
+    P = np.zeros((n * n, n * n))
+    for nb in neighbor_codes(n).T:
+        P[np.arange(n * n), nb] += 0.25
+    free = ~A.reshape(-1)
+    Q, B = P[free][:, free], P[free][:, ~free]
+    N = np.linalg.inv(np.eye(free.sum()) - Q)
     sys = GridSystem(n, A)
-    N = np.linalg.inv(sys._matrix.toarray())
-    Q = np.eye(sys.nfree) - sys._matrix.toarray()
-    h1, h2, h3 = sys.hitting_moments(3)
-    one = np.ones(sys.nfree)
+    h1, h2, h3 = (h[free] for h in sys.hitting_moments(3))
+    one = np.ones(free.sum())
     assert np.allclose(h1, N @ one, rtol=1e-12)
     assert np.allclose(h2, 2 * N @ h1 - h1, rtol=1e-12)
     assert np.allclose(h3, N @ (one + 3 * Q @ h1 + 3 * Q @ h2), rtol=1e-12)
+    f1, f2 = np.array([3.0, 40.0]), np.array([10.0, 2000.0])
+    m1, m2 = sys.hitting_moments(2, [f1, f2])
+    assert np.array_equal(m1[~free], f1) and np.array_equal(m2[~free], f2)
+    assert np.allclose(m1[free], N @ (one + B @ f1), rtol=1e-12)
+    assert np.allclose(m2[free], N @ (one + 2 * (Q @ m1[free] + B @ f1) + B @ f2), rtol=1e-12)
 
 
 def test_circle_chain_rejects_overlapping_or_single_circles():
@@ -413,7 +438,8 @@ def test_fourier_hit_table_matches_linear_solve(n):
     origin[0, 0] = True
     table = expected_hit_origin_table(n)
     assert table.shape == (n, n)
-    assert np.allclose(table.reshape(-1), expected_hit_table(origin, n), rtol=1e-12, atol=1e-9)
+    ref = LUSystem(n, origin).expected_hit()
+    assert np.allclose(table.reshape(-1), ref, rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("n, upper", [(2, 22 / 3), (3, 27.178571428571)])
@@ -424,7 +450,7 @@ def test_matthews_bracket_contains_exact_cover_mean(n, upper):
 
 
 def test_matthews_bracket_beyond_exact_solve_cap():
-    # no linear solve: n = 256 exceeds MAX_EXACT_N; edges in n^2 log^2 n units
+    # straight from the spectral table at n = 256; edges in n^2 log^2 n units
     lo, hi = matthews_cover_bracket(256)
     scale = 256**2 * math.log(256) ** 2
     assert lo / scale == pytest.approx(0.5741, abs=1e-4)
@@ -462,21 +488,7 @@ def test_circle_chain_rows_are_substochastic():
         assert np.allclose(totals, 1.0, atol=1e-10)
 
 
-
-# -- systems restricted to the cells reachable from their sources ---------------
-
-
-def _record_systems(monkeypatch, restrict=True):
-    """Make ``oracle`` build recorded systems, restricted or on every free cell."""
-    built = []
-
-    class Recorded(GridSystem):
-        def __init__(self, n, absorbing, sources=None):
-            super().__init__(n, absorbing, sources if restrict else None)
-            built.append(self)
-
-    monkeypatch.setattr(oracle, "GridSystem", Recorded)
-    return built
+# -- the spectral engine against the sparse-LU reference -------------------------
 
 
 def _assert_kernels_equal(got: dict, ref: dict):
@@ -486,37 +498,23 @@ def _assert_kernels_equal(got: dict, ref: dict):
         assert np.abs(got[i] - ref[i]).max() <= 1e-13
 
 
-# unknowns per circle system, restricted to each circle's reach, for both
-# transfer schedules
-@pytest.mark.parametrize(
-    "n, radii, nfree",
-    [
-        (64, [8.0, 4.0, 2.0, 1.0], [4027, 172, 40, 9]),
-        (130, [64.0, 16.0, 4.0, 1.0], [16015, 12780, 788, 45]),
-    ],
-)
-def test_circle_chain_restricted_systems_match_full(monkeypatch, n, radii, nfree):
+# both transfer schedules
+@pytest.mark.parametrize("n, radii", [(64, [8.0, 4.0, 2.0, 1.0]), (130, [64.0, 16.0, 4.0, 1.0])])
+def test_circle_chain_kernels_match_lu_reference(monkeypatch, n, radii):
     center = TorusPoint(n // 2, n // 2, n)
-    restricted = _record_systems(monkeypatch)
     chain = CircleChain(center, radii, n)
-    assert [s.nfree for s in restricted] == nfree
-    full = _record_systems(monkeypatch, restrict=False)
+    monkeypatch.setattr(oracle, "GridSystem", LUSystem)
     ref = CircleChain(center, radii, n)
-    assert all(s.nfree > k for s, k in zip(full, nfree))
     _assert_kernels_equal(chain.kern_up, ref.kern_up)
     _assert_kernels_equal(chain.kern_down, ref.kern_down)
 
 
-def test_equilibrium_workspace_restricted_matches_full(monkeypatch):
+def test_equilibrium_workspace_matches_lu_reference(monkeypatch):
     n = 32
     y = TorusPoint(16, 16, n)
-    restricted = _record_systems(monkeypatch)
     ws = EquilibriumWorkspace(y, 3, 12, n)
-    full = _record_systems(monkeypatch, restrict=False)
+    monkeypatch.setattr(oracle, "GridSystem", LUSystem)
     ref = EquilibriumWorkspace(y, 3, 12, n)
-    # the outer circle's system keeps only the disc it encloses
-    assert restricted[1].nfree < full[1].nfree
-    assert restricted[0].nfree == full[0].nfree
     assert np.abs(ws.K_out2in - ref.K_out2in).max() <= 1e-13
     assert np.abs(ws.K_in2out - ref.K_in2out).max() <= 1e-13
     assert ws.expected_d1() == pytest.approx(ref.expected_d1(), rel=1e-13)
@@ -526,56 +524,67 @@ def test_equilibrium_workspace_restricted_matches_full(monkeypatch):
     assert np.abs(m - m_ref).max() <= 1e-13 * np.abs(m_ref).max()
 
 
-def test_restricted_system_follows_a_component_across_the_wrap():
+def test_kac_moments_match_lu_reference(monkeypatch):
+    # the two sets of oracle-check's kac section
+    n = 32
+    ball = exterior_boundary_mask(ball_mask(TorusPoint(16, 16, n), 8.0))
+    points = np.zeros((n, n), dtype=bool)
+    points[4, 4] = points[20, 9] = True
+    for dom in (ball, points):
+        free = ~dom.reshape(-1)
+        got = GridSystem(n, dom).hitting_moments(3)
+        want = LUSystem(n, dom).hitting_moments(3)
+        for h, ref in zip(got, want):
+            assert (np.abs(h - ref) <= 1e-12 * ref)[free].all()
+            assert not h[~free].any()
+        res = kac_moment_check(dom, n)
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "GridSystem", LUSystem)
+            ref_res = kac_moment_check(dom, n)
+        assert res == pytest.approx(ref_res, rel=1e-12)
+
+
+def test_disc_across_the_wrap_matches_lu_reference():
     # a disc centred on the corner cell spans all four corners of the array
     n = 16
     corner = TorusPoint(0, 0, n)
     circle = exterior_boundary_mask(ball_mask(corner, 5.0))
-    inside = ball_mask(corner, 5.0)
+    inside = ball_mask(corner, 5.0).reshape(-1)
     sources = np.array([corner.code, TorusPoint(2, -3, n).code])
-    sys = GridSystem(n, circle, sources)
-    assert np.array_equal(sys.free_codes, np.nonzero(inside.reshape(-1))[0])
-    full = GridSystem(n, circle)
+    sys, ref = GridSystem(n, circle), LUSystem(n, circle)
     rows, bcodes = sys.exit_distribution(sources)
-    ref_rows, ref_bcodes = full.exit_distribution(sources)
+    ref_rows, ref_bcodes = ref.exit_distribution(sources)
     assert np.array_equal(bcodes, ref_bcodes)
     assert np.abs(rows - ref_rows).max() <= 1e-13
-    h = sys.full_vector(sys.hitting_moments(2)[1])
-    ref_h = full.full_vector(full.hitting_moments(2)[1])
-    assert np.abs(h - ref_h)[inside.reshape(-1)].max() <= 1e-12 * ref_h.max()
+    h, ref_h = sys.hitting_moments(2)[1], ref.hitting_moments(2)[1]
+    assert np.abs(h - ref_h)[inside].max() <= 1e-12 * ref_h[inside].max()
     far = TorusPoint(8, 8, n)
     assert expected_hit_exact(far, circle, n) == pytest.approx(
-        full.hitting_moments(1)[0][full.index[far.code]], rel=1e-13
+        ref.expected_hit()[far.code], rel=1e-13
     )
 
 
-def test_restricted_system_with_absorbed_sources(monkeypatch):
-    factored = []
-    splu = oracle.splu
-
-    def checked_splu(matrix, **kwargs):
-        assert matrix.shape[0] > 0, "splu handed an empty matrix"
-        factored.append(matrix.shape[0])
-        return splu(matrix, **kwargs)
-
-    monkeypatch.setattr(oracle, "splu", checked_splu)
+def test_absorbed_sources_and_probes_match_lu_reference():
     n = 16
     absorbing = exterior_boundary_mask(ball_mask(TorusPoint(8, 8, n), 5.0))
     absorbing[2:5, 2:5] = True  # (3, 3) has every neighbour absorbed
     boxed = TorusPoint(3, 3, n)
     on_circle = TorusPoint(13, 8, n)
     assert absorbing[on_circle.x, on_circle.y]
-    # nothing free is reachable: no factorisation, each source exits where it stands
+    # each absorbed source exits where it stands, with an exact unit row
     rows, bcodes = harmonic_measure_exact([boxed, boxed], absorbing, n)
-    assert factored == []
-    assert GridSystem(n, absorbing, np.array([boxed.code])).nfree == 0
     assert np.array_equal(bcodes, np.nonzero(absorbing.reshape(-1))[0])
     assert np.array_equal(rows, np.eye(bcodes.size)[[np.searchsorted(bcodes, boxed.code)] * 2])
-    # absorbed sources beside free ones, against the system on every free cell
+    # absorbed sources beside free ones, against the LU reference
     sources = [on_circle, boxed, TorusPoint(8, 8, n), TorusPoint(0, 0, n)]
     rows, bcodes = harmonic_measure_exact(sources, absorbing, n)
-    full = GridSystem(n, absorbing)
-    ref_rows, _ = full.exit_distribution(np.array([p.code for p in sources]))
+    ref = LUSystem(n, absorbing)
+    ref_rows, _ = ref.exit_distribution(np.array([p.code for p in sources]))
     assert np.abs(rows - ref_rows).max() <= 1e-13
     assert rows[0, np.searchsorted(bcodes, on_circle.code)] == 1.0
     assert rows[1, np.searchsorted(bcodes, boxed.code)] == 1.0
+    # an absorbed probe has an exact zero Green column
+    probes = np.array([boxed.code, on_circle.code, TorusPoint(8, 8, n).code])
+    cols = GridSystem(n, absorbing).green_columns(probes)
+    assert not cols[:, :2].any()
+    assert np.abs(cols - ref.green_columns(probes)).max() <= 1e-13
