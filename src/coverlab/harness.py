@@ -59,16 +59,13 @@ class ExperimentConfig:
             raise ValueError("trial count must be >= 1 (0 selects the default)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        self.worker_count()
+        self.worker_count()  # a non-positive count is a usage error before any run
 
     def worker_count(self) -> int:
-        env = os.environ.get("COVERLAB_WORKERS")
         if self.workers is not None:
             workers, source = self.workers, "workers"
-        elif env:
-            workers, source = int(env), "COVERLAB_WORKERS"
         else:
-            return 1
+            workers, source = int(os.environ.get("COVERLAB_WORKERS") or 1), "COVERLAB_WORKERS"
         if workers < 1:
             raise ValueError(f"{source} must be >= 1 (got {workers})")
         return workers
