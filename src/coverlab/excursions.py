@@ -2,9 +2,9 @@
 
 The stopping-time ladder alternates R-events (arrivals on an inner circle)
 with D-events (returns to the outer circle).  All counting is a single
-streaming pass over the walk: every circle is baked into a per-cell bitmask
-label, and each block of the walk is read in numpy, one ladder at a time,
-so no Python code runs per hit.
+streaming pass over each walk: every circle is baked into a per-cell bitmask
+label, and each scan round of a group of walks is read in numpy, every walk
+and ladder at once, so no Python code runs per hit or per ladder.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
+    BudgetExceededError,
     TorusPoint,
     WalkState,
     advance_to_mask,
     ball_mask,
     exterior_boundary_mask,
-    scan,
+    outcome_or_raise,
+    scan_group,
     torus_distance,
 )
 
@@ -102,11 +104,12 @@ class _Ladder:
 
 
 class TraversalMachine:
-    """Streams a walk through a family of circles, maintaining R/D ladders.
+    """Streams walks through a family of circles, maintaining R/D ladders.
 
     ``circles`` are boolean cell masks; ladders reference them by index.  A
     cell may belong to several circles (inflated/deflated families), so the
-    label is a bitmask.  State per ladder is one phase flag plus a counter.
+    label is a bitmask.  State per ladder and walk is one phase flag plus
+    counters.
     """
 
     def __init__(self, n: int, circles, ladders, driving: int):
@@ -124,11 +127,9 @@ class TraversalMachine:
         for lad in self.ladders:
             if lad.inner == lad.outer:
                 raise ValueError("ladder inner and outer circles must differ")
-        self._bits = [
-            (1 << lad.inner, 1 << lad.outer, lad.inner < lad.outer) for lad in self.ladders
-        ]
-        # the driving ladder first: its m-th departure cuts the others' block
-        self._order = [driving] + [li for li in range(len(self.ladders)) if li != driving]
+        self._inner = np.array([[1 << lad.inner] for lad in self.ladders], dtype=np.uint32)
+        self._outer = np.array([[1 << lad.outer] for lad in self.ladders], dtype=np.uint32)
+        self._inner_first = np.array([lad.inner < lad.outer for lad in self.ladders])
 
     def run(
         self,
@@ -138,111 +139,171 @@ class TraversalMachine:
         collect_intervals: bool = False,
         watch: int | None = None,
     ):
-        """Advance ``walk`` until the driving ladder completes m departures.
+        """Advance ``walk`` until the driving ladder completes m departures;
+        ``run_group`` on a group of one."""
+        return outcome_or_raise(self.run_group([walk], m, [cap], collect_intervals, watch)[0])
 
-        ``watch`` names a circle index whose first hit time is recorded on the
-        returned record (used for H_x bookkeeping in late-point detection).
+    def run_group(self, walks, m: int, caps, collect_intervals: bool = False, watch=None):
+        """Advance every walk until its driving ladder completes m departures.
 
-        Each block is read in numpy, one ladder at a time.  A unit step
-        cannot jump a circle, so a ladder only needs the hits on its own two
-        circles, in order.  On each hit it is in the phase the previous hit
-        left it in, and a hit's circles are handled in index order, each
-        feeding the ladders it is the inner (R-event) and then the outer
-        (D-event) circle of.  So where a cell lies on both of a ladder's
-        circles, the one with the lower index acts first.  The driving ladder
-        is read first; its m-th departure ends the block for every ladder.
+        Returns, per walk, its (TraversalRecord, ExcursionClock), or the
+        BudgetExceededError of a walk that reached its cap.  ``watch`` names a
+        circle index whose first hit time is recorded on the record (used for
+        H_x bookkeeping in late-point detection).
+
+        Each scan round is read in numpy, every walk and ladder at once.  A
+        unit step cannot jump a circle, so a ladder only needs the hits on
+        its own two circles, in order.  On each hit it is in the phase the
+        previous hit of the same walk left it in, and a hit's circles are
+        handled in index order, each feeding the ladders it is the inner
+        (R-event) and then the outer (D-event) circle of.  So where a cell
+        lies on both of a ladder's circles, the one with the lower index acts
+        first.  A walk's m-th driving departure ends it for every ladder.
         """
+        G = len(walks)
         nlad = len(self.ladders)
-        waiting_d = [False] * nlad
-        counts = [0] * nlad
-        open_r = [0] * nlad
-        intervals: list[list[tuple[int, int]]] = [[] for _ in range(nlad)]
-        clock = ExcursionClock()
-        watch_time: int | None = None
+        driving = self.driving
+        # per (ladder, walk), flat at ladder * G + walk
+        waiting_d = np.zeros(nlad * G, dtype=bool)
+        r_count = np.zeros(nlad * G, dtype=np.int64)
+        d_count = np.zeros(nlad * G, dtype=np.int64)
+        watch_time = np.full(G, -1, dtype=np.int64)
+        # per round: (ladder * G + walk, time, R-event, D-event) of the events
+        # the records list
+        events = []
+        driving_span = np.array([driving, driving + 1])
 
-        def events(li, hv):
-            """Ladder li's hits among the hit labels hv (as indices into hv),
-            its phase after each, and which are R- and D-events."""
-            inner, outer, inner_first = self._bits[li]
-            sel = np.flatnonzero(hv & (inner | outer))
-            v = hv[sel]
-            on_in = (v & inner) != 0
-            on_out = (v & outer) != 0
-            # a hit leaves the ladder waiting for D iff its inner circle acted last
-            after = on_in & ~on_out if inner_first else on_in
-            before = np.empty_like(after)
-            before[:1] = waiting_d[li]
-            before[1:] = after[:-1]
-            if inner_first:
-                r_ev = on_in & ~before
-                d_ev = on_out & (before | on_in)
-            else:
-                r_ev = on_in & (on_out | ~before)
-                d_ev = on_out & before
-            return sel, after, r_ev, d_ev
-
-        def take(li, t, after, r_ev, d_ev):
-            """Record ladder li's events at its hit times t."""
-            if t.size == 0:
-                return
-            r_t = t[r_ev].tolist()
-            d_t = t[d_ev].tolist()
-            if li == self.driving:
-                clock.returns.extend(r_t)
-                clock.departures.extend(d_t)
-            if collect_intervals:
-                # R- and D-events alternate: each D closes the R before it
-                starts = [open_r[li]] + r_t if waiting_d[li] else r_t
-                intervals[li].extend(zip(starts, d_t))
-            counts[li] += len(r_t)
-            if r_t:
-                open_r[li] = r_t[-1]
-            waiting_d[li] = bool(after[-1])
-
-        def last_departure(codes, taken):
-            nonlocal watch_time
+        def read(codes, bounds, group, taken):
+            """One round: walk group[i] steps through codes[bounds[i]:bounds[i+1]],
+            having taken taken[i] steps.  Returns each walk's end index or -1."""
+            ends = np.full(group.size, -1)
             lab = self._label.take(codes)
-            hits = np.flatnonzero(lab)
+            hits = lab.nonzero()[0]
             if hits.size == 0:
-                return None
-            hv = lab[hits]
-            times = hits + (taken + 1)
-            end = None
-            for li in self._order:
-                sel, after, r_ev, d_ev = events(li, hv)
-                if li == self.driving:
-                    d_at = np.flatnonzero(d_ev)
-                    need = m - len(clock.departures)
-                    if d_at.size >= need:
-                        k = d_at[need - 1] + 1
-                        end = int(sel[k - 1])
-                        hv = hv[: end + 1]
-                        sel, after, r_ev, d_ev = sel[:k], after[:k], r_ev[:k], d_ev[:k]
-                take(li, times[sel], after, r_ev, d_ev)
-            if watch is not None and watch_time is None:
-                seen = np.flatnonzero(hv & (1 << watch))
-                if seen.size:
-                    watch_time = int(times[seen[0]])
-            return None if end is None else int(hits[end])
+                return ends
+            hv = lab.take(hits)
+            row = bounds[1:].searchsorted(hits, side="right")
+            shift = taken + 1 - bounds[:-1]  # a hit's step count, less its index
 
-        # the start cell is step 0: a one-cell block after taken = -1 steps
-        if m and last_departure(np.array([walk.code]), -1) is None:
-            scan(
-                walk, cap, last_departure,
-                lambda: f"driving ladder finished only {len(clock.departures)}/{m} departures",
+            def time(h):
+                return hits.take(h) + shift.take(row.take(h))
+
+            # every (ladder, hit) with the hit on one of the ladder's circles,
+            # ladder by ladder, each in step order
+            on_in = (self._inner & hv) != 0
+            on_out = (self._outer & hv) != 0
+            pair = (on_in | on_out).ravel().nonzero()[0]
+            lad, hit = np.divmod(pair, hits.size)
+            on_in = on_in.take(pair)
+            on_out = on_out.take(pair)
+            r = row.take(hit)
+            key = lad * G + group.take(r)
+            fi = self._inner_first.take(lad)
+            # a hit leaves the ladder waiting for D iff its inner circle acted last
+            after = on_in & ~(on_out & fi)
+            first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            before = np.empty_like(after)
+            before[1:] = after[:-1]
+            before[first] = waiting_d.take(key[first])
+            r_ev = on_in & (~before | (on_out & ~fi))
+            d_ev = on_out & (before | (on_in & fi))
+            # the walk's m-th driving departure ends it: drop its later hits
+            lo, hi = lad.searchsorted(driving_span)
+            d_at = d_ev[lo:hi].nonzero()[0] + lo
+            d_row = r.take(d_at)
+            rank = np.arange(d_row.size) - d_row.searchsorted(d_row)
+            done = rank == (m - 1 - d_count.take(driving * G + group)).take(d_row)
+            limit = None
+            if done.any():
+                cut = hit.take(d_at[done])
+                ends[d_row[done]] = hits.take(cut) - bounds.take(d_row[done])
+                limit = np.full(group.size, hits.size)
+                limit[d_row[done]] = cut
+                keep = hit <= limit.take(r)
+                lad, hit, key, after, r_ev, d_ev = (
+                    a[keep] for a in (lad, hit, key, after, r_ev, d_ev)
+                )
+                lo, hi = lad.searchsorted(driving_span)
+            r_count[:] += np.bincount(key[r_ev], minlength=nlad * G)
+            d_count[:] += np.bincount(key[d_ev], minlength=nlad * G)
+            last = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=last[:-1])
+            waiting_d[key[last]] = after[last]
+            listed = r_ev | d_ev
+            if not collect_intervals:
+                listed[:lo] = False
+                listed[hi:] = False
+            at = listed.nonzero()[0]
+            events.append((key.take(at), time(hit.take(at)), r_ev.take(at), d_ev.take(at)))
+            if watch is not None:
+                seen = (hv & (1 << watch)).nonzero()[0]
+                if limit is not None:
+                    seen = seen[seen <= limit.take(row.take(seen))]
+                s_row = row.take(seen)
+                first = np.ones(seen.size, dtype=bool)
+                np.not_equal(s_row[1:], s_row[:-1], out=first[1:])
+                g = group.take(s_row[first])
+                new = watch_time.take(g) < 0
+                watch_time[g[new]] = time(seen[first])[new]
+            return ends
+
+        outcome = [0] * G
+        if m:
+            # the start cell is step 0: a one-cell round after taken = -1 steps
+            ends = read(
+                np.array([w.code for w in walks], dtype=np.intp), np.arange(G + 1),
+                np.arange(G), np.full(G, -1),
             )
+            live = np.flatnonzero(ends < 0)
+            ran = scan_group(
+                [walks[g] for g in live], [caps[g] for g in live],
+                lambda codes, bounds, rows, taken: read(codes, bounds, live.take(rows), taken),
+                lambda i: f"driving ladder finished only "
+                f"{d_count[driving * G + live[i]]}/{m} departures",
+            )
+            for g, o in zip(live.tolist(), ran):
+                outcome[g] = o
+        return self._records(outcome, m, events, r_count, watch_time, collect_intervals)
 
-        result = {lad.level: counts[li] for li, lad in enumerate(self.ladders)}
-        record = TraversalRecord(
-            counts=result,
-            driving_level=self.ladders[self.driving].level,
-            m=m,
-            intervals={lad.level: intervals[li] for li, lad in enumerate(self.ladders)}
-            if collect_intervals
-            else None,
-            watch_time=watch_time,
-        )
-        return record, clock
+    def _records(self, outcome, m, events, r_count, watch_time, collect_intervals):
+        """Per walk, its record and clock from the rounds' listed events (or
+        its overrun, as it came)."""
+        G = len(outcome)
+        nlad = len(self.ladders)
+        if events:
+            key, time, is_r, is_d = (np.concatenate(a) for a in zip(*events))
+        else:
+            key = time = np.empty(0, dtype=np.int64)
+            is_r = is_d = np.empty(0, dtype=bool)
+        # a stable sort keeps each walk's events in step order, round by round
+        order = np.argsort(key, kind="stable")
+        time, is_r, is_d = time[order], is_r[order], is_d[order]
+        starts = np.searchsorted(key[order], np.arange(nlad * G + 1)).tolist()
+
+        def times(li, g):
+            a, b = starts[li * G + g], starts[li * G + g + 1]
+            t = time[a:b]
+            return t[is_r[a:b]].tolist(), t[is_d[a:b]].tolist()
+
+        out = []
+        for g, o in enumerate(outcome):
+            if isinstance(o, BudgetExceededError):
+                out.append(o)
+                continue
+            record = TraversalRecord(
+                counts={lad.level: int(r_count[li * G + g]) for li, lad in enumerate(self.ladders)},
+                driving_level=self.ladders[self.driving].level,
+                m=m,
+                intervals={
+                    lad.level: list(zip(*times(li, g))) for li, lad in enumerate(self.ladders)
+                }
+                if collect_intervals
+                else None,
+                watch_time=None if watch_time[g] < 0 else int(watch_time[g]),
+            )
+            out.append((record, ExcursionClock(*times(self.driving, g))))
+        return out
 
 
 def circle_machine(

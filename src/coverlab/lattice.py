@@ -4,9 +4,13 @@ Positions live on the two-dimensional discrete torus of side ``n`` with the
 wrapped Euclidean metric.  The walk engine generates moves in blocks from a
 counter-based Philox stream so that trials keyed by ``(seed, stream)`` are
 reproducible and order-independent, while per-step work stays vectorised.
-Every operation that runs a walk until an event (a mask hit, the cover of
-the torus, the end of an R/D ladder) is a per-block ``stop`` callback of
-the one block loop, ``scan``.
+Every operation that runs walks until an event (a mask hit, the cover of
+the torus, the end of an R/D ladder) is a ``stop`` callback of the one block
+loop, ``scan_group``, which advances a group of walks in lockstep: each
+round decodes the new blocks of several walks in one set of numpy calls and
+hands the callback all of them at once, so that short walks do not each pay
+a block's worth of numpy calls.  A single walk is the group of one
+(``scan``, ``advance_to_mask``, ``cover_time``).
 
 Moves are read straight from the raw 64-bit Philox words, and the stream
 format is unchanged: each move is the one ``Generator.integers(0, 4)``
@@ -15,7 +19,8 @@ would give.  Numpy draws a bounded integer with Lemire's multiply-shift
 on one 32-bit half of a word, the low half first.  For a range of 4 the
 rejection threshold (2^32 - 4) mod 4 is 0, so nothing is ever rejected and
 the move is ``u32 * 4 >> 32``, the top two bits of the half.  Every block
-has an even size, so no half-word is left buffered between blocks.
+drawn from a stream has an even size, so no half-word is left buffered
+between blocks.
 
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
 times, which only ask when a set is first entered.
@@ -23,19 +28,26 @@ times, which only ask when a set is first entered.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-# Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
-_DX = np.array([1, -1, 0, 0], dtype=np.int32)
-_DY = np.array([0, 0, 1, -1], dtype=np.int32)
-
 # Both even, so every block uses whole raw words.
 _FIRST_BLOCK = 1 << 10
 _MAX_BLOCK = 1 << 15
+
+# Block decoding packs a position into one int64, x << _Y_BITS | y, each
+# coordinate offset by _MAX_BLOCK so that it stays in [0, 2^_Y_BITS) over a
+# block, and one running sum of the packed steps moves both.
+_Y_BITS = 20
+_Y_MASK = (1 << _Y_BITS) - 1
+# Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
+_STEP = np.array([1 << _Y_BITS, -(1 << _Y_BITS), 1, -1], dtype=np.int64)
 
 
 class BudgetExceededError(RuntimeError):
@@ -173,6 +185,11 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_NO_CODES = np.empty(0, dtype=np.int32)
+_NO_MOVES = np.empty(0, dtype=np.uint8)
+
+
 class WalkState:
     """A simple random walk on the torus with a deterministic move stream.
 
@@ -186,7 +203,7 @@ class WalkState:
     The k-th move equals the k-th draw of
     ``philox_stream(seed, stream).integers(0, 4, dtype=np.int64)``: it is
     read as the top two bits of a 32-bit half of a raw Philox word, low half
-    first (see the module docstring), and blocks always have even sizes.
+    first (see the module docstring), and every block drawn has an even size.
     Positions are int32 flat codes ``x * n + y``; index tables with them
     through ``take``, which numpy runs about twice as fast as ``table[codes]``
     for int32 indices.
@@ -199,7 +216,7 @@ class WalkState:
         stream: int = 0,
         forced_moves=None,
     ):
-        if start.n * start.n > np.iinfo(np.int32).max:
+        if start.n * start.n > _INT32_MAX:
             raise ValueError(f"torus side {start.n} is too large for int32 cell codes")
         self.n = start.n
         self._px = start.x
@@ -207,14 +224,15 @@ class WalkState:
         self.steps = 0
         self._next_block = _FIRST_BLOCK
         if forced_moves is not None:
-            self._forced = np.asarray(forced_moves, dtype=np.int64)
+            self._forced = np.asarray(forced_moves, dtype=np.intp)
             self._forced_used = 0
-            self._rng = None
         else:
             self._forced = None
-            self._rng = philox_stream(seed, stream)
-        self._codes = np.empty(0, dtype=np.int32)
+            self._bits = philox_stream(seed, stream).bit_generator
+        self._codes = _NO_CODES
+        self._drawn = _NO_MOVES  # what _draw gave for _codes
         self._cursor = 0
+        self._kept = _NO_MOVES  # moves to take before the next block
 
     @property
     def position(self) -> TorusPoint:
@@ -226,40 +244,34 @@ class WalkState:
 
     # -- block machinery ---------------------------------------------------
 
-    def _refill(self):
+    def _ahead(self) -> int:
+        """Moves the walk's next scan round holds: the rest of its current
+        block, the moves it kept, or the size of the block it draws next."""
+        rest = self._codes.size - self._cursor or self._kept.size
+        if rest or self._forced is None:
+            return rest or self._next_block
+        return min(self._next_block, self._forced.size - self._forced_used)
+
+    def _draw(self) -> np.ndarray:
+        """The walk's next moves: those it kept, else its next block, as raw
+        Philox words or a forced walk's moves."""
+        if self._kept.size:
+            moves, self._kept = self._kept, _NO_MOVES
+            return moves
+        size = self._next_block
+        self._next_block = min(size * 2, _MAX_BLOCK)
         if self._forced is not None:
-            moves = self._forced[self._forced_used :]
+            moves = self._forced[self._forced_used : self._forced_used + size]
             if moves.size == 0:
                 raise RuntimeError("forced move stream exhausted")
             self._forced_used += moves.size
-        else:
-            size = min(self._next_block, _MAX_BLOCK)
-            self._next_block = min(self._next_block * 2, _MAX_BLOCK)
-            raw = self._rng.bit_generator.random_raw(size // 2)
-            moves = np.empty(size, dtype=np.intp)
-            np.bitwise_and(raw >> 30, 3, out=moves[0::2], casting="unsafe")
-            np.right_shift(raw, 62, out=moves[1::2], casting="unsafe")
-        n = self.n
-        cx = _DX[moves]
-        cy = _DY[moves]
-        tmp = np.empty_like(cx)
-        for c, start in ((cx, self._px), (cy, self._py)):
-            np.cumsum(c, out=c)
-            c += start
-            # c - (c // n) * n is c % n; numpy divides by a scalar far faster
-            # than it takes a remainder
-            np.floor_divide(c, n, out=tmp)
-            tmp *= n
-            c -= tmp
-        cx *= n
-        cx += cy
-        self._codes = cx
-        self._cursor = 0
+            return moves
+        return self._bits.random_raw(size // 2)
 
     def peek_block(self) -> np.ndarray:
         """Flat position codes for the not-yet-consumed part of the current block."""
         if self._cursor >= self._codes.size:
-            self._refill()
+            _decode([self])
         return self._codes[self._cursor :]
 
     def consume(self, k: int):
@@ -272,6 +284,92 @@ class WalkState:
         self.steps += k
         self._cursor = j + 1
 
+    def _keep_rest(self):
+        """Drop the current block, keeping the moves not yet consumed, one
+        byte each, to decode before the next block.  A walk between scan
+        rounds so holds no round's arrays alive."""
+        if self._cursor < self._codes.size:
+            self._kept = _moves_of(self._drawn)[self._cursor :].astype(np.uint8)
+        self._codes = _NO_CODES
+        self._drawn = _NO_MOVES
+        self._cursor = 0
+
+
+def _halves(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of raw Philox words, low half first; a move is the
+    top two bits of one."""
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
+def _moves_of(drawn: np.ndarray) -> np.ndarray:
+    """The moves of what ``WalkState._draw`` gave."""
+    return (_halves(drawn) >> 30).astype(np.intp) if drawn.dtype == np.uint64 else drawn
+
+
+# Scratch space of _decode, which a round of _MAX_BLOCK moves fills.  Fresh
+# arrays of this size come from the operating system on every call, and their
+# page faults cost more than the arithmetic.  No decode result points into
+# them; decodes in one process must not run concurrently (trials run in
+# worker processes, not threads).
+_MOVES = np.empty(_MAX_BLOCK, dtype=np.intp)
+_PACKED = np.empty(_MAX_BLOCK, dtype=np.int64)
+
+
+def _decode(walks) -> np.ndarray:
+    """Draw the next block of every walk in ``walks`` and decode them all in
+    one set of numpy calls; returns their codes, concatenated in order, and
+    hands each walk its own part.
+
+    The moves become one array of packed steps.  The first step of each
+    walk's part is offset by the walk's packed start minus where the part
+    before it ends, so one running sum gives every walk's positions.
+    """
+    parts = [w._draw() for w in walks]
+    if all(p.dtype == np.uint64 for p in parts):
+        raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        moves = _MOVES[: 2 * raw.size]
+        np.right_shift(_halves(raw), 30, out=moves, casting="unsafe")
+        sizes = [2 * p.size for p in parts]
+    else:
+        each = [_moves_of(p) for p in parts]
+        sizes = [m.size for m in each]
+        moves = _MOVES[: sum(sizes)]
+        np.concatenate(each, out=moves, casting="unsafe")
+    n = walks[0].n
+    wrap = _wrap_table(n)
+    firsts = np.array([0, *itertools.accumulate(sizes[:-1])])
+    start = np.array(
+        [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
+    )
+    pos = _STEP.take(moves, out=_PACKED[: moves.size], mode="clip")
+    if len(walks) > 1:
+        ends = start + np.add.reduceat(pos, firsts)
+        start[1:] -= ends[:-1]
+    pos[firsts] += start
+    np.cumsum(pos, out=pos)
+    x = np.right_shift(pos, _Y_BITS, out=moves, casting="unsafe")
+    codes = np.multiply(wrap.take(x, mode="clip"), n, dtype=np.int32)
+    pos &= _Y_MASK
+    codes += wrap.take(pos, mode="clip")
+    for w, lo, size, part in zip(walks, firsts.tolist(), sizes, parts):
+        w._codes = codes[lo : lo + size]
+        w._drawn = part
+        w._cursor = 0
+    return codes
+
+
+@functools.lru_cache(maxsize=4)
+def _wrap_table(n: int) -> np.ndarray:
+    """c mod n for a coordinate c offset by ``_MAX_BLOCK``.  A block moves a
+    walk at most ``_MAX_BLOCK`` cells from where it started, so the table
+    covers every coordinate a block reaches; a table read is far faster than
+    numpy's remainder."""
+    c = np.arange(n + 2 * _MAX_BLOCK, dtype=np.int32) - _MAX_BLOCK
+    c %= n
+    table = c.astype(np.uint16)
+    table.flags.writeable = False
+    return table
+
 
 def step(walk: WalkState) -> WalkState:
     """Advance one uniform nearest-neighbor move; returns the same state."""
@@ -280,43 +378,121 @@ def step(walk: WalkState) -> WalkState:
     return walk
 
 
+def scan_group(walks, caps, stop, what) -> list:
+    """Run a group of walks in lockstep until ``stop`` ends each of them.
+
+    Returns, per walk, the steps this call took, or the BudgetExceededError
+    of a walk that reached its cap, worded "<what(i)> within <cap> steps".
+
+    Each round takes queued walks, in turn, while their next codes number at
+    most ``_MAX_BLOCK`` together (32 walks on 1024-move blocks down to one on
+    32 768), decodes the new blocks among them in one set of numpy calls, and
+    calls ``stop(codes, bounds, rows, taken)`` once: walk ``rows[i]`` takes the
+    steps ``codes[bounds[i]:bounds[i + 1]]`` next, at most its cap minus the
+    ``taken[i]`` steps it has taken in this call.  ``stop`` returns, per row,
+    the index in that row's codes of the step that ends the walk, or -1 to
+    take them all.  A walk that ends inside a block keeps the rest of it for
+    its next operation.
+    """
+    caps = [int(cap) for cap in caps]
+    out: list = [None] * len(walks)
+    taken = [0] * len(walks)
+    queue = deque()
+    for i, cap in enumerate(caps):
+        if cap > 0:
+            queue.append(i)
+        else:
+            out[i] = BudgetExceededError(f"{what(i)} within {cap} steps", steps_taken=0)
+    while queue:
+        rows, width = [], 0
+        while queue:
+            ahead = walks[queue[0]]._ahead()
+            if rows and width + ahead > _MAX_BLOCK:
+                break
+            rows.append(queue.popleft())
+            width += ahead
+        fresh = [walks[i] for i in rows if walks[i]._cursor >= walks[i]._codes.size]
+        decoded = _decode(fresh) if fresh else None
+        segs = [walks[i].peek_block()[: caps[i] - taken[i]] for i in rows]
+        sizes = [s.size for s in segs]
+        bounds = np.array([0, *itertools.accumulate(sizes)])
+        whole = len(fresh) == len(rows) and decoded.size == bounds[-1]
+        codes = decoded if whole else np.concatenate(segs)
+        ends = stop(codes, bounds, np.array(rows), np.array([taken[i] for i in rows]))
+        for i, size, end in zip(rows, sizes, ends.tolist()):
+            walk = walks[i]
+            walk.consume(size if end < 0 else end + 1)
+            walk._keep_rest()
+            if end >= 0:
+                out[i] = taken[i] + end + 1
+                continue
+            taken[i] += size
+            if taken[i] < caps[i]:
+                queue.append(i)
+            else:
+                out[i] = BudgetExceededError(
+                    f"{what(i)} within {caps[i]} steps", steps_taken=taken[i]
+                )
+    return out
+
+
+def outcome_or_raise(outcome):
+    """One walk's outcome from a group run: its value, or its overrun raised."""
+    if isinstance(outcome, BudgetExceededError):
+        raise outcome
+    return outcome
+
+
 def scan(walk: WalkState, cap: int, stop, what) -> int:
-    """Run ``walk`` block by block until ``stop`` fires; returns steps taken.
+    """Run ``walk`` alone until ``stop`` fires; returns steps taken.
 
     ``stop(codes, taken)`` sees the positions after each of the next steps,
     at most ``cap - taken`` of them, where ``taken`` counts the steps this
     call has already made.  It returns the index in ``codes`` of the step
     that ends the scan, or None to consume the whole block.  A scan that
     reaches ``cap`` steps raises BudgetExceededError, worded
-    "<what()> within <cap> steps".
+    "<what()> within <cap> steps".  This is ``scan_group`` on a group of one.
     """
-    taken = 0
-    while taken < cap:
-        codes = walk.peek_block()[: int(cap - taken)]
-        j = stop(codes, taken)
-        if j is not None:
-            walk.consume(j + 1)
-            return taken + j + 1
-        walk.consume(codes.size)
-        taken += codes.size
-    raise BudgetExceededError(f"{what()} within {cap} steps", steps_taken=taken)
+
+    def stop_one(codes, bounds, rows, taken):
+        j = stop(codes, int(taken[0]))
+        return np.array([-1 if j is None else j])
+
+    return outcome_or_raise(scan_group([walk], [cap], stop_one, lambda i: what())[0])
 
 
-def advance_to_mask(walk: WalkState, mask: np.ndarray, cap: int, inclusive: bool = True) -> int:
-    """Run until the walk sits on ``mask``; returns steps taken by this call.
+def advance_group_to_mask(walks, mask: np.ndarray, caps, inclusive: bool = True) -> list:
+    """Run every walk until it sits on ``mask``; returns, per walk, the steps
+    it took or its BudgetExceededError.
 
     ``inclusive`` counts an initial position already on the mask as an
     immediate hit (the i >= 0 convention of the hitting time).
     """
     flat = mask.reshape(-1)
-    if inclusive and flat[walk.code]:
-        return 0
 
-    def first_hit(codes, taken):
-        hits = np.flatnonzero(flat.take(codes))
-        return int(hits[0]) if hits.size else None
+    def first_hit(codes, bounds, rows, taken):
+        hits = flat.take(codes).nonzero()[0]
+        row = bounds[1:].searchsorted(hits, side="right")
+        first = np.ones(row.size, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        ends = np.full(rows.size, -1)
+        ends[row[first]] = hits[first] - bounds[row[first]]
+        return ends
 
-    return scan(walk, cap, first_hit, lambda: "no hit")
+    out = [0 if inclusive and flat[w.code] else None for w in walks]
+    todo = [i for i, o in enumerate(out) if o is None]
+    ran = scan_group(
+        [walks[i] for i in todo], [caps[i] for i in todo], first_hit, lambda i: "no hit"
+    )
+    for i, o in zip(todo, ran):
+        out[i] = o
+    return out
+
+
+def advance_to_mask(walk: WalkState, mask: np.ndarray, cap: int, inclusive: bool = True) -> int:
+    """Run until the walk sits on ``mask``; returns steps taken by this call.
+    ``advance_group_to_mask`` on a group of one."""
+    return outcome_or_raise(advance_group_to_mask([walk], mask, [cap], inclusive)[0])
 
 
 def hitting_time(walk: WalkState, target, cap: int) -> int:

@@ -22,9 +22,12 @@ from coverlab.excursions import (
     validate_radii,
 )
 from coverlab.lattice import (
+    _FIRST_BLOCK,
     BudgetExceededError,
     TorusPoint,
     WalkState,
+    advance_group_to_mask,
+    advance_to_mask,
     ball_mask,
     exterior_boundary_mask,
     scan,
@@ -273,14 +276,15 @@ def test_block_ladder_overrun_mid_ladder_matches_reference():
     machine = circle_machine(CENTER, RADII)
     walk = _walk(3)
     _, clock = machine.run(walk, 4, CAP)
-    assert walk.steps > 2 * 4096  # the walk spans several blocks
+    assert walk.steps > 8 * _FIRST_BLOCK  # the walk spans several blocks
     # caps that stop the walk between the second and third departures, at a
     # block boundary and just before and after one
+    third_block_end = _FIRST_BLOCK + 2 * _FIRST_BLOCK + 4 * _FIRST_BLOCK
     for cap in (
         (clock.departures[1] + clock.departures[2]) // 2,
         clock.departures[2] - 1,
-        1024 + 2048 + 4096,
-        1024 + 2048 + 4096 + 1,
+        third_block_end,
+        third_block_end + 1,
     ):
         for intervals in (False, True):
             args = (machine, TorusPoint(48, 32, N), 5, 3, 4, cap, intervals, None)
@@ -288,6 +292,81 @@ def test_block_ladder_overrun_mid_ladder_matches_reference():
             assert got == _outcome(reference_run, *args)
             if cap < clock.departures[-1]:
                 assert got[0] == "overrun"
+
+
+def _ran(out, walk):
+    """A run's outcome as comparable values, and where its walk stopped."""
+    if isinstance(out, BudgetExceededError):
+        return ("overrun", str(out), out.steps_taken, walk.steps, walk.code)
+    record, clock = out
+    return (
+        record.counts, record.driving_level, record.m, record.intervals, record.watch_time,
+        clock.returns, clock.departures, walk.steps, walk.code,
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(
+    built=st.one_of(_concentric_machines(), _shared_cell_machines()),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    m=st.sampled_from([3, 2, 1, 0]),
+    collect_intervals=st.booleans(),
+    chained=st.booleans(),
+)
+def test_group_ladder_matches_one_walk_at_a_time(built, data, seed, m, collect_intervals, chained):
+    machine, watch = built
+    n = machine.n
+    specs = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 2**40),
+                st.one_of(st.just(10**6), st.integers(1, 4000)), st.booleans(),
+            ),
+            min_size=1, max_size=40,
+        )
+    )
+
+    def walks():
+        # a forced walk's moves outlast its cap
+        return [
+            WalkState(
+                TorusPoint(x, y, n), seed=seed, stream=stream,
+                forced_moves=np.random.default_rng(stream).integers(0, 4, 8000) if forced else None,
+            )
+            for x, y, stream, _, forced in specs
+        ]
+
+    caps = [min(cap, 4000) if forced else cap for *_, cap, forced in specs]
+    first_circle = (machine._label & 1).astype(bool).reshape(n, n)
+    group, alone = walks(), walks()
+    run_caps = caps
+    if chained:
+        used = advance_group_to_mask(group, first_circle, caps)
+        for walk, cap, u in zip(alone, caps, used):
+            if isinstance(u, BudgetExceededError):
+                with pytest.raises(BudgetExceededError):
+                    advance_to_mask(walk, first_circle, cap)
+            else:
+                assert advance_to_mask(walk, first_circle, cap) == u
+        ok = [i for i, u in enumerate(used) if not isinstance(u, BudgetExceededError)]
+        group, alone = [group[i] for i in ok], [alone[i] for i in ok]
+        run_caps = [caps[i] - used[i] for i in ok]
+    got = machine.run_group(group, m, run_caps, collect_intervals, watch)
+    for out, g_walk, walk, cap in zip(got, group, alone, run_caps):
+        try:
+            want = machine.run(walk, m, cap, collect_intervals=collect_intervals, watch=watch)
+        except BudgetExceededError as err:
+            want = err
+        assert _ran(out, g_walk) == _ran(want, walk)
+
+
+def test_group_runs_take_empty_groups():
+    # the curve trials run the ladder on the walks whose r_1 hit did not
+    # overrun, which can be none of them
+    machine = circle_machine(CENTER, RADII)
+    assert machine.run_group([], 2, []) == []
+    assert advance_group_to_mask([], ball_mask(CENTER, 2.0), []) == []
 
 
 def test_radii_validation():

@@ -256,3 +256,14 @@ def test_conditioned_sampler_dies_and_tracks_bridge():
         centering = math.sqrt(m) * (1 - i / horizon)
         se = np.sqrt(paths[:, i]).std(ddof=1) / math.sqrt(paths.shape[0])
         assert abs(mean_sqrt - centering) <= 1.0 + 3 * se
+
+
+def test_transition_matrix_keeps_the_last_one_read_only():
+    M = transition_matrix(30)
+    assert transition_matrix(30) is M and not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 0.5
+    other = transition_matrix(31)
+    assert other.shape == (32, 32) and transition_matrix(31) is other
+    rebuilt = transition_matrix(30)  # only the last one is kept
+    assert rebuilt is not M and np.array_equal(rebuilt.view(np.int64), M.view(np.int64))

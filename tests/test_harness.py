@@ -17,8 +17,10 @@ from coverlab.harness import (
     load_tolerances,
     run_barrier_sweep,
     run_cover_experiment,
+    run_excursion_length_experiment,
     run_gw_equivalence,
     run_oracle_check,
+    run_transfer_check,
 )
 from coverlab.lattice import BudgetExceededError
 
@@ -306,6 +308,37 @@ def test_map_trials_drops_and_counts_overruns_in_trial_order(workers):
     assert results == [t * t for t in range(23) if t not in overrun_at]
     assert overruns == 4
     assert _map_trials(_square_or_overrun, frozenset(range(3)), 3, cfg) == ([], 3)
+
+
+def _always_overrun(payload, trial):
+    raise BudgetExceededError(f"trial {trial} overran", steps_taken=0)
+
+
+def test_transfer_cell_whose_every_trial_overruns_fails_its_checks(monkeypatch):
+    monkeypatch.setattr(harness, "_transfer_trial", _always_overrun)
+    res = run_transfer_check(ExperimentConfig(name="transfer", trials=30, workers=1))
+    assert {(r["schedule"], r["trials"], r["failures"]) for r in res.rows} == {
+        ("base", 0, 30), ("doubled", 0, 2000)
+    }
+    assert all(np.isnan(r["mc_prob"]) and not r["in_bracket_mc"] for r in res.rows)
+    mc = [c for c in res.checks if c.name.endswith("_bracket_mc")]
+    assert len(mc) == len(res.rows)
+    assert not any(c.passed for c in mc)
+    assert all("budget overruns:" in c.detail for c in mc)
+    assert not res.all_passed
+
+
+def test_excursion_cell_whose_every_trial_overruns_fails_its_checks(monkeypatch):
+    monkeypatch.setattr(harness, "_excursion_clock_trial", _always_overrun)
+    res = run_excursion_length_experiment(
+        ExperimentConfig(name="excursion", n_values=(32,), trials=20, workers=1)
+    )
+    # 20 D_1 clocks, 300 D_100 clocks and 3 x 200 sweep clocks, all overrun
+    assert {r["failures"] for r in res.rows} == {20 + 300 + 3 * 200}
+    values = {r["metric"]: r["value"] for r in res.rows}
+    assert np.isnan(values["d1_mc_mean"]) and np.isnan(values["dm_ratio_p95"])
+    assert res.checks and not any(c.passed for c in res.checks)
+    assert all("budget overruns:" in c.detail for c in res.checks)
 
 
 def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):

@@ -6,13 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coverlab
+from coverlab import lattice
 from coverlab.lattice import (
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
     BallSpec,
     BudgetExceededError,
     TorusPoint,
     WalkState,
+    advance_group_to_mask,
+    advance_to_mask,
     ball_mask,
     boundary,
     cover_time,
@@ -336,3 +343,93 @@ def test_cover_time_matches_a_per_step_reference(n):
         assert str(err.value) == f"torus not covered ({left} cells left) within {cap} steps"
         assert err.value.steps_taken == cap
         assert walk.code == ref.code
+
+
+@st.composite
+def _walk_specs(draw, n):
+    """One walk of a group: start, stream, cap, and forced moves or a Philox
+    stream.  Small caps make some walks overrun while the others go on."""
+    forced = draw(st.booleans())
+    cap = draw(st.integers(1, 3000) if forced else st.one_of(st.just(10**6), st.integers(1, 3000)))
+    return (
+        draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 2**40)),
+        cap, forced,
+    )
+
+
+def _make_walks(specs, n, seed):
+    """Fresh walks from specs; a forced walk's moves outlast its cap."""
+    walks = []
+    for x, y, stream, _, forced in specs:
+        moves = np.random.default_rng(stream).integers(0, 4, 6000) if forced else None
+        walks.append(WalkState(TorusPoint(x, y, n), seed=seed, stream=stream, forced_moves=moves))
+    return walks
+
+
+def _after(walk, forced):
+    """Where a walk stands, and its next 40 codes: they must continue its
+    stream whatever the operation before them stopped on."""
+    if forced:
+        return walk.steps, walk.code
+    return walk.steps, walk.code, _walk_codes(walk, 40, 7).tolist()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    n=st.sampled_from([5, 16, 48]),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    radius=st.sampled_from([1.5, 3.0]),
+    inclusive=st.booleans(),
+)
+def test_group_mask_hit_matches_one_walk_at_a_time(n, data, seed, radius, inclusive):
+    specs = data.draw(st.lists(_walk_specs(n), min_size=1, max_size=40))
+    mask = ball_mask(TorusPoint(data.draw(st.integers(0, n - 1)), 0, n), min(radius, n / 2 - 0.5))
+    caps = [spec[3] for spec in specs]
+    group = _make_walks(specs, n, seed)
+    got = advance_group_to_mask(group, mask, caps, inclusive)
+    for walk, alone, cap, spec, out in zip(group, _make_walks(specs, n, seed), caps, specs, got):
+        try:
+            want = advance_to_mask(alone, mask, cap, inclusive)
+        except BudgetExceededError as err:
+            assert isinstance(out, BudgetExceededError)
+            assert (str(out), out.steps_taken) == (str(err), err.steps_taken)
+        else:
+            assert out == want
+        assert _after(walk, spec[4]) == _after(alone, spec[4])
+
+
+def test_kept_moves_continue_the_stream():
+    # a walk that stops inside a block keeps the rest; the codes after it are
+    # the stream's own, however operations cut it
+    n, seed = 24, 11
+    mask = ball_mask(TorusPoint(0, 0, n), 3.0)
+    walks = [WalkState(TorusPoint(12, 12, n), seed=seed, stream=t) for t in range(40)]
+    used = advance_group_to_mask(walks, mask, [10**6] * len(walks))
+    for t, walk in enumerate(walks):
+        steps = walk.steps
+        moves = philox_stream(seed, t).integers(0, 4, size=steps + 500, dtype=np.int64)
+        want = _int64_codes(moves, n, 12, 12)
+        assert used[t] == steps and mask.flat[want[steps - 1]]
+        assert np.array_equal(_walk_codes(walk, 500, 33), want[steps:])
+
+
+def test_no_scan_round_decodes_more_than_the_largest_block(monkeypatch):
+    decoded = []
+    real = lattice._decode
+
+    def counting(walks):
+        codes = real(walks)
+        decoded.append((len(walks), codes.size))
+        return codes
+
+    monkeypatch.setattr(lattice, "_decode", counting)
+    n = 128
+    walks = [WalkState(TorusPoint(0, 0, n), seed=3, stream=t) for t in range(40)]
+    far = ball_mask(TorusPoint(64, 64, n), 2.0)
+    out = advance_group_to_mask(walks, far, [10**6] * len(walks))
+    assert max(size for _, size in decoded) <= _MAX_BLOCK
+    # the first rounds fill a whole block's worth with 32 first blocks each
+    assert decoded[0] == (_MAX_BLOCK // _FIRST_BLOCK, _MAX_BLOCK)
+    assert any(k == 1 and size == _MAX_BLOCK for k, size in decoded)  # long walks go alone
+    assert all(not isinstance(o, BudgetExceededError) for o in out)
