@@ -6,14 +6,17 @@ Every experiment is a pure function of (config, master seed): trial t of a
 named section draws from the Philox key ``[stream_key(seed, experiment,
 section), t]``, so no two sections or seeds share a stream; reduction is a fold
 in trial-index order, and CSV output is formatted deterministically, so a
-re-run reproduces the output byte for byte.  ``_map_trials`` runs every
-trial, in bounded groups of walks that advance in lockstep where the trial
-function takes groups, counts budget overruns and leaves those trials out of
-the summaries; ``_result`` builds every result and writes every CSV.
+re-run reproduces the output byte for byte.  ``_map_trials`` is the one way a
+walk section runs: it derives the section's key, builds each trial's walk,
+hands the section's ``run`` groups of walks that advance in lockstep, counts
+budget overruns and leaves those trials out of the summaries.  Each ``run`` is
+a small module-level function over a prebuilt machine or mask.  ``_result``
+builds every result and writes every CSV.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -35,7 +38,6 @@ from .lattice import (
     cover_time,
     default_cover_budget,
     exterior_boundary_mask,
-    outcome_or_raise,
     philox_stream,
     stream_key,
 )
@@ -138,25 +140,10 @@ def _result(cfg, name, schema, rows, checks, late_rows=None) -> ExperimentResult
     return ExperimentResult(name, schema, rows, checks, late_rows=late_rows)
 
 
-# Trials a worker hands a grouped trial function at once: enough walks to
-# fill a scan round of first blocks (32 x 1024 moves).  Larger groups ran no
-# faster on transfer and raised peak RSS (+1 MiB at 64 on excursion).
+# Walks a worker hands a section's run at once: enough to fill a scan round
+# of first blocks (32 x 1024 moves).  Larger groups ran no faster on
+# transfer and raised peak RSS (+1 MiB at 64 on excursion).
 _GROUP = 32
-
-
-class _Grouped:
-    """A trial function that runs trials in groups.
-
-    ``fn.group(payload, trials)`` returns each trial's outcome, or the
-    BudgetExceededError of its overrun; ``fn(payload, trial)`` runs one trial
-    and raises on an overrun.
-    """
-
-    def __init__(self, group):
-        self.group = group
-
-    def __call__(self, payload, trial):
-        return outcome_or_raise(self.group(payload, [trial])[0])
 
 
 def _each(outcomes, fn):
@@ -164,21 +151,27 @@ def _each(outcomes, fn):
     return [o if isinstance(o, BudgetExceededError) else fn(o) for o in outcomes]
 
 
-def _map_trials(fn, payload, n_trials: int, cfg: ExperimentConfig):
-    """Run fn(payload, trial_index) for every trial on ``cfg``'s workers,
-    through ``fn.group`` in groups of at most ``_GROUP`` trials when fn has it.
+def _map_trials(cfg: ExperimentConfig, experiment: str, section: str, run, start, n_trials: int):
+    """Run the walks of one section on ``cfg``'s workers.
 
-    Returns (results of the trials that finished, in trial order, number of
-    trials that raised BudgetExceededError)."""
+    Trial t's walk starts at ``start``, or at ``start[t]`` when ``start`` is
+    a sequence of points, and draws from the key ``[stream_key(cfg.seed,
+    experiment, section), t]``.  ``run(walks)`` takes groups of at most
+    ``_GROUP`` walks and returns each walk's outcome, or the
+    BudgetExceededError of its overrun.
+
+    Returns (outcomes of the trials that finished, in trial order, number of
+    trials that overran)."""
+    key = stream_key(cfg.seed, experiment, section)
     workers = cfg.worker_count()
     if workers <= 1:
-        out = _run_chunk((fn, payload, range(n_trials)))
+        out = _run_chunk((run, key, start, range(n_trials)))
     else:
         chunks = workers * 4
         ranges = [range(i, n_trials, chunks) for i in range(chunks)]
         out = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, [(fn, payload, r) for r in ranges]):
+            for part in pool.map(_run_chunk, [(run, key, start, r) for r in ranges]):
                 out.update(part)
     finished = [out[t] for t in range(n_trials) if out[t] is not None]
     return finished, n_trials - len(finished)
@@ -186,22 +179,43 @@ def _map_trials(fn, payload, n_trials: int, cfg: ExperimentConfig):
 
 def _run_chunk(args):
     """Outcomes of the listed trials; None marks a budget overrun."""
-    fn, payload, trials = args
-    group = getattr(fn, "group", None) or (lambda p, ts: [_outcome(fn, p, t) for t in ts])
-    trials = list(trials)
+    run, key, start, trials = args
     out = {}
     for lo in range(0, len(trials), _GROUP):
         part = trials[lo : lo + _GROUP]
-        for t, o in zip(part, group(payload, part)):
+        walks = [
+            WalkState(start if isinstance(start, TorusPoint) else start[t], seed=key, stream=t)
+            for t in part
+        ]
+        for t, o in zip(part, run(walks)):
             out[t] = None if isinstance(o, BudgetExceededError) else o
     return out
 
 
-def _outcome(fn, payload, trial):
-    try:
-        return fn(payload, trial)
-    except BudgetExceededError as err:
-        return err
+def _covers(walks):
+    """Each walk's cover time, or its overrun, at the default budget."""
+    out = []
+    for walk in walks:
+        try:
+            out.append(cover_time(walk, default_cover_budget(walk.n)))
+        except BudgetExceededError as err:
+            out.append(err)
+    return out
+
+
+def _clocks(machine, m, cap, walks):
+    """Each walk's D_m: the step of its m-th driving departure."""
+    return _each(machine.run_group(walks, m, [cap] * len(walks)), lambda o: o[1].departures[-1])
+
+
+def _counts(machine, ran):
+    """The traversal counts of each ladder run, by level."""
+    return _each(ran, lambda o: tuple(o[0].counts[lad.level] for lad in machine.ladders))
+
+
+def _ladders(machine, m, cap, walks):
+    """Each walk's traversal counts over m driving excursions."""
+    return _counts(machine, machine.run_group(walks, m, [cap] * len(walks)))
 
 
 def _parse_toy(spec: str) -> tuple[int, float]:
@@ -211,12 +225,6 @@ def _parse_toy(spec: str) -> tuple[int, float]:
 
 
 # -- cover experiment -----------------------------------------------------------
-
-
-def _cover_trial(payload, trial):
-    n, key = payload
-    walk = WalkState(TorusPoint(0, 0, n), seed=key, stream=trial)
-    return cover_time(walk, default_cover_budget(n))
 
 
 COVER_SCHEMA = [
@@ -239,14 +247,16 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     tol = load_tolerances()
     n_values = cfg.n_values or (64, 128, 256)
+    if min(n_values) < 3:
+        # the fitted exponent divides by log log n, which needs n >= 3
+        raise ValueError(f"cover needs every n >= 3 (got n = {min(n_values)})")
     default_trials = {64: 3000, 128: 2000, 256: 1200}
     rows = []
     checks = []
     gaps = []
     for n in n_values:
         trials = cfg.trials or default_trials.get(n, 500)
-        payload = (n, stream_key(cfg.seed, "cover", f"n{n}"))
-        vals, failures = _map_trials(_cover_trial, payload, trials, cfg)
+        vals, failures = _map_trials(cfg, "cover", f"n{n}", _covers, TorusPoint(0, 0, n), trials)
         if not vals:
             rows.append(
                 dict.fromkeys(COVER_SCHEMA, float("nan"))
@@ -321,21 +331,6 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # -- excursion length experiment --------------------------------------------------
 
 
-def _excursion_clock_trials(payload, trials):
-    """D_m of one clock per trial, started from cell ``starts[trial]``."""
-    machine, m, key, starts, cap = payload
-    n = machine.n
-    walks = [
-        WalkState(TorusPoint(int(starts[t]) // n, int(starts[t]) % n, n), seed=key, stream=t)
-        for t in trials
-    ]
-    ran = machine.run_group(walks, m, [cap] * len(walks))
-    return _each(ran, lambda out: out[1].departures[-1])
-
-
-_excursion_clock_trial = _Grouped(_excursion_clock_trials)
-
-
 def _quantile(vals, q):
     """np.quantile, NaN for a cell whose every trial overran."""
     return np.quantile(vals, q) if vals.size else np.full(np.shape(q), math.nan)
@@ -373,11 +368,10 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cap = int(200 * formula)
     machine = circle_machine(center, [R, r])
 
-    def clocks(section, m_cell, starts):
-        """D_m of one clock per start cell, and the cell's overruns."""
-        key = stream_key(cfg.seed, "excursion", section)
-        payload = (machine, m_cell, key, starts, cap * m_cell)
-        vals, fail = _map_trials(_excursion_clock_trial, payload, len(starts), cfg)
+    def clocks(section, m_cell, start, n_trials):
+        """D_m of n_trials clocks from ``start``, and the cell's overruns."""
+        run = functools.partial(_clocks, machine, m_cell, cap * m_cell)
+        vals, fail = _map_trials(cfg, "excursion", section, run, start, n_trials)
         return np.array(vals, dtype=float), fail
 
     # D_1 starts from the equilibrium outer measure, the right law for the
@@ -386,13 +380,15 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # of the concentration statement
     trials_d1 = cfg.trials or 10_000
     u = philox_stream(stream_key(cfg.seed, "excursion", "d1_start"), 0).random(trials_d1)
-    d1_vals, d1_fail = clocks("d1", 1, pair.outer_codes[np.searchsorted(mu_cum, u)])
+    cells = [TorusPoint(c // n, c % n, n) for c in pair.outer_codes]
+    starts = [cells[i] for i in np.searchsorted(mu_cum, u)]
+    d1_vals, d1_fail = clocks("d1", 1, starts, trials_d1)
     # NaN statistics, and so failed checks, if every D_1 clock overran
     d1_summ = stats.summarize_mean(d1_vals if d1_vals.size else [math.nan])
     d1_var_se = stats.variance_se(d1_vals) if d1_vals.size > 1 else math.nan
 
     trials_dm = max(300, cfg.trials // 16) if cfg.trials else 2500
-    dm_vals, dm_fail = clocks("dm", m, np.full(trials_dm, center.code))
+    dm_vals, dm_fail = clocks("dm", m, center, trials_dm)
     ratios = np.abs(dm_vals / (d1_exact * (m - 1)) - 1.0)
     p95 = float(_quantile(ratios, 0.95))
     z975 = statistics.NormalDist().inv_cdf(0.975)
@@ -404,7 +400,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sweep_fail = 0
     sweep_trials = max(200, trials_dm // 8)
     for m_small in (9, 25, m):
-        vals, fail = clocks(f"sweep_m{m_small}", m_small, np.full(sweep_trials, center.code))
+        vals, fail = clocks(f"sweep_m{m_small}", m_small, center, sweep_trials)
         sweep_fail += fail
         dev = np.abs(vals / (d1_exact * (m_small - 1)) - 1.0)
         sweep_stats[m_small] = float(_quantile(dev, 0.90)) * (m_small - 1) / math.sqrt(m_small)
@@ -486,16 +482,6 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # -- transfer-lemma ratio check ----------------------------------------------------
 
 
-def _transfer_trials(payload, trials):
-    machine, start, m, key, cap = payload
-    walks = [WalkState(start, seed=key, stream=t) for t in trials]
-    ran = machine.run_group(walks, m, [cap] * len(walks))
-    return _each(ran, lambda out: tuple(out[0].counts[i] for i in range(1, len(machine.ladders))))
-
-
-_transfer_trial = _Grouped(_transfer_trials)
-
-
 TRANSFER_SCHEMA = [
     "schedule", "n", "L", "ell", "event", "m", "trials", "failures", "hits", "mc_prob", "mc_se",
     "exact_walk_prob", "gw_prob", "mc_ratio", "exact_ratio", "bracket_lo", "bracket_hi",
@@ -510,20 +496,18 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
     start = TorusPoint(center.x + int(radii[0]), center.y, n)
     table = schedule.prob_table(radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
     chain = oracle.CircleChain(center, radii, n)
-    cap = 4000 * n * n
-    payload = (circle_machine(center, radii), start, 1, stream_key(cfg.seed, "transfer", tag), cap)
-    good, failures = _map_trials(_transfer_trial, payload, trials, cfg)
+    run = functools.partial(_ladders, circle_machine(center, radii), 1, 4000 * n * n)
+    good, failures = _map_trials(cfg, "transfer", tag, run, start, trials)
     rows = []
     for event in events:
         targets = {i + 1: event[i] for i in range(len(event))}
-        hits = sum(1 for o in good if o == event)
+        hits = sum(1 for o in good if o[1:] == event)
         # NaN, and a failed MC check, if every trial overran
         mc_p = hits / len(good) if good else math.nan
         mc_se = math.sqrt(max(mc_p * (1 - mc_p), 1e-12) / len(good)) if good else math.nan
         exact_p = chain.event_probability(start, 1, targets)
         gw_p = gw.gw_joint_prob(1, list(event))
-        m_vec = {i + 1: event[i] for i in range(len(event))}
-        lo, hi = schedule.transfer_bracket(table, 1, 1, 1, m_vec)
+        lo, hi = schedule.transfer_bracket(table, 1, 1, 1, targets)
         mc_ratio = mc_p / gw_p
         exact_ratio = exact_p / gw_p
         rel3 = 3 * mc_se / gw_p
@@ -811,27 +795,19 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # -- curve report -----------------------------------------------------------------
 
 
-def _curve_trials(payload, trials):
+def _tilde_ladders(machine, shift_mask, m, cap, walks):
     """tilde_traversal's counts, with its r_1 mask and machine prebuilt."""
-    machine, shift_mask, start, m, key, cap = payload
-    walks = [WalkState(start, seed=key, stream=t) for t in trials]
     out = advance_group_to_mask(walks, shift_mask, [cap] * len(walks), inclusive=True)
     hit = [i for i, used in enumerate(out) if not isinstance(used, BudgetExceededError)]
     ran = machine.run_group([walks[i] for i in hit], m, [cap - out[i] for i in hit])
-    counts = _each(ran, lambda o: tuple(o[0].counts[lad.level] for lad in machine.ladders))
-    for i, o in zip(hit, counts):
+    for i, o in zip(hit, _counts(machine, ran)):
         out[i] = o
     return out
 
 
-def _late_event_trials(payload, trials):
-    machine, start, watch, m, key, cap = payload
-    walks = [WalkState(start, seed=key, stream=t) for t in trials]
+def _late_events(machine, watch, m, cap, walks):
+    """Each walk's (record, clock), with the first hit of circle ``watch``."""
     return machine.run_group(walks, m, [cap] * len(walks), watch=watch)
-
-
-_curve_trial = _Grouped(_curve_trials)
-_late_event_trial = _Grouped(_late_event_trials)
 
 
 CURVE_SCHEMA = [
@@ -873,12 +849,10 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     center = TorusPoint(n // 2, n // 2, n)
     radii = validate_radii(scales.radii, n=n)
     shift_mask = exterior_boundary_mask(ball_mask(center, radii[1]))
-    payload = (
-        circle_machine(center, radii), shift_mask, center.shifted(int(radii[0]), 0),
-        m_plus, stream_key(cfg.seed, "curves", "walk"), cap,
-    )
-    outcomes, walk_failures = _map_trials(_curve_trial, payload, trials, cfg)
-    walk_profiles = np.array(outcomes, dtype=np.int64)
+    run = functools.partial(_tilde_ladders, circle_machine(center, radii), shift_mask, m_plus, cap)
+    start = center.shifted(int(radii[0]), 0)
+    outcomes, walk_failures = _map_trials(cfg, "curves", "walk", run, start, trials)
+    walk_profiles = np.array(outcomes, dtype=np.int64).reshape(-1, L)
 
     rng = philox_stream(stream_key(cfg.seed, "curves", "gw"), 0)
     # bridge to extinction at the point level L, matching the (1 - i/L) centering
@@ -924,7 +898,8 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         Check(
             "curves_level0_equals_m",
             bool((walk_profiles[:, 0] == m_plus).all()) if walk_profiles.size else False,
-            f"T_0 = m+ = {m_plus} on all {walk_profiles.shape[0]} profiles",
+            f"T_0 = m+ = {m_plus} on all {walk_profiles.shape[0]} profiles"
+            f"{_overruns(walk_failures)}",
         )
     )
     checks.append(
@@ -948,18 +923,17 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     late_radii = list(late_scales.radii)
     target = np.zeros((late_n, late_n), dtype=bool)
     target[late_center.x, late_center.y] = True
-    payload = (
-        circle_machine(late_center, late_radii, watch=target),
-        late_center.shifted(int(late_radii[0]), 0), len(late_radii),
-        late_m, stream_key(cfg.seed, "curves", "late"), late_cap,
-    )
-    outcomes, late_failures = _map_trials(_late_event_trial, payload, late_trials, cfg)
+    machine = circle_machine(late_center, late_radii, watch=target)
+    run = functools.partial(_late_events, machine, len(late_radii), late_m, late_cap)
+    start = late_center.shifted(int(late_radii[0]), 0)
+    outcomes, late_failures = _map_trials(cfg, "curves", "late", run, start, late_trials)
     total = len(outcomes)
     hits = sum(
         1 for record, clock in outcomes
         if detect_late_event(record, record.watch_time, clock, b_minus, b_plus, window)
     )
-    freq = hits / total if total else 0.0
+    # NaN, and so failed late checks, if every late trial overran
+    freq = hits / total if total else math.nan
     # GW corridor probability with the Delta envelope (terminal clause removed)
     table = schedule.prob_table(late_radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
     corridor = 0.0
@@ -987,7 +961,8 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         Check(
             "late_event_positive",
             hits >= tol["transfer.min_expected_hits"],
-            f"{hits} late-point events over {total} trials (freq {freq:.5f})",
+            f"{hits} late-point events over {total} trials (freq {freq:.5f})"
+            f"{_overruns(late_failures)}",
         )
     )
     checks.append(
@@ -995,7 +970,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             "late_event_below_corridor",
             freq <= 1.5 * corridor + 3 * se,
             f"freq={freq:.5f} <= 1.5 * corridor={corridor:.5f} + 3se "
-            "(unvisited clause only removes mass)",
+            f"(unvisited clause only removes mass){_overruns(late_failures)}",
         )
     )
     return _result(cfg, "curves", CURVE_SCHEMA, rows, checks, late_rows=late_rows)
@@ -1009,24 +984,17 @@ ORACLE_SCHEMA = [
 ]
 
 
-def _hit_prob_trials(payload, trials):
-    start, A, either, key, cap = payload
-    walks = [WalkState(start, seed=key, stream=t) for t in trials]
-    out = advance_group_to_mask(walks, either, [cap] * len(walks), inclusive=True)
+def _hits(mask, cap, walks):
+    """Each walk's steps to its first visit of ``mask``."""
+    return advance_group_to_mask(walks, mask, [cap] * len(walks), inclusive=True)
+
+
+def _hits_first(A, either, cap, walks):
+    """1 for each walk that visits ``A`` first among the cells of ``either``, else 0."""
     return [
         o if isinstance(o, BudgetExceededError) else int(A.flat[w.code])
-        for w, o in zip(walks, out)
+        for w, o in zip(walks, _hits(either, cap, walks))
     ]
-
-
-def _expected_hit_trials(payload, trials):
-    start, A, key, cap = payload
-    walks = [WalkState(start, seed=key, stream=t) for t in trials]
-    return advance_group_to_mask(walks, A, [cap] * len(walks), inclusive=True)
-
-
-_hit_prob_trial = _Grouped(_hit_prob_trials)
-_expected_hit_trial = _Grouped(_expected_hit_trials)
 
 
 def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
@@ -1058,9 +1026,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
         if lo is not None:
             passed = passed and lo <= exact <= hi
         row(case, n, metric, exact, mc, passed, se, zval, lo or 0.0, hi or 0.0)
-        detail = f"exact={exact:.5g} mc={mc:.5g} z={zval:+.2f}"
-        if overruns:
-            detail += f"; budget overruns: {overruns}"
+        detail = f"exact={exact:.5g} mc={mc:.5g} z={zval:+.2f}{_overruns(overruns)}"
         checks.append(Check(f"oracle_{case}", passed, detail))
 
     def book_mean(case, n, metric, exact, vals, overruns):
@@ -1080,8 +1046,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             A = exterior_boundary_mask(ball_mask(x, r))
             B = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.hit_prob_exact(y, A, B, n)
-            payload = (y, A, A | B, stream_key(cfg.seed, "oracle-check", case), 100 * n * n)
-            vals, overruns = _map_trials(_hit_prob_trial, payload, trials, cfg)
+            run = functools.partial(_hits_first, A, A | B, 100 * n * n)
+            vals, overruns = _map_trials(cfg, "oracle-check", case, run, y, trials)
             done = max(len(vals), 1)  # if every trial overran, the check fails anyway
             mc = sum(vals) / done
             se = math.sqrt(max(mc * (1 - mc), 1e-12) / done)
@@ -1096,8 +1062,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             A = exterior_boundary_mask(ball_mask(x, R))
             exact = oracle.expected_hit_exact(v, A, n)
             et_trials = max(20_000, trials // 5)
-            payload = (v, A, stream_key(cfg.seed, "oracle-check", case), 1000 * n * n)
-            vals, overruns = _map_trials(_expected_hit_trial, payload, et_trials, cfg)
+            run = functools.partial(_hits, A, 1000 * n * n)
+            vals, overruns = _map_trials(cfg, "oracle-check", case, run, v, et_trials)
             book_mean(case, n, "expected_hit", exact, vals, overruns)
 
         # R^2 band for the center exit time (two-sided bound)
@@ -1109,8 +1075,8 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
 
         # tiny-torus cover chain oracle vs MC
         exact2 = oracle.exact_cover_mean(2)
-        payload = (2, stream_key(cfg.seed, "oracle-check", "cover_n2_chain"))
-        vals, overruns = _map_trials(_cover_trial, payload, 20_000, cfg)
+        start = TorusPoint(0, 0, 2)
+        vals, overruns = _map_trials(cfg, "oracle-check", "cover_n2_chain", _covers, start, 20_000)
         book_mean("cover_n2_chain", 2, "cover_mean", exact2, vals, overruns)
 
     if "bracket" in sections:

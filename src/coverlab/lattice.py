@@ -10,7 +10,8 @@ loop, ``scan_group``, which advances a group of walks in lockstep: each
 round decodes the new blocks of several walks in one set of numpy calls and
 hands the callback all of them at once, so that short walks do not each pay
 a block's worth of numpy calls.  A single walk is the group of one
-(``scan``, ``advance_to_mask``, ``cover_time``).
+(``advance_to_mask``, ``cover_time``), and every callback has the group
+signature.
 
 Moves are read straight from the raw 64-bit Philox words, and the stream
 format is unchanged: each move is the one ``Generator.integers(0, 4)``
@@ -443,24 +444,6 @@ def outcome_or_raise(outcome):
     return outcome
 
 
-def scan(walk: WalkState, cap: int, stop, what) -> int:
-    """Run ``walk`` alone until ``stop`` fires; returns steps taken.
-
-    ``stop(codes, taken)`` sees the positions after each of the next steps,
-    at most ``cap - taken`` of them, where ``taken`` counts the steps this
-    call has already made.  It returns the index in ``codes`` of the step
-    that ends the scan, or None to consume the whole block.  A scan that
-    reaches ``cap`` steps raises BudgetExceededError, worded
-    "<what()> within <cap> steps".  This is ``scan_group`` on a group of one.
-    """
-
-    def stop_one(codes, bounds, rows, taken):
-        j = stop(codes, int(taken[0]))
-        return np.array([-1 if j is None else j])
-
-    return outcome_or_raise(scan_group([walk], [cap], stop_one, lambda i: what())[0])
-
-
 def advance_group_to_mask(walks, mask: np.ndarray, caps, inclusive: bool = True) -> list:
     """Run every walk until it sits on ``mask``; returns, per walk, the steps
     it took or its BudgetExceededError.
@@ -533,18 +516,21 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     if remaining == 0:
         return walk.steps
 
-    def last_new_cell(codes, taken):
+    def last_new_cell(codes, bounds, rows, taken):
         nonlocal remaining
         idx = np.flatnonzero(~visited.take(codes))
         if idx.size == 0:
-            return None
+            return np.array([-1])
         new = codes[idx]
         visited[new] = True
         remaining = visited.size - np.count_nonzero(visited)
         if remaining:
-            return None
+            return np.array([-1])
         _, first = np.unique(new, return_index=True)
-        return int(idx[first].max())
+        return np.array([idx[first].max()])
 
-    scan(walk, cap, last_new_cell, lambda: f"torus not covered ({remaining} cells left)")
+    ran = scan_group(
+        [walk], [cap], last_new_cell, lambda i: f"torus not covered ({remaining} cells left)"
+    )
+    outcome_or_raise(ran[0])
     return walk.steps

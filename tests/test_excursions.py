@@ -30,7 +30,8 @@ from coverlab.lattice import (
     advance_to_mask,
     ball_mask,
     exterior_boundary_mask,
-    scan,
+    outcome_or_raise,
+    scan_group,
     step,
 )
 
@@ -164,25 +165,29 @@ def reference_run(machine, walk, m, cap, collect_intervals=False, watch=None):
                         finished = True
         return finished
 
-    def last_departure(codes, taken):
+    def last_departure(codes, bounds, rows, taken):
+        """scan_group's stop for the group of one walk: the index of the step
+        of the m-th departure, or -1."""
         lab = machine._label[codes]
         hits = np.flatnonzero(lab)
         for j, v in zip(hits.tolist(), lab[hits].tolist()):
-            t = taken + j + 1
+            t = int(taken[0]) + j + 1
             done = False
             while v:
                 bit = v & -v
                 done = on_circle(bit.bit_length() - 1, t) or done
                 v ^= bit
             if done:
-                return j
-        return None
+                return np.array([j])
+        return np.array([-1])
 
-    if m and last_departure(np.array([walk.code]), -1) is None:
-        scan(
-            walk, cap, last_departure,
-            lambda: f"driving ladder finished only {len(clock.departures)}/{m} departures",
+    # the start cell is step 0: a one-cell block after -1 steps
+    if m and last_departure(np.array([walk.code]), None, None, [-1])[0] < 0:
+        ran = scan_group(
+            [walk], [cap], last_departure,
+            lambda i: f"driving ladder finished only {len(clock.departures)}/{m} departures",
         )
+        outcome_or_raise(ran[0])
     record = TraversalRecord(
         counts={lad.level: counts[li] for li, lad in enumerate(machine.ladders)},
         driving_level=machine.ladders[machine.driving].level,

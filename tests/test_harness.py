@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -17,12 +18,14 @@ from coverlab.harness import (
     load_tolerances,
     run_barrier_sweep,
     run_cover_experiment,
+    run_curve_report,
     run_excursion_length_experiment,
     run_gw_equivalence,
     run_oracle_check,
     run_transfer_check,
 )
-from coverlab.lattice import BudgetExceededError
+from coverlab.excursions import circle_machine
+from coverlab.lattice import BudgetExceededError, TorusPoint
 
 
 def test_tolerance_manifest_loads_and_has_provenance_tags():
@@ -136,7 +139,7 @@ def test_cover_anchors_recomputed_not_hardcoded():
     ids=["cover", "transfer", "excursion", "curves"],
 )
 def test_worker_override_matches_serial(name, kwargs):
-    # transfer's trial payload carries a prebuilt TraversalMachine, which
+    # transfer's run is a partial over a prebuilt TraversalMachine, which
     # must pickle to the worker processes and give the serial rows there
     serial, pooled = (
         REGISTRY[name](ExperimentConfig(name=name, seed=9, workers=w, **kwargs)) for w in (1, 2)
@@ -294,28 +297,79 @@ def test_cli_malformed_params_is_usage_error(capsys):
     assert "--params needs five" in capsys.readouterr().err
 
 
-def _square_or_overrun(overrun_at, trial):
-    if trial in overrun_at:
-        raise BudgetExceededError(f"trial {trial} overran", steps_taken=trial)
-    return trial * trial
+def _square_or_overrun(overrun_at, walks):
+    """Trial t's walk starts at (t, 0): t squared, or an overrun for t in overrun_at."""
+    out = []
+    for walk in walks:
+        t = walk.position.x
+        out.append(
+            BudgetExceededError(f"trial {t} overran", steps_taken=t) if t in overrun_at else t * t
+        )
+    return out
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_trials_drops_and_counts_overruns_in_trial_order(workers):
     cfg = ExperimentConfig(name="cover", workers=workers)
-    overrun_at = frozenset({0, 5, 6, 22})
-    results, overruns = _map_trials(_square_or_overrun, overrun_at, 23, cfg)
-    assert results == [t * t for t in range(23) if t not in overrun_at]
-    assert overruns == 4
-    assert _map_trials(_square_or_overrun, frozenset(range(3)), 3, cfg) == ([], 3)
+    starts = [TorusPoint(t, 0, 64) for t in range(45)]
+    overrun_at = frozenset({0, 5, 6, 22, 40})
+    run = functools.partial(_square_or_overrun, overrun_at)
+    results, overruns = _map_trials(cfg, "cover", "squares", run, starts, 45)
+    assert results == [t * t for t in range(45) if t not in overrun_at]
+    assert overruns == 5
+    run = functools.partial(_square_or_overrun, frozenset(range(3)))
+    assert _map_trials(cfg, "cover", "squares", run, starts, 3) == ([], 3)
 
 
-def _always_overrun(payload, trial):
-    raise BudgetExceededError(f"trial {trial} overran", steps_taken=0)
+def _one_at_a_time(seed, experiment, section, run, start, n_trials):
+    """Each trial's outcome with its walk run alone, as a group of one."""
+    key = lattice.stream_key(seed, experiment, section)
+    return [
+        run([lattice.WalkState(start if isinstance(start, TorusPoint) else start[t], key, t)])[0]
+        for t in range(n_trials)
+    ]
+
+
+def _runner_cases():
+    """(run, start, trials) of four sections: at n = 32, mask hits and
+    ladders from a fixed start and clocks from per-trial starts, each with a
+    cap that overruns some walks; cover times at n = 6."""
+    n = 32
+    center = TorusPoint(16, 16, n)
+    exit_ring = lattice.exterior_boundary_mask(lattice.ball_mask(center, 10.0))
+    machine = circle_machine(center, [12.0, 6.0, 3.0])
+    starts = [center.shifted(t % 9, t % 5) for t in range(70)]
+    top = center.shifted(12, 0)
+    return {
+        "hits": (functools.partial(harness._hits, exit_ring, 90), center, 70),
+        "ladders": (functools.partial(harness._ladders, machine, 1, 900), top, 70),
+        "clocks": (functools.partial(harness._clocks, machine, 2, 420), starts, 70),
+        "covers": (harness._covers, TorusPoint(0, 0, 6), 40),
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["hits", "ladders", "clocks", "covers"])
+def test_map_trials_matches_each_walk_run_alone(case, workers):
+    run, start, n_trials = _runner_cases()[case]
+    alone = _one_at_a_time(11, "oracle-check", case, run, start, n_trials)
+    over = [isinstance(o, BudgetExceededError) for o in alone]
+    if case != "covers":
+        # some walks overrun in the middle of the first group, and some finish
+        assert any(over[1:31]) and not all(over[1:31])
+    cfg = ExperimentConfig(name="oracle-check", seed=11, workers=workers)
+    assert _map_trials(cfg, "oracle-check", case, run, start, n_trials) == (
+        [o for o, bad in zip(alone, over) if not bad], sum(over)
+    )
+
+
+def _always_overrun(*args):
+    """A section's run whose every walk overruns; its last argument is the walks."""
+    return [BudgetExceededError("forced overrun", steps_taken=0) for _ in args[-1]]
 
 
 def test_transfer_cell_whose_every_trial_overruns_fails_its_checks(monkeypatch):
-    monkeypatch.setattr(harness, "_transfer_trial", _always_overrun)
+    monkeypatch.setattr(harness, "_ladders", _always_overrun)
     res = run_transfer_check(ExperimentConfig(name="transfer", trials=30, workers=1))
     assert {(r["schedule"], r["trials"], r["failures"]) for r in res.rows} == {
         ("base", 0, 30), ("doubled", 0, 2000)
@@ -329,7 +383,7 @@ def test_transfer_cell_whose_every_trial_overruns_fails_its_checks(monkeypatch):
 
 
 def test_excursion_cell_whose_every_trial_overruns_fails_its_checks(monkeypatch):
-    monkeypatch.setattr(harness, "_excursion_clock_trial", _always_overrun)
+    monkeypatch.setattr(harness, "_clocks", _always_overrun)
     res = run_excursion_length_experiment(
         ExperimentConfig(name="excursion", n_values=(32,), trials=20, workers=1)
     )
@@ -341,17 +395,48 @@ def test_excursion_cell_whose_every_trial_overruns_fails_its_checks(monkeypatch)
     assert all("budget overruns:" in c.detail for c in res.checks)
 
 
+def test_curves_whose_every_walk_overruns_fail_their_walk_checks(monkeypatch):
+    monkeypatch.setattr(harness, "_tilde_ladders", _always_overrun)
+    monkeypatch.setattr(harness, "_late_events", _always_overrun)
+    res = run_curve_report(ExperimentConfig(name="curves", trials=3, workers=1))
+    checks = {c.name: c for c in res.checks}
+    assert not checks["curves_level0_equals_m"].passed
+    assert checks["curves_level0_equals_m"].detail.endswith("; budget overruns: 3")
+    # no late trial finished: the frequency is NaN, not 0, and both late checks fail
+    for name in ("late_event_positive", "late_event_below_corridor"):
+        assert not checks[name].passed
+        assert checks[name].detail.endswith("; budget overruns: 1000")
+    assert res.late_rows
+    for row in res.late_rows:
+        assert (row["trials"], row["failures"], row["hits"]) == (0, 1000, 0)
+        assert np.isnan(row["frequency"]) and not row["below_envelope"]
+    walk = [r for r in res.rows if r["source"] == "walk_tilde"]
+    assert walk and all((r["trials"], r["failures"]) == (0, 3) for r in walk)
+
+
 def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
-    original = harness._hit_prob_trial
-    overran = []
+    original = harness._hits_first
+    seen = []
 
-    def overrun_once(payload, trial):
-        if payload[0].n == 32 and trial == 7:
-            overran.append(payload)
-            raise BudgetExceededError("forced overrun", steps_taken=0)
-        return original(payload, trial)
+    class Trial(lattice.WalkState):
+        """A walk that knows its start and trial index."""
 
-    monkeypatch.setattr(harness, "_hit_prob_trial", overrun_once)
+        def __init__(self, start, seed, stream):
+            super().__init__(start, seed=seed, stream=stream)
+            self.start, self.trial = start, stream
+
+    def overrun_once(A, either, cap, walks):
+        out = original(A, either, cap, walks)
+        if A.shape[0] != 32:
+            return out
+        seen.append((A, either, cap, walks[0].start))
+        return [
+            BudgetExceededError("forced overrun", steps_taken=0) if w.trial == 7 else o
+            for w, o in zip(walks, out)
+        ]
+
+    monkeypatch.setattr(harness, "WalkState", Trial)
+    monkeypatch.setattr(harness, "_hits_first", overrun_once)
     res = run_oracle_check(
         ExperimentConfig(name="oracle-check", trials=400, seed=4, workers=1), sections=("mc",)
     )
@@ -361,11 +446,32 @@ def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
     assert checks["oracle_hit_prob_n32"].detail.endswith("; budget overruns: 1")
     others = [c for name, c in checks.items() if name != "oracle_hit_prob_n32"]
     assert not any("overruns" in c.detail for c in others)
-    # the estimate is over the 399 trials that finished
+    # the estimate is over the 399 trials that finished, here each run alone
     row = next(r for r in res.rows if r["case"] == "hit_prob_n32")
-    finished = [original(overran[0], t) for t in range(400) if t != 7]
+    A, either, cap, start = seen[0]
+    finished = [
+        o for t, o in enumerate(_one_at_a_time(
+            4, "oracle-check", "hit_prob_n32", functools.partial(original, A, either, cap),
+            start, 400,
+        ))
+        if t != 7
+    ]
     assert row["mc"] == sum(finished) / 399
     assert not row["passed"]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cover_below_n3_is_a_usage_error_before_any_walk(monkeypatch, capsys, n):
+    from coverlab.cli import main
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk was built")
+
+    monkeypatch.setattr(harness, "WalkState", no_walk)
+    # n = 16 comes first: none of its trials runs either
+    assert main(["cover", "--n", "16", str(n), "--trials", "5"]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: cover needs every n >= 3 (got n = {n})" in err
 
 
 def test_harness_import_leaves_scipy_stats_out():
