@@ -77,7 +77,7 @@ class TraversalRecord:
         return self.counts[level]
 
 
-def validate_radii(radii, n: int | None = None, innermost_one: bool = True):
+def validate_radii(radii, n: int | None = None):
     """Schedule-build checks: strictly decreasing, unit gaps, innermost = 1."""
     radii = [float(r) for r in radii]
     if len(radii) < 2:
@@ -89,7 +89,7 @@ def validate_radii(radii, n: int | None = None, innermost_one: bool = True):
             raise ValueError(
                 f"consecutive radii {a}, {b} differ by < 1: a unit step could cross both circles"
             )
-    if innermost_one and radii[-1] != 1:
+    if radii[-1] != 1:
         raise ValueError("innermost radius must be 1")
     if n is not None and not radii[0] < n / 2:
         raise ValueError("outermost radius must be < n/2")
@@ -392,7 +392,6 @@ def hat_traversal(
     radii,
     m: int,
     cap: int,
-    inflation: float | None = None,
 ) -> tuple[TraversalRecord, ExcursionClock]:
     """Hat-variant counts on inflated outer / deflated inner circles.
 
@@ -403,7 +402,7 @@ def hat_traversal(
     domination hat <= tilde.
     """
     radii = validate_radii(radii, n=center.n)
-    eps = hat_inflation(center.n) if inflation is None else float(inflation)
+    eps = hat_inflation(center.n)
     L = len(radii) - 1
     circles = []
     index: dict[tuple[str, int], int] = {}

@@ -21,27 +21,12 @@ from scipy.special._ufuncs import _nbinom_pmf
 from .stats import wilson_interval
 
 
-@dataclass
-class GWTrajectory:
-    """Generation sizes T_0, T_1, ...; absorbed at zero."""
-
-    generations: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.generations, dtype=np.int64)
-        dead = np.nonzero(g == 0)[0]
-        if dead.size and g[dead[0] :].any():
-            raise ValueError("population resurrects after extinction")
-        self.generations = g
-
-
 def gw_generations(pop, rng: np.random.Generator):
     """Yield generations T_1, T_2, ... of independent GW paths from T_0 = ``pop``.
 
     Each generation draws NB(T, 1/2) for the living paths only, in path
     order; extinct paths stay at zero and draw nothing.  Only the current
     generation is kept; the caller must not modify the yielded arrays.
-    ``gw_step`` is the scalar draw for one path and one generation.
     """
     pop = np.asarray(pop, dtype=np.int64)
     while True:
@@ -51,25 +36,6 @@ def gw_generations(pop, rng: np.random.Generator):
             nxt[alive] = rng.negative_binomial(pop[alive], 0.5)
         pop = nxt
         yield pop
-
-
-def gw_step(m: int, rng: np.random.Generator) -> int:
-    """One generation from population m: sum of m geometric(1/2) offspring."""
-    if m < 0:
-        raise ValueError("population must be nonnegative")
-    if m == 0:
-        return 0
-    return int(rng.negative_binomial(m, 0.5))
-
-
-def gw_path(m: int, length: int, rng: np.random.Generator) -> GWTrajectory:
-    out = np.empty(length + 1, dtype=np.int64)
-    out[0] = m
-    cur = m
-    for i in range(1, length + 1):
-        cur = gw_step(cur, rng)
-        out[i] = cur
-    return GWTrajectory(out)
 
 
 def extinct_by(m: int, k: int) -> float:
@@ -175,8 +141,11 @@ def srw_traversal_counts(L: int, m: int, rng: np.random.Generator) -> np.ndarray
                 return counts
 
 
+SRW_MAX_ITERS = 10_000_000  # batch sampler steps before it gives up
+
+
 def srw_traversal_samples(
-    L: int, m: int, size: int, rng: np.random.Generator, max_iters: int = 10_000_000
+    L: int, m: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorised batch of srw_traversal_counts draws, shape (size, L)."""
     pos = np.ones(size, dtype=np.int64)
@@ -184,7 +153,7 @@ def srw_traversal_samples(
     counts = np.zeros((size, L), dtype=np.int64)
     counts[:, 0] = 1
     rows = np.arange(size)
-    for _ in range(max_iters):
+    for _ in range(SRW_MAX_ITERS):
         active = visits < m
         if not active.any():
             return counts
@@ -200,22 +169,28 @@ def srw_traversal_samples(
     raise RuntimeError("batch sampler did not absorb within the iteration cap")
 
 
-def enumerate_traversal_law(
-    L: int, m: int, count_cap: int = 12, tol: float = 1e-16, max_iters: int = 20_000
-) -> dict[tuple, float]:
+# enumerate_traversal_law stops once the live mass falls below ENUM_TOL or
+# after ENUM_MAX_ITERS steps, and counts above ENUM_COUNT_CAP overflow
+ENUM_COUNT_CAP = 14
+ENUM_TOL = 1e-16
+ENUM_MAX_ITERS = 20_000
+
+
+def enumerate_traversal_law(L: int, m: int) -> dict[tuple, float]:
     """Exact joint law of (T_0, ..., T_{L-1}) by absorbing-chain propagation.
 
     Independent of the NB convolution route: the state is the walk position,
     the number of 0-visits, and the capped count vector; mass reaching a
-    count above ``count_cap`` is reported under the key ``"overflow"``.
+    count above ``ENUM_COUNT_CAP``, or still live at the stop, is reported
+    under the key ``"overflow"``.
     """
     start_counts = tuple([1] + [0] * (L - 1))
     live: dict[tuple, float] = {(1, 0, start_counts): 1.0}
     absorbed: dict[tuple, float] = {}
     overflow = 0.0
 
-    for _ in range(max_iters):
-        if sum(live.values()) < tol:
+    for _ in range(ENUM_MAX_ITERS):
+        if sum(live.values()) < ENUM_TOL:
             break
         nxt: dict[tuple, float] = {}
 
@@ -233,7 +208,7 @@ def enumerate_traversal_law(
 
         def bump(counts, edge):
             c = counts[edge] + 1
-            if c > count_cap:
+            if c > ENUM_COUNT_CAP:
                 return None
             return counts[:edge] + (c,) + counts[edge + 1 :]
 
@@ -400,14 +375,13 @@ def exact_barrier_probability(spec: BarrierSpec, mode: str, cap: int | None = No
 
 
 def conditioned_extinction_samples(
-    m: int, horizon: int, size: int, rng: np.random.Generator, cap: int | None = None
+    m: int, horizon: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """GW paths conditioned on T_horizon = 0, via the exact h-transform.
 
     Returns an array (size, horizon + 1) of populations with T_0 = m.
     """
-    if cap is None:
-        cap = max(64, 4 * m)
+    cap = max(64, 4 * m)
     out = np.zeros((size, horizon + 1), dtype=np.int64)
     out[:, 0] = m
     cur = np.full(size, m, dtype=np.int64)

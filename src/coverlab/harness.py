@@ -219,9 +219,14 @@ def _ladders(machine, m, cap, walks):
 
 
 def _parse_toy(spec: str) -> tuple[int, float]:
-    body = spec.split(":", 1)[1]
-    L_str, ell_str = body.split(",")
-    return int(L_str), float(ell_str)
+    kind, _, body = spec.partition(":")
+    try:
+        L_str, ell_str = body.split(",")
+        if kind == "toy":
+            return int(L_str), float(ell_str)
+    except ValueError:
+        pass
+    raise ValueError(f"schedule must be 'strict' or 'toy:L,ell' (got {spec!r})")
 
 
 # -- cover experiment -----------------------------------------------------------
@@ -243,7 +248,8 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     the gap statistic 2 log n - tau_hat is reported and tested for monotone
     movement toward the -log log n correction.  The band [band_lo, band_hi]
     is Matthews' exact bracket on E[t_cov] (oracle.matthews_cover_bracket)
-    in norm_mean units, which any correct engine's mean must sit inside.
+    in norm_mean units, which E[t_cov] sits inside for any correct engine;
+    the check allows the Monte Carlo mean oracle.mc_sigma standard errors.
     """
     tol = load_tolerances()
     n_values = cfg.n_values or (64, 128, 256)
@@ -278,6 +284,7 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lower, upper = oracle.matthews_cover_bracket(n)
         band_lo = lower / (n * n * logn**2)
         band_hi = upper / (n * n * logn**2)
+        band_slack = tol["oracle.mc_sigma"] * summ.se / (n * n * logn**2)
         gap = 2 * logn - tau_hat
         resid = tau_hat - (2 * logn - loglog)
         fitted_exponent = math.log(abs(resid)) / math.log(loglog) if resid != 0 else 0.0
@@ -300,9 +307,9 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         checks.append(
             Check(
                 f"cover_band_n{n}",
-                band_lo <= norm_mean <= band_hi,
+                band_lo - band_slack <= norm_mean <= band_hi + band_slack,
                 f"norm_mean={norm_mean:.4f} Matthews bracket=[{band_lo:.4f}, "
-                f"{band_hi:.4f}] (second-order anchor {anchor2:.4f})",
+                f"{band_hi:.4f}] +- {band_slack:.4f} (second-order anchor {anchor2:.4f})",
             )
         )
     slack_z = tol["cover.trend_slack_sigma"]
@@ -607,7 +614,7 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     worst = 0.0
     for m in (1, 2):
         for L in (2, 3):
-            law = gw.enumerate_traversal_law(L, m, count_cap=14)
+            law = gw.enumerate_traversal_law(L, m)
             overflow = law.pop("overflow")
             for counts, p in law.items():
                 gw_p = gw.gw_joint_prob(m, counts[1:])
@@ -772,13 +779,6 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     prefactor = max(ratios)
     for (spec, est, p_exact, shape), ratio in zip(upper_rows, ratios):
         rows.append(_barrier_row("upper", spec, trials, est, p_exact, shape, ratio, prefactor))
-    checks.append(
-        Check(
-            "barrier_upper_below_fitted_envelope",
-            all(r <= prefactor * (1 + 1e-12) for r in ratios),
-            f"fitted prefactor {prefactor:.4f} dominates all {len(ratios)} cells",
-        )
-    )
     checks.append(
         Check(
             "barrier_upper_prefactor_order_one",

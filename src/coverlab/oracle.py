@@ -276,7 +276,6 @@ class EquilibriumPair:
     inner_codes: np.ndarray
     q: float
     residual: float
-    iterations: int
 
 
 class EquilibriumWorkspace:
@@ -312,7 +311,7 @@ class EquilibriumWorkspace:
             return self._pair
         compose = self.K_out2in @ self.K_in2out  # outer -> outer
         mu = np.full(self.outer_codes.size, 1.0 / self.outer_codes.size)
-        for it in range(1, POWER_MAX_ITERS + 1):
+        for _ in range(POWER_MAX_ITERS):
             nxt = mu @ compose
             nxt /= nxt.sum()
             delta = np.abs(nxt - mu).max()
@@ -335,7 +334,6 @@ class EquilibriumWorkspace:
             inner_codes=self.inner_codes,
             q=q,
             residual=float(resid),
-            iterations=it,
         )
         return self._pair
 
@@ -498,7 +496,7 @@ def kac_moment_check(A, n: int) -> dict[str, float]:
     hmax = h1.max()
     ratio2 = float((h2 / (2 * h1 * hmax)).max())
     ratio3 = float((h3 / (6 * h1 * hmax**2)).max())
-    return {"ratio_m2": ratio2, "ratio_m3": ratio3, "max_expected": float(hmax)}
+    return {"ratio_m2": ratio2, "ratio_m3": ratio3}
 
 
 # -- cover-time oracles ---------------------------------------------------------
@@ -589,9 +587,7 @@ class CircleChain:
     """
 
     def __init__(self, center: TorusPoint, radii, n: int):
-        self.center = center
         self.radii = [float(r) for r in radii]
-        self.n = n
         self.L = len(self.radii) - 1
         if self.L < 1:
             raise ValueError("a circle chain needs at least two circles")

@@ -3,8 +3,9 @@ circle-to-circle probability tables.
 
 Everything here is pure double-precision arithmetic with integer rounding
 exactly where the ceil/floor prescriptions sit.  The asymptotic parameter
-constraints are validated on demand only: at desk scale they are unreachable,
-so experiments may instead supply a directly specified toy (L, ell) schedule.
+constraints are reported by ``validate_params`` and never enforced: at desk
+scale they are unreachable, so experiments may instead supply a directly
+specified toy (L, ell) schedule.
 """
 
 from __future__ import annotations
@@ -88,16 +89,12 @@ class DerivedScales:
         return math.ceil(s * self.loglog / math.log(self.ell))
 
 
-def derive_scales(p: ParamSet, strict: bool = False) -> DerivedScales:
+def derive_scales(p: ParamSet) -> DerivedScales:
     """All scales from the exact formulas: ell and L here, the rest as in
-    ``toy_scales``; ``strict`` enforces the asymptotic parameter constraints
-    (opt-in: they cannot hold at desk-scale n)."""
+    ``toy_scales``.  The asymptotic parameter constraints are not enforced
+    (they cannot hold at desk-scale n); ``validate_params`` reports them."""
     if p.n < 16:
         raise ValueError("need n >= 16 so that log log n > 0")
-    if strict:
-        bad = [iq for iq in validate_params(p) if not iq.passed]
-        if bad:
-            raise ValueError("parameter constraints violated: " + ", ".join(iq.name for iq in bad))
     logn = math.log(p.n)
     loglog = math.log(logn)
     ell = math.exp(loglog**p.alpha)
@@ -113,11 +110,12 @@ def toy_scales(
     L: int,
     ell: float,
     p: ParamSet | None = None,
-    m_plus: int | None = None,
     m_minus: int | None = None,
 ) -> DerivedScales:
     """Directly specified geometric schedule r_k = ell^(L-k) with the window,
     fluctuation and crossing numbers recomputed from the toy ratio."""
+    if not ell > 1:
+        raise ValueError(f"a toy schedule needs ell > 1 (got ell = {ell:g})")
     if p is None:
         p = ParamSet(n=n)
     logn = math.log(n)
@@ -125,8 +123,7 @@ def toy_scales(
     w = loglog**p.beta
     s = loglog**p.gamma
     base = 2 * logn**2 / math.log(ell)
-    if m_plus is None:
-        m_plus = math.floor((1 - loglog / (2 * logn) + s / logn) * base)
+    m_plus = math.floor((1 - loglog / (2 * logn) + s / logn) * base)
     if m_minus is None:
         m_minus = math.ceil((1 - loglog / (2 * logn) - s / logn) * base)
     radii = tuple(float(ell) ** (L - k) for k in range(L + 1))
@@ -168,14 +165,12 @@ class BarrierCurve:
     """Evaluable control curve; kind selects the formula and rounding."""
 
     kind: str  # a_plus | a_minus | b_plus | b_minus
-    scales: DerivedScales | None = None
+    scales: DerivedScales
     kappa: float = 2.0
     delta: float = 0.05
 
     def __call__(self, i):
         sc = self.scales
-        if sc is None:
-            raise ValueError("scaled curves need a DerivedScales")
         L = sc.L
         if self.kind == "a_plus":
             if not 1 <= i <= L - 1:

@@ -1,6 +1,7 @@
 """Small statistics helpers shared by the experiments.
 
-CI methods are fixed across the artifact: Wilson for proportions, t for means.
+Interval methods are fixed across the artifact: Wilson for proportions, standard
+errors for means.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import numpy as np
 from scipy.special import chdtrc
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval; defaults to a 3-sigma-style z."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at a 3-sigma-style z = 3."""
     if trials <= 0:
         raise ValueError("need at least one trial")
+    z = 3.0
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -28,31 +30,28 @@ class MeanSummary:
     count: int
     mean: float
     var: float
-    ci_lo: float
-    ci_hi: float
 
     @property
     def se(self) -> float:
         return math.sqrt(self.var / self.count) if self.count > 1 else float("inf")
 
 
-def summarize_mean(values, z: float = 3.0) -> MeanSummary:
-    """Mean with a t-style interval of half-width z standard errors."""
+def summarize_mean(values) -> MeanSummary:
+    """Count, mean and sample variance; ``se`` is the standard error."""
     arr = np.asarray(values, dtype=float)
     n = arr.size
     if n == 0:
         raise ValueError("no values")
     mean = float(arr.mean())
     var = float(arr.var(ddof=1)) if n > 1 else 0.0
-    se = math.sqrt(var / n) if n > 1 else float("inf")
-    return MeanSummary(count=n, mean=mean, var=var, ci_lo=mean - z * se, ci_hi=mean + z * se)
+    return MeanSummary(count=n, mean=mean, var=var)
 
 
-def two_sample_chisquare(counts_a, counts_b, min_expected: float = 5.0) -> tuple[float, float]:
+def two_sample_chisquare(counts_a, counts_b) -> tuple[float, float]:
     """Pooled-bin two-sample chi-square; returns (statistic, p_value).
 
-    Bins are merged greedily from the right until every pooled expected count
-    reaches ``min_expected`` in both samples.
+    Bins are merged greedily from the left until each pooled count reaches 5
+    in both samples; a short tail joins the last pooled bin.
     """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
@@ -63,7 +62,7 @@ def two_sample_chisquare(counts_a, counts_b, min_expected: float = 5.0) -> tuple
     for va, vb in zip(a, b):
         acc_a += va
         acc_b += vb
-        if acc_a >= min_expected and acc_b >= min_expected:
+        if acc_a >= 5 and acc_b >= 5:
             bins_a.append(acc_a)
             bins_b.append(acc_b)
             acc_a = acc_b = 0.0

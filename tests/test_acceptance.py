@@ -8,7 +8,8 @@ from a Monte Carlo output:
   * criterion 4's concentration clause uses the exact relSD(D_1) of one
     excursion cycle (~1.055 at n = 128, r = 4, R = 32),
   * criterion 7's normalized-mean band is Matthews' exact bracket on
-    E[t_cov] (~[0.67, 1.58] at n = 64 down to ~[0.57, 1.50] at n = 256).
+    E[t_cov] (~[0.67, 1.58] at n = 64 down to ~[0.57, 1.50] at n = 256),
+    which the Monte Carlo mean may miss by its sampling error alone.
 
 Every criterion must be green.
 """
@@ -127,7 +128,8 @@ def test_criterion_07a_cover_gap_trend(cover_result):
 
 
 def test_criterion_07b_cover_band_faithful(cover_result):
-    """Normalized mean E[t_cov]/(n^2 log^2 n) inside Matthews' exact bracket.
+    """Normalized mean E[t_cov]/(n^2 log^2 n) inside Matthews' exact bracket,
+    up to oracle.mc_sigma standard errors of the Monte Carlo mean.
 
     Upper edge max_x E_x H_0 * H_{n^2-1}; lower edge the best sublattice
     bound min E_a H_b * H_{(n/k)^2-1} over k | n.  The second-order anchor
@@ -146,7 +148,8 @@ def test_criterion_08_transfer_ratio():
 
 
 def test_criterion_09_barrier_shape():
-    """Lower-mode normalized probabilities bounded below; upper-mode envelope."""
+    """Lower-mode normalized probabilities bounded below; the upper-mode fitted
+    prefactor (the largest p_hat / shape ratio) is of order one."""
     res = run_barrier_sweep(ExperimentConfig(name="barrier", trials=200_000, seed=SEED))
     ok, checks = _report("9 (barrier shape)", res)
     assert ok, [c.detail for c in checks if not c.passed]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,16 +6,14 @@ import pytest
 
 from coverlab.gw import (
     BarrierSpec,
-    GWTrajectory,
     barrier_bands,
     barrier_event_mc,
     conditioned_extinction_samples,
     enumerate_traversal_law,
     exact_barrier_probability,
     extinct_by,
+    gw_generations,
     gw_joint_prob,
-    gw_path,
-    gw_step,
     iterate_law,
     one_step_pmf,
     srw_traversal_counts,
@@ -29,14 +28,34 @@ def _rng(seed=0):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
+def _generation(m, i, size, rng):
+    """T_i of ``size`` independent GW paths from T_0 = m."""
+    return next(itertools.islice(gw_generations(np.full(size, m), rng), i - 1, None))
+
+
 def test_gw_step_zero_is_absorbing():
+    # an extinct population stays at zero and takes no draws from the stream
     rng = _rng()
-    assert all(gw_step(0, rng) == 0 for _ in range(10))
+    gens = gw_generations(np.zeros(4, dtype=np.int64), rng)
+    assert all((next(gens) == 0).all() for _ in range(10))
+    assert rng.random() == _rng().random()
 
 
 def test_trajectory_rejects_resurrection():
-    with pytest.raises(ValueError):
-        GWTrajectory(np.array([2, 0, 1]))
+    # a path that dies is never resurrected, and a dead path takes no draws:
+    # the live paths of a mixed run equal a run of the live paths alone,
+    # generation by generation
+    pop = np.array([0, 3, 0, 7, 1, 0, 5, 2])
+    live = pop > 0
+    mixed = gw_generations(pop, _rng())
+    alone = gw_generations(pop[live], _rng())
+    dead = ~live
+    for _ in range(8):
+        gen, ref = next(mixed), next(alone)
+        assert (gen[dead] == 0).all()
+        assert np.array_equal(gen[live], ref)
+        dead |= gen == 0
+    assert dead[live].any()  # some live path died on the way and stayed dead
 
 
 def test_one_step_law_geometric_and_convolution():
@@ -52,7 +71,7 @@ def test_one_step_law_geometric_and_convolution():
 def test_gw_step_empirical_frequencies():
     rng = _rng(1)
     n = 200_000
-    draws = np.array([gw_step(1, rng) for _ in range(n)])
+    draws = _generation(1, 1, n, rng)
     for j in range(6):
         p = 2.0 ** -(j + 1)
         freq = (draws == j).mean()
@@ -62,7 +81,7 @@ def test_gw_step_empirical_frequencies():
 def test_criticality_and_variance():
     rng = _rng(2)
     for m in (1, 10, 100):
-        draws = np.array([gw_step(m, rng) for _ in range(40_000)])
+        draws = _generation(m, 1, 40_000, rng)
         se_mean = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - m) <= 3 * se_mean
         # geometric(1/2) has variance 2, so one step from m has variance 2m
@@ -86,7 +105,7 @@ def test_extinct_by_examples_and_monotonicity():
 def test_extinct_by_mc():
     rng = _rng(3)
     n = 30_000
-    hits = sum(gw_path(5, 3, rng).generations[3] == 0 for _ in range(n))
+    hits = int((_generation(5, 3, n, rng) == 0).sum())
     p = extinct_by(5, 3)
     assert abs(hits / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -111,7 +130,7 @@ def test_envelope_dominates_exact_law_on_grid():
 def test_envelope_dominates_mc_frequencies():
     rng = _rng(4)
     m, i, n = 50, 3, 20_000
-    draws = np.array([gw_path(m, i, rng).generations[i] for _ in range(n)])
+    draws = _generation(m, i, n, rng)
     for mp in (30, 50, 80):
         freq = (draws == mp).mean()
         se = math.sqrt(max(freq * (1 - freq), 1e-9) / n)
@@ -158,7 +177,7 @@ def test_srw_traversal_t0_is_m():
 def test_srw_enumeration_equals_gw_joint_law():
     for L in (2, 3):
         for m in (1, 2):
-            law = enumerate_traversal_law(L, m, count_cap=14)
+            law = enumerate_traversal_law(L, m)
             overflow = law.pop("overflow")
             assert overflow < 1e-2
             total = 0.0

@@ -128,6 +128,30 @@ def test_cover_anchors_recomputed_not_hardcoded():
     assert row["band_hi"] == pytest.approx(hit.max() * harmonic(n * n - 1) / scale, rel=1e-9)
 
 
+def _cover_n3():
+    return run_cover_experiment(ExperimentConfig(name="cover", n_values=(3,), trials=30, seed=0))
+
+
+def test_cover_band_allows_the_mean_its_sampling_error():
+    # at 30 trials the n = 3 mean sits above Matthews' upper edge, though the
+    # exact mean lies inside the bracket: the band check allows mc_sigma SEs
+    res = _cover_n3()
+    row = res.rows[0]
+    scale = 9 * np.log(3) ** 2
+    assert row["norm_mean"] > row["band_hi"] and not row["in_band"]
+    assert row["band_lo"] <= oracle.exact_cover_mean(3) / scale <= row["band_hi"]
+    assert res.checks[0].name == "cover_band_n3" and res.checks[0].passed
+
+
+def test_cover_band_fails_a_mean_beyond_its_sampling_error(monkeypatch):
+    row = _cover_n3().rows[0]
+    upper = row["mean_steps"] - 4 * row["se_steps"]  # 4 SEs below the run's mean
+    monkeypatch.setattr(oracle, "matthews_cover_bracket", lambda n: (upper / 2, upper))
+    res = _cover_n3()
+    assert res.rows[0]["mean_steps"] == row["mean_steps"]
+    assert res.checks[0].name == "cover_band_n3" and not res.checks[0].passed
+
+
 @pytest.mark.parametrize(
     "name, kwargs",
     [
@@ -287,6 +311,24 @@ def test_cli_strict_schedule_too_shallow_is_usage_error():
     from coverlab.cli import main
 
     assert main(["curves", "--n", "64", "--schedule", "strict", "--trials", "10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("foo", "schedule must be 'strict' or 'toy:L,ell' (got 'foo')"),
+        ("toy:4", "schedule must be 'strict' or 'toy:L,ell' (got 'toy:4')"),
+        ("toy:x,2", "schedule must be 'strict' or 'toy:L,ell' (got 'toy:x,2')"),
+        ("bar:4,2", "schedule must be 'strict' or 'toy:L,ell' (got 'bar:4,2')"),
+        ("toy:4,1", "a toy schedule needs ell > 1 (got ell = 1)"),
+    ],
+    ids=["no-colon", "one-number", "non-integer-L", "other-prefix", "ell-one"],
+)
+def test_cli_malformed_schedule_is_a_usage_error(capsys, spec, message):
+    from coverlab.cli import main
+
+    assert main(["curves", "--schedule", spec, "--trials", "1"]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
 
 
 def test_cli_malformed_params_is_usage_error(capsys):

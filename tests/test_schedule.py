@@ -62,9 +62,10 @@ def test_derive_scales_small_n_guards():
         derive_scales(ParamSet(n=16, c_star=50.0))
 
 
-def test_strict_mode_rejects_bad_params():
-    with pytest.raises(ValueError):
-        derive_scales(ParamSet(n=10**6, delta=0.1, alpha=0.05, beta=0.3, gamma=0.95), strict=True)
+def test_validate_params_reports_the_violated_constraint():
+    p = ParamSet(n=10**6, delta=0.1, alpha=0.05, beta=0.3, gamma=0.95)
+    bad = [iq.name for iq in validate_params(p) if not iq.passed]
+    assert bad == ["alpha + beta > 1/2 + delta - alpha*delta"]
 
 
 def test_d_n_properties():
