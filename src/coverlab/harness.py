@@ -11,7 +11,8 @@ walk section runs: it derives the section's key, builds each trial's walk,
 hands the section's ``run`` groups of walks that advance in lockstep, counts
 budget overruns and leaves those trials out of the summaries.  Each ``run`` is
 a small module-level function over a prebuilt machine or mask.  ``_result``
-builds every result and writes every CSV.
+builds every result and writes every CSV, and ``_mc_check`` makes every
+Monte Carlo-vs-exact check.
 """
 
 from __future__ import annotations
@@ -140,6 +141,22 @@ def _result(cfg, name, schema, rows, checks, late_rows=None) -> ExperimentResult
     return ExperimentResult(name, schema, rows, checks, late_rows=late_rows)
 
 
+def _overruns(count):
+    return f"; budget overruns: {count}" if count else ""
+
+
+def _mc_check(name, label, mc, se, lo, hi, z, overruns, note):
+    """A Monte Carlo statistic against its exact value, or bracket [lo, hi].
+
+    It passes when lo - z se <= mc <= hi + z se and no trial of its cell
+    overran: the trials that finished alone are a censored sample.  A NaN
+    statistic (no trial finished) fails."""
+    exact = f"{lo:.5g}" if lo == hi else f"[{lo:.5g}, {hi:.5g}]"
+    passed = bool(lo - z * se <= mc <= hi + z * se) and not overruns
+    detail = f"mc {label}={mc:.5g} exact={exact} se={se:.3g} z={z:g} {note}".rstrip()
+    return Check(name, passed, detail + _overruns(overruns))
+
+
 # Walks a worker hands a section's run at once: enough to fill a scan round
 # of first blocks (32 x 1024 moves).  Larger groups ran no faster on
 # transfer and raised peak RSS (+1 MiB at 64 on excursion).
@@ -263,15 +280,6 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for n in n_values:
         trials = cfg.trials or default_trials.get(n, 500)
         vals, failures = _map_trials(cfg, "cover", f"n{n}", _covers, TorusPoint(0, 0, n), trials)
-        if not vals:
-            rows.append(
-                dict.fromkeys(COVER_SCHEMA, float("nan"))
-                | dict(n=n, trials=trials, failures=failures, in_band=False)
-            )
-            checks.append(
-                Check(f"cover_band_n{n}", False, f"all {trials} trials exceeded the budget")
-            )
-            continue
         good = np.array(vals, dtype=float)
         summ = stats.summarize_mean(good)
         logn = math.log(n)
@@ -284,16 +292,15 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lower, upper = oracle.matthews_cover_bracket(n)
         band_lo = lower / (n * n * logn**2)
         band_hi = upper / (n * n * logn**2)
-        band_slack = tol["oracle.mc_sigma"] * summ.se / (n * n * logn**2)
+        q10, median, q90 = stats.quantile(good, [0.10, 0.50, 0.90])
         gap = 2 * logn - tau_hat
         resid = tau_hat - (2 * logn - loglog)
         fitted_exponent = math.log(abs(resid)) / math.log(loglog) if resid != 0 else 0.0
         rows.append(
             dict(
                 n=n, trials=trials, failures=failures, mean_steps=summ.mean,
-                se_steps=summ.se, median_steps=float(np.median(good)),
-                q10_steps=float(np.quantile(good, 0.10)),
-                q90_steps=float(np.quantile(good, 0.90)),
+                se_steps=summ.se, median_steps=float(median), q10_steps=float(q10),
+                q90_steps=float(q90),
                 norm_mean=norm_mean, tau_hat=tau_hat, tau_hat_se=tau_hat_se,
                 anchor_leading=anchor1, anchor_second_order=anchor2,
                 anchor_2logn=2 * logn, anchor_2logn_minus_ll=2 * logn - loglog,
@@ -303,13 +310,13 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 fitted_exponent=fitted_exponent,
             )
         )
-        gaps.append((n, gap, tau_hat_se))
+        if vals:  # the trend skips a cell whose every walk overran
+            gaps.append((n, gap, tau_hat_se))
         checks.append(
-            Check(
-                f"cover_band_n{n}",
-                band_lo - band_slack <= norm_mean <= band_hi + band_slack,
-                f"norm_mean={norm_mean:.4f} Matthews bracket=[{band_lo:.4f}, "
-                f"{band_hi:.4f}] +- {band_slack:.4f} (second-order anchor {anchor2:.4f})",
+            _mc_check(
+                f"cover_band_n{n}", "norm_mean", norm_mean, summ.se / (n * n * logn**2),
+                band_lo, band_hi, tol["oracle.mc_sigma"], failures,
+                f"(Matthews bracket; second-order anchor {anchor2:.4f})",
             )
         )
     slack_z = tol["cover.trend_slack_sigma"]
@@ -336,15 +343,6 @@ def run_cover_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 # -- excursion length experiment --------------------------------------------------
-
-
-def _quantile(vals, q):
-    """np.quantile, NaN for a cell whose every trial overran."""
-    return np.quantile(vals, q) if vals.size else np.full(np.shape(q), math.nan)
-
-
-def _overruns(count):
-    return f"; budget overruns: {count}" if count else ""
 
 
 EXCURSION_SCHEMA = [
@@ -391,13 +389,12 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     starts = [cells[i] for i in np.searchsorted(mu_cum, u)]
     d1_vals, d1_fail = clocks("d1", 1, starts, trials_d1)
     # NaN statistics, and so failed checks, if every D_1 clock overran
-    d1_summ = stats.summarize_mean(d1_vals if d1_vals.size else [math.nan])
-    d1_var_se = stats.variance_se(d1_vals) if d1_vals.size > 1 else math.nan
+    d1_summ = stats.summarize_mean(d1_vals)
 
     trials_dm = max(300, cfg.trials // 16) if cfg.trials else 2500
     dm_vals, dm_fail = clocks("dm", m, center, trials_dm)
     ratios = np.abs(dm_vals / (d1_exact * (m - 1)) - 1.0)
-    p95 = float(_quantile(ratios, 0.95))
+    p95 = float(stats.quantile(ratios, 0.95))
     z975 = statistics.NormalDist().inv_cdf(0.975)
     p95_bound = (1 + tol["excursion.conc_p95_slack"]) * z975 * d1_relsd / math.sqrt(m - 1)
 
@@ -410,13 +407,14 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         vals, fail = clocks(f"sweep_m{m_small}", m_small, center, sweep_trials)
         sweep_fail += fail
         dev = np.abs(vals / (d1_exact * (m_small - 1)) - 1.0)
-        sweep_stats[m_small] = float(_quantile(dev, 0.90)) * (m_small - 1) / math.sqrt(m_small)
+        p90 = float(stats.quantile(dev, 0.90))
+        sweep_stats[m_small] = p90 * (m_small - 1) / math.sqrt(m_small)
     # NaN if a sweep cell overran in full
     spread_ratio = float(np.max(list(sweep_stats.values())) / np.min(list(sweep_stats.values())))
 
     # tail: empirical log-survival over the upper decade of D_1
     qs = np.linspace(0.90, 0.99, 10)
-    lam = _quantile(d1_vals, qs)
+    lam = stats.quantile(d1_vals, qs)
     surv = 1.0 - qs
     slope, intercept, r2 = (
         stats.linear_fit_r2(lam, np.log(surv)) if d1_vals.size else (math.nan,) * 3
@@ -437,7 +435,7 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     add("d1_mc_se", d1_summ.se, 0.0, "derived:mc")
     add("d1_exact", d1_exact, formula, "oracle:linear_solve")
     add("dm_ratio_p95", p95, p95_bound, "paper:prop_a10")
-    add("dm_ratio_p50", float(_quantile(ratios, 0.50)), 0.0, "derived:mc")
+    add("dm_ratio_p50", float(stats.quantile(ratios, 0.50)), 0.0, "derived:mc")
     for m_small, s in sweep_stats.items():
         add(f"spread_shape_m{m_small}", s, 0.0, "derived:mc")
     add("spread_shape_ratio", spread_ratio, 3.0, "derived:mc")
@@ -452,17 +450,14 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"mc={d1_summ.mean:.1f} formula={formula:.1f} "
             f"rel={d1_summ.mean / formula - 1.0:+.4f}{_overruns(d1_fail)}",
         ),
-        Check(
-            "excursion_d1_mc_vs_exact_3sigma",
-            abs(d1_summ.mean - d1_exact) <= 3 * d1_summ.se,
-            f"mc={d1_summ.mean:.1f} exact={d1_exact:.1f} se={d1_summ.se:.1f}"
-            f"{_overruns(d1_fail)}",
+        _mc_check(
+            "excursion_d1_mc_vs_exact_3sigma", "mean", d1_summ.mean, d1_summ.se,
+            d1_exact, d1_exact, tol["oracle.mc_sigma"], d1_fail, "",
         ),
-        Check(
-            "excursion_concentration_d1_variance_mc_vs_exact",
-            abs(d1_summ.var - d1_var_exact) <= tol["oracle.mc_sigma"] * d1_var_se,
-            f"mc var={d1_summ.var:.4e} exact={d1_var_exact:.4e} se={d1_var_se:.2e} "
-            f"(exact relSD(D_1)={d1_relsd:.4f}){_overruns(d1_fail)}",
+        _mc_check(
+            "excursion_concentration_d1_variance_mc_vs_exact", "var", d1_summ.var,
+            stats.variance_se(d1_vals), d1_var_exact, d1_var_exact, tol["oracle.mc_sigma"],
+            d1_fail, f"(exact relSD(D_1)={d1_relsd:.4f})",
         ),
         Check(
             "excursion_concentration_p95",
@@ -509,15 +504,12 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
     for event in events:
         targets = {i + 1: event[i] for i in range(len(event))}
         hits = sum(1 for o in good if o[1:] == event)
-        # NaN, and a failed MC check, if every trial overran
-        mc_p = hits / len(good) if good else math.nan
-        mc_se = math.sqrt(max(mc_p * (1 - mc_p), 1e-12) / len(good)) if good else math.nan
+        mc_p, mc_se = stats.proportion(hits, len(good))  # NaN if every trial overran
         exact_p = chain.event_probability(start, 1, targets)
         gw_p = gw.gw_joint_prob(1, list(event))
         lo, hi = schedule.transfer_bracket(table, 1, 1, 1, targets)
         mc_ratio = mc_p / gw_p
         exact_ratio = exact_p / gw_p
-        rel3 = 3 * mc_se / gw_p
         conclusive = hits >= tol["transfer.min_expected_hits"]
         rows.append(
             dict(
@@ -525,7 +517,6 @@ def _transfer_schedule_rows(tag, n, L, ell, events, trials, cfg, tol):
                 m=1, trials=len(good), failures=failures, hits=hits, mc_prob=mc_p, mc_se=mc_se,
                 exact_walk_prob=exact_p, gw_prob=gw_p, mc_ratio=mc_ratio,
                 exact_ratio=exact_ratio, bracket_lo=lo, bracket_hi=hi,
-                in_bracket_mc=(lo - rel3) <= mc_ratio <= (hi + rel3),
                 in_bracket_exact=lo <= exact_ratio <= hi,
                 conclusive=conclusive,
             )
@@ -550,27 +541,26 @@ def run_transfer_check(cfg: ExperimentConfig) -> ExperimentResult:
     rows += _transfer_schedule_rows("doubled", 130, 3, 4.0, events, doubled_trials, cfg, tol)
     checks = []
     for row in rows:
+        name = f"transfer_{row['schedule']}_{row['event']}"
+        mc = _mc_check(
+            f"{name}_bracket_mc", "ratio", row["mc_ratio"], row["mc_se"] / row["gw_prob"],
+            row["bracket_lo"], row["bracket_hi"], tol["oracle.mc_sigma"], row["failures"], "",
+        )
+        row["in_bracket_mc"] = mc.passed
         if row["trials"] and not row["conclusive"]:
             checks.append(
                 Check(
-                    f"transfer_{row['schedule']}_{row['event']}_conclusive",
+                    f"{name}_conclusive",
                     True,
                     f"inconclusive: only {row['hits']} hits (< "
                     f"{tol['transfer.min_expected_hits']:.0f} required); not asserted",
                 )
             )
             continue
+        checks.append(mc)
         checks.append(
             Check(
-                f"transfer_{row['schedule']}_{row['event']}_bracket_mc",
-                bool(row["in_bracket_mc"]),
-                f"mc_ratio={row['mc_ratio']:.4f} bracket=[{row['bracket_lo']:.4f}, "
-                f"{row['bracket_hi']:.4f}] (3-sigma inflated){_overruns(row['failures'])}",
-            )
-        )
-        checks.append(
-            Check(
-                f"transfer_{row['schedule']}_{row['event']}_bracket_exact",
+                f"{name}_bracket_exact",
                 bool(row["in_bracket_exact"]),
                 f"exact_ratio={row['exact_ratio']:.5f}",
             )
@@ -695,6 +685,11 @@ def _barrier_row(mode, spec, trials, est, p_exact, shape, normalized, prefactor)
     )
 
 
+def _barrier_check(name, est, p_exact, tol):
+    p, se = stats.proportion(est.successes, est.trials)
+    return _mc_check(name, "p", p, se, p_exact, p_exact, tol["oracle.mc_sigma"], 0, "")
+
+
 def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Barrier-event sweep in both modes with the exact DP as cross-oracle."""
     tol = load_tolerances()
@@ -716,14 +711,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         norm = est.p_hat / shape
         lower_norms.append(norm)
         rows.append(_barrier_row("lower", spec, trials, est, p_exact, shape, norm, 0.0))
-        se = math.sqrt(max(est.p_hat * (1 - est.p_hat), 1e-12) / trials)
-        checks.append(
-            Check(
-                f"barrier_lower_mc_vs_exact_L{L}",
-                abs(est.p_hat - p_exact) <= 3 * se + 1e-9,
-                f"mc={est.p_hat:.3e} exact={p_exact:.3e} (3sig={3 * se:.1e})",
-            )
-        )
+        checks.append(_barrier_check(f"barrier_lower_mc_vs_exact_L{L}", est, p_exact, tol))
     checks.append(
         Check(
             "barrier_lower_normalized_bounded_below",
@@ -768,14 +756,8 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             )
             ratios.append(est.p_hat / shape)
             upper_rows.append((spec, est, p_exact, shape))
-            se = math.sqrt(max(est.p_hat * (1 - est.p_hat), 1e-12) / trials)
-            checks.append(
-                Check(
-                    f"barrier_upper_mc_vs_exact_L{L}_y{y:g}",
-                    abs(est.p_hat - p_exact) <= 3 * se + 1e-9,
-                    f"mc={est.p_hat:.3e} exact={p_exact:.3e}",
-                )
-            )
+            name = f"barrier_upper_mc_vs_exact_L{L}_y{y:g}"
+            checks.append(_barrier_check(name, est, p_exact, tol))
     prefactor = max(ratios)
     for (spec, est, p_exact, shape), ratio in zip(upper_rows, ratios):
         rows.append(_barrier_row("upper", spec, trials, est, p_exact, shape, ratio, prefactor))
@@ -873,27 +855,22 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         for i in range(1, L):
             col = profiles[:, i]
             ap = a_plus(i)
-            ap2 = a_plus_2k(i)
             am = a_minus(i)
-            f_above = float((col >= ap).mean())
-            f_above2 = float((col >= ap2).mean())
-            f_below = float((col < am).mean())
+            roots = stats.summarize_mean(np.sqrt(col))  # NaN if every walk overran
             centering = math.sqrt(m_plus) * (1 - i / L)
             rows.append(
                 dict(
                     source=source, level=i, m=m_plus, trials=profiles.shape[0], failures=failures,
-                    mean_count=float(col.mean()), mean_sqrt=float(np.sqrt(col).mean()),
-                    centering=centering, frac_above_a_plus=f_above,
-                    frac_above_a_plus_2k=f_above2, frac_below_a_minus=f_below,
+                    mean_count=stats.summarize_mean(col).mean, mean_sqrt=roots.mean,
+                    centering=centering, frac_above_a_plus=stats.summarize_mean(col >= ap).mean,
+                    frac_above_a_plus_2k=stats.summarize_mean(col >= a_plus_2k(i)).mean,
+                    frac_below_a_minus=stats.summarize_mean(col < am).mean,
                     a_plus=ap, a_minus=am,
                 )
             )
             if source == "gw_conditioned":
-                se = float(np.sqrt(col).std(ddof=1) / math.sqrt(col.size))
-                if abs(float(np.sqrt(col).mean()) - centering) > tol[
-                    "curves.centering_abs_tol"
-                ] + 3 * se:
-                    centering_ok = False
+                allowed = tol["curves.centering_abs_tol"] + tol["oracle.mc_sigma"] * roots.se
+                centering_ok &= abs(roots.mean - centering) <= allowed
     checks.append(
         Check(
             "curves_level0_equals_m",
@@ -933,7 +910,8 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         if detect_late_event(record, record.watch_time, clock, b_minus, b_plus, window)
     )
     # NaN, and so failed late checks, if every late trial overran
-    freq = hits / total if total else math.nan
+    freq, se = stats.proportion(hits, total)
+    z = tol["oracle.mc_sigma"]
     # GW corridor probability with the Delta envelope (terminal clause removed)
     table = schedule.prob_table(late_radii, c1=tol["lemma23.c1"], c2=tol["lemma23.c2"])
     corridor = 0.0
@@ -947,13 +925,12 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
                 table, i, late_L - 1 - i, late_m, {i: t}, include_star=False
             )
             envelope += hi * p
-    se = math.sqrt(max(freq * (1 - freq), 1e-12) / max(total, 1))
     late_rows = [
         dict(
             n=late_n, L=late_L, ell=late_ell, m=late_m, level=i,
             b_minus=b_minus(i), b_plus=b_plus(i), trials=total, failures=late_failures, hits=hits,
             frequency=freq, gw_corridor_prob=corridor, envelope=envelope,
-            positive=hits > 0, below_envelope=freq <= envelope + 3 * se,
+            positive=hits > 0, below_envelope=freq <= envelope + z * se,
         )
         for i in window
     ]
@@ -966,11 +943,9 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
         )
     )
     checks.append(
-        Check(
-            "late_event_below_corridor",
-            freq <= 1.5 * corridor + 3 * se,
-            f"freq={freq:.5f} <= 1.5 * corridor={corridor:.5f} + 3se "
-            f"(unvisited clause only removes mass){_overruns(late_failures)}",
+        _mc_check(
+            "late_event_below_corridor", "freq", freq, se, 0.0, 1.5 * corridor, z, late_failures,
+            f"(exact: 1.5 * GW corridor {corridor:.5f}; the unvisited clause only removes mass)",
         )
     )
     return _result(cfg, "curves", CURVE_SCHEMA, rows, checks, late_rows=late_rows)
@@ -1019,18 +994,15 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             )
         )
 
-    def book(case, n, metric, exact, mc, se, lo=None, hi=None, overruns=0):
+    def book(case, n, metric, exact, mc, se, overruns=0):
         """One Monte Carlo row and its check; any budget overrun fails it."""
+        check = _mc_check(f"oracle_{case}", metric, mc, se, exact, exact, z_max, overruns, "")
         zval = (mc - exact) / se if se > 0 else 0.0
-        passed = abs(zval) <= z_max and not overruns
-        if lo is not None:
-            passed = passed and lo <= exact <= hi
-        row(case, n, metric, exact, mc, passed, se, zval, lo or 0.0, hi or 0.0)
-        detail = f"exact={exact:.5g} mc={mc:.5g} z={zval:+.2f}{_overruns(overruns)}"
-        checks.append(Check(f"oracle_{case}", passed, detail))
+        row(case, n, metric, exact, mc, check.passed, se, zval)
+        checks.append(check)
 
     def book_mean(case, n, metric, exact, vals, overruns):
-        summ = stats.summarize_mean(vals or [math.nan])  # NaN if every trial overran
+        summ = stats.summarize_mean(vals)  # NaN if every trial overran
         book(case, n, metric, exact, summ.mean, summ.se, overruns=overruns)
 
     if "mc" in sections:
@@ -1048,9 +1020,7 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
             exact = oracle.hit_prob_exact(y, A, B, n)
             run = functools.partial(_hits_first, A, A | B, 100 * n * n)
             vals, overruns = _map_trials(cfg, "oracle-check", case, run, y, trials)
-            done = max(len(vals), 1)  # if every trial overran, the check fails anyway
-            mc = sum(vals) / done
-            se = math.sqrt(max(mc * (1 - mc), 1e-12) / done)
+            mc, se = stats.proportion(sum(vals), len(vals))
             book(case, n, "hit_prob", exact, mc, se, overruns=overruns)
 
         for case, n, R, start_off in (
@@ -1071,7 +1041,11 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
         x = TorusPoint(32, 32, n)
         R = 20.0
         exact = oracle.expected_hit_exact(x, exterior_boundary_mask(ball_mask(x, R)), n)
-        book("exit_center_band", n, "expected_hit", exact, exact, 1.0, lo=R**2, hi=(R + 1) ** 2)
+        lo, hi = R**2, (R + 1) ** 2
+        inside = lo <= exact <= hi
+        row("exit_center_band", n, "expected_hit", exact, exact, inside, 1.0, 0.0, lo, hi)
+        detail = f"exact={exact:.5g} in [{lo:g}, {hi:g}]"
+        checks.append(Check("oracle_exit_center_band", inside, detail))
 
         # tiny-torus cover chain oracle vs MC
         exact2 = oracle.exact_cover_mean(2)

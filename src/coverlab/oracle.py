@@ -279,7 +279,8 @@ class EquilibriumPair:
 
 
 class EquilibriumWorkspace:
-    """All exact tables for one (y, r, R, n) annulus, built once and reused."""
+    """All exact tables for one (y, r, R, n) annulus, built once and reused:
+    the systems and kernels of the two-circle chain [R, r]."""
 
     def __init__(self, y: TorusPoint, r: float, R: float, n: int):
         if not 1 < r < R <= n / 2:
@@ -288,19 +289,12 @@ class EquilibriumWorkspace:
         self.r = float(r)
         self.R = float(R)
         self.n = n
-        inner_mask = exterior_boundary_mask(ball_mask(y, r))
-        outer_mask = exterior_boundary_mask(ball_mask(y, R))
-        self.inner_mask = inner_mask
-        self.outer_mask = outer_mask
-        self.inner_codes = np.nonzero(inner_mask.reshape(-1))[0]
-        self.outer_codes = np.nonzero(outer_mask.reshape(-1))[0]
-        # one system per absorbing circle, each factored once
-        self._sys_inner = GridSystem(n, inner_mask)
-        self._sys_outer = GridSystem(n, outer_mask)
-        # inward kernel: from outer cells to the inner circle
-        self.K_out2in, _ = self._sys_inner.exit_distribution(self.outer_codes)
-        # outward kernel: from inner cells to the outer circle
-        self.K_in2out, _ = self._sys_outer.exit_distribution(self.inner_codes)
+        masks, codes, systems, down, up = _circle_systems(y, [R, r], n)
+        self.outer_mask, self.inner_mask = masks
+        self.outer_codes, self.inner_codes = codes
+        # the outer circle's system absorbs at the inner circle, and back
+        self._sys_inner, self._sys_outer = systems
+        self.K_out2in, self.K_in2out = down[0], up[1]  # outer -> inner, inner -> outer
         self._pair: EquilibriumPair | None = None
 
     # equilibrium pair ----------------------------------------------------------
@@ -579,6 +573,26 @@ def exact_cover_mean(n: int) -> float:
 # -- exact circle-chain event probabilities ------------------------------------
 
 
+def _circle_systems(center: TorusPoint, radii, n: int):
+    """(masks, codes, systems, down, up) of concentric circles, outermost first.
+
+    From circle i a walk next hits circle i - 1 or i + 1 (the end circles have
+    one neighbour): systems[i] absorbs at those circles, and its exit law
+    gives the kernels down[i] (circle i -> i + 1) and up[i] (i -> i - 1)."""
+    masks = [exterior_boundary_mask(ball_mask(center, r)) for r in radii]
+    codes = [np.nonzero(m.reshape(-1))[0] for m in masks]
+    if np.logical_or.reduce(masks).sum() != sum(c.size for c in codes):
+        raise ValueError("circles share cells: the radii are too close")
+    systems, down, up = [], {}, {}
+    for i in range(len(radii)):
+        nbrs = [j for j in (i - 1, i + 1) if 0 <= j < len(radii)]
+        systems.append(GridSystem(n, np.logical_or.reduce([masks[j] for j in nbrs])))
+        rows, bcodes = systems[i].exit_distribution(codes[i])
+        for j in nbrs:
+            (up if j < i else down)[i] = rows[:, np.searchsorted(bcodes, codes[j])]
+    return masks, codes, systems, down, up
+
+
 class CircleChain:
     """Exact Markov chain of successive circle hits for a radii schedule.
 
@@ -591,20 +605,10 @@ class CircleChain:
         self.L = len(self.radii) - 1
         if self.L < 1:
             raise ValueError("a circle chain needs at least two circles")
-        masks = [exterior_boundary_mask(ball_mask(center, r)) for r in self.radii]
-        self.circle_codes = [np.nonzero(m.reshape(-1))[0] for m in masks]
-        if np.logical_or.reduce(masks).sum() != sum(c.size for c in self.circle_codes):
-            raise ValueError("circles share cells: the radii are too close")
-        self.kern_down: dict[int, np.ndarray] = {}  # circle i -> circle i+1
-        self.kern_up: dict[int, np.ndarray] = {}  # circle i -> circle i-1
-        # from circle i the next circle hit is i-1 or i+1 (the end circles have one)
-        for i, codes in enumerate(self.circle_codes):
-            nbrs = [j for j in (i - 1, i + 1) if 0 <= j <= self.L]
-            absorbing = np.logical_or.reduce([masks[j] for j in nbrs])
-            rows, bcodes = GridSystem(n, absorbing).exit_distribution(codes)
-            for j in nbrs:
-                kern = self.kern_up if j < i else self.kern_down
-                kern[i] = rows[:, np.searchsorted(bcodes, self.circle_codes[j])]
+        # kern_down[i]: circle i -> circle i+1; kern_up[i]: circle i -> circle i-1
+        _, self.circle_codes, _, self.kern_down, self.kern_up = _circle_systems(
+            center, self.radii, n
+        )
 
     def event_probability(self, start: TorusPoint, m: int, targets: dict[int, int]) -> float:
         """P_start[T_i = targets[i] for all i, by the m-th top departure].

@@ -261,36 +261,6 @@ class ProbTable:
     def delta_out(self, i1: int, i2: int, i3: int, sign: int) -> float:
         return self.p_out(i1, i2, i3, sign) / ((i3 - i2) / (i3 - i1))
 
-    def rows(self):
-        """CSV rows; the outward orientation is emitted with i1 and i3 swapped."""
-        out = []
-        for i1 in range(self.L + 1):
-            for i2 in range(i1 + 1, self.L + 1):
-                for i3 in range(i2 + 1, self.L + 1):
-                    out.append(
-                        dict(
-                            i1=i1,
-                            i2=i2,
-                            i3=i3,
-                            p_minus=self.p_in(i1, i2, i3, -1),
-                            p_plus=self.p_in(i1, i2, i3, +1),
-                            delta_minus=self.delta_in(i1, i2, i3, -1),
-                            delta_plus=self.delta_in(i1, i2, i3, +1),
-                        )
-                    )
-                    out.append(
-                        dict(
-                            i1=i3,
-                            i2=i2,
-                            i3=i1,
-                            p_minus=self.p_out(i1, i2, i3, -1),
-                            p_plus=self.p_out(i1, i2, i3, +1),
-                            delta_minus=self.delta_out(i1, i2, i3, -1),
-                            delta_plus=self.delta_out(i1, i2, i3, +1),
-                        )
-                    )
-        return out
-
 
 def prob_table(radii, c1: float = 1.0, c2: float = 1.0) -> ProbTable:
     return ProbTable(radii, c1=c1, c2=c2)

@@ -1,7 +1,9 @@
 """Small statistics helpers shared by the experiments.
 
 Interval methods are fixed across the artifact: Wilson for proportions, standard
-errors for means.
+errors for means.  A statistic of an empty sample, or of one too short for
+it, is NaN, so a cell whose every trial overran fails its checks instead of
+raising.
 """
 
 from __future__ import annotations
@@ -33,18 +35,32 @@ class MeanSummary:
 
     @property
     def se(self) -> float:
-        return math.sqrt(self.var / self.count) if self.count > 1 else float("inf")
+        return math.sqrt(self.var / self.count) if self.count > 1 else math.nan
 
 
 def summarize_mean(values) -> MeanSummary:
-    """Count, mean and sample variance; ``se`` is the standard error."""
+    """Count, mean and sample variance; ``se`` is the standard error.  The
+    mean is NaN for no values, the variance and ``se`` for fewer than two."""
     arr = np.asarray(values, dtype=float)
     n = arr.size
-    if n == 0:
-        raise ValueError("no values")
-    mean = float(arr.mean())
-    var = float(arr.var(ddof=1)) if n > 1 else 0.0
+    mean = float(arr.mean()) if n else math.nan
+    var = float(arr.var(ddof=1)) if n > 1 else math.nan
     return MeanSummary(count=n, mean=mean, var=var)
+
+
+def proportion(successes: int, trials: int) -> tuple[float, float]:
+    """(p, se) of a proportion; p(1 - p) is floored at 1e-12, so the standard
+    error stays positive at p = 0 or 1.  NaN for no trials."""
+    if trials <= 0:
+        return math.nan, math.nan
+    p = successes / trials
+    return p, math.sqrt(max(p * (1 - p), 1e-12) / trials)
+
+
+def quantile(values, q):
+    """np.quantile, NaN for an empty sample."""
+    arr = np.asarray(values, dtype=float)
+    return np.quantile(arr, q) if arr.size else np.full(np.shape(q), math.nan)
 
 
 def two_sample_chisquare(counts_a, counts_b) -> tuple[float, float]:
@@ -102,10 +118,11 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
 
 
 def variance_se(values) -> float:
-    """Large-sample standard error of the sample variance, sqrt((m4 - s^4) / n)."""
+    """Large-sample standard error of the sample variance, sqrt((m4 - s^4) / n);
+    NaN for fewer than two values."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
-        raise ValueError("need at least two values")
+        return math.nan
     dev = arr - arr.mean()
     var = float(dev.var(ddof=1))
     m4 = float(np.mean(dev**4))

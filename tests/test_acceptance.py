@@ -15,6 +15,7 @@ Every criterion must be green.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from coverlab.harness import (
 )
 
 SEED = 0
+# the longest runs use every core this process may run on; their output does
+# not depend on the worker count (test_worker_override_matches_serial)
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def _report(criterion, result, subset=None):
@@ -44,20 +48,21 @@ def _report(criterion, result, subset=None):
 
 @pytest.fixture(scope="module")
 def cover_result():
-    return run_cover_experiment(ExperimentConfig(name="cover", seed=SEED))
+    return run_cover_experiment(ExperimentConfig(name="cover", seed=SEED, workers=WORKERS))
 
 
 @pytest.fixture(scope="module")
 def excursion_result():
     return run_excursion_length_experiment(
-        ExperimentConfig(name="excursion", trials=40_000, seed=SEED)
+        ExperimentConfig(name="excursion", trials=40_000, seed=SEED, workers=WORKERS)
     )
 
 
 def test_criterion_01_oracle_vs_mc():
     """Oracle-vs-MC equivalence at n = 32, 64: 1e5 trials within 3 sigma."""
     res = run_oracle_check(
-        ExperimentConfig(name="oracle-check", trials=100_000, seed=SEED), sections=("mc",)
+        ExperimentConfig(name="oracle-check", trials=100_000, seed=SEED, workers=WORKERS),
+        sections=("mc",),
     )
     ok, checks = _report("1 (oracle vs MC)", res)
     assert ok, [c.detail for c in checks if not c.passed]
@@ -142,7 +147,9 @@ def test_criterion_07b_cover_band_faithful(cover_result):
 
 def test_criterion_08_transfer_ratio():
     """Walk/GW ratio inside the Delta bracket; |ratio - 1| shrinks as ell doubles."""
-    res = run_transfer_check(ExperimentConfig(name="transfer", trials=50_000, seed=SEED))
+    res = run_transfer_check(
+        ExperimentConfig(name="transfer", trials=50_000, seed=SEED, workers=WORKERS)
+    )
     ok, checks = _report("8 (transfer ratio)", res)
     assert ok, [c.detail for c in checks if not c.passed]
 

@@ -294,19 +294,6 @@ def test_cli_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_prob_table_csv_dump(tmp_path):
-    from coverlab.schedule import prob_table
-
-    table = prob_table([8.0, 4.0, 1.0], c1=1.0, c2=1.0)
-    cols = ["i1", "i2", "i3", "p_minus", "p_plus", "delta_minus", "delta_plus"]
-    out = emit_csv(tmp_path / "table.csv", table.rows(), cols)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "i1,i2,i3,p_minus,p_plus,delta_minus,delta_plus"
-    assert len(lines) == 1 + len(table.rows())
-    emit_csv(tmp_path / "again.csv", table.rows(), cols)
-    assert out.read_bytes() == (tmp_path / "again.csv").read_bytes()
-
-
 def test_cli_strict_schedule_too_shallow_is_usage_error():
     from coverlab.cli import main
 
@@ -456,6 +443,67 @@ def test_curves_whose_every_walk_overruns_fail_their_walk_checks(monkeypatch):
     assert walk and all((r["trials"], r["failures"]) == (0, 3) for r in walk)
 
 
+def _overrun_first_walk(run):
+    """``run``, except that the first walk it is ever handed overruns."""
+    calls = []
+
+    def first_overruns(*args):
+        out = list(run(*args))
+        if not calls:
+            out[0] = BudgetExceededError("forced overrun", steps_taken=0)
+        calls.append(len(out))
+        return out
+
+    return first_overruns
+
+
+@pytest.mark.parametrize(
+    "run_name, name, kwargs, cell_checks",
+    [
+        ("_covers", "cover", dict(n_values=(16,), trials=30), ["cover_band_n16"]),
+        (
+            "_clocks", "excursion", dict(n_values=(32,), trials=200),
+            ["excursion_d1_mc_vs_exact_3sigma", "excursion_concentration_d1_variance_mc_vs_exact"],
+        ),
+        (
+            "_ladders", "transfer", dict(trials=300),
+            ["transfer_base_T0_0_bracket_mc", "transfer_base_T1_0_bracket_mc"],
+        ),
+        ("_late_events", "curves", dict(trials=3), ["late_event_below_corridor"]),
+    ],
+    ids=["cover", "excursion", "transfer", "late"],
+)
+def test_one_overrun_fails_the_monte_carlo_checks_of_its_cell(
+    monkeypatch, run_name, name, kwargs, cell_checks
+):
+    # the trials that finish beside an overrun are a censored sample: the
+    # cell's Monte Carlo checks fail, as oracle-check's do
+    cfg = ExperimentConfig(name=name, seed=9, workers=1, **kwargs)
+    clean = {c.name: c for c in REGISTRY[name](cfg).checks}
+    monkeypatch.setattr(harness, run_name, _overrun_first_walk(getattr(harness, run_name)))
+    once = {c.name: c for c in REGISTRY[name](cfg).checks}
+    for check in cell_checks:
+        assert clean[check].passed and "overruns" not in clean[check].detail
+        assert not once[check].passed
+        assert once[check].detail.endswith("; budget overruns: 1")
+
+
+@pytest.mark.parametrize("z", [0.0, 3.0])
+def test_barrier_and_d1_mean_checks_read_mc_sigma(monkeypatch, z):
+    real = harness.load_tolerances
+    monkeypatch.setattr(harness, "load_tolerances", lambda: {**real(), "oracle.mc_sigma": z})
+    barrier = run_barrier_sweep(ExperimentConfig(name="barrier", trials=10_000, seed=7))
+    excursion = run_excursion_length_experiment(
+        ExperimentConfig(name="excursion", n_values=(32,), trials=400, seed=7, workers=1)
+    )
+    checks = [c for c in barrier.checks if "_mc_vs_exact_" in c.name]
+    checks += [c for c in excursion.checks if c.name == "excursion_d1_mc_vs_exact_3sigma"]
+    assert len(checks) == 3 + 9 + 1
+    # at z = 0 a Monte Carlo estimate must equal the exact value, and none does
+    assert all(c.passed == (z > 0) for c in checks), [c for c in checks if c.passed != (z > 0)]
+    assert all(c.detail.endswith(f"z={z:g}") for c in checks)
+
+
 def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
     original = harness._hits_first
     seen = []
@@ -514,6 +562,14 @@ def test_cover_below_n3_is_a_usage_error_before_any_walk(monkeypatch, capsys, n)
     assert main(["cover", "--n", "16", str(n), "--trials", "5"]) == 2
     err = capsys.readouterr().err
     assert f"usage error: cover needs every n >= 3 (got n = {n})" in err
+
+
+def test_excursion_whose_circles_share_cells_is_a_usage_error(capsys):
+    from coverlab.cli import main
+
+    # n = 17 puts the outer circle at R = n/4 = 4.25, beside r = 4
+    assert main(["excursion", "--n", "17", "--trials", "5"]) == 2
+    assert "circles share cells" in capsys.readouterr().err
 
 
 def test_harness_import_leaves_scipy_stats_out():

@@ -509,6 +509,12 @@ def test_circle_chain_kernels_match_lu_reference(monkeypatch, n, radii):
     _assert_kernels_equal(chain.kern_down, ref.kern_down)
 
 
+def test_equilibrium_workspace_rejects_circles_that_share_cells():
+    # 1 < r < R <= n/2 holds, but the two circles overlap
+    with pytest.raises(ValueError, match="share cells"):
+        EquilibriumWorkspace(TorusPoint(16, 16, 32), 3, 3.5, 32)
+
+
 def test_equilibrium_workspace_matches_lu_reference(monkeypatch):
     n = 32
     y = TorusPoint(16, 16, n)

@@ -175,17 +175,6 @@ def test_delta_approaches_one_as_ell_doubles():
         assert d4 < d2
 
 
-def test_prob_table_rows_schema():
-    rows = prob_table([8.0, 4.0, 1.0]).rows()
-    assert set(rows[0]) == {
-        "i1", "i2", "i3", "p_minus", "p_plus", "delta_minus", "delta_plus"
-    }
-    # both orientations emitted: forward (i1 < i3) and reversed
-    forward = [r for r in rows if r["i1"] < r["i3"]]
-    backward = [r for r in rows if r["i1"] > r["i3"]]
-    assert len(forward) == len(backward) == 1
-
-
 def test_transfer_bracket_contains_one_for_small_constants():
     table = prob_table([16.0, 8.0, 4.0, 2.0, 1.0], c1=0.5, c2=0.5)
     lo, hi = transfer_bracket(table, k=1, ktilde=1, m=1, m_vec={1: 1, 2: 0, 3: 0})
