@@ -606,11 +606,11 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
         for L in (2, 3):
             law = gw.enumerate_traversal_law(L, m)
             overflow = law.pop("overflow")
+            diff = 0.0 if overflow < 1e-2 else overflow
             for counts, p in law.items():
-                gw_p = gw.gw_joint_prob(m, counts[1:])
-                worst = max(worst, abs(p - gw_p))
-            worst = max(worst, 0.0 if overflow < 1e-2 else overflow)
-            row(f"enum_m{m}_L{L}", "max_abs_diff", worst, exact_tol, worst < exact_tol)
+                diff = max(diff, abs(p - gw.gw_joint_prob(m, counts[1:])))
+            worst = max(worst, diff)
+            row(f"enum_m{m}_L{L}", "max_abs_diff", diff, exact_tol, diff < exact_tol)
     checks.append(
         Check(
             "gw_enumeration_equality",

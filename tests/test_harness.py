@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import coverlab
-from coverlab import harness, lattice, oracle
+from coverlab import gw, harness, lattice, oracle
 from coverlab.harness import (
     REGISTRY,
     Check,
@@ -502,6 +502,20 @@ def test_barrier_and_d1_mean_checks_read_mc_sigma(monkeypatch, z):
     # at z = 0 a Monte Carlo estimate must equal the exact value, and none does
     assert all(c.passed == (z > 0) for c in checks), [c for c in checks if c.passed != (z > 0)]
     assert all(c.detail.endswith(f"z={z:g}") for c in checks)
+
+
+def test_gw_enumeration_rows_report_each_case_alone():
+    res = run_gw_equivalence(ExperimentConfig(name="gw-check", trials=2000, seed=1))
+    values = {r["case"]: r["value"] for r in res.rows if r["case"].startswith("enum_")}
+    for m in (1, 2):
+        for L in (2, 3):
+            law = gw.enumerate_traversal_law(L, m)
+            law.pop("overflow")
+            diffs = [abs(p - gw.gw_joint_prob(m, counts[1:])) for counts, p in law.items()]
+            assert values[f"enum_m{m}_L{L}"] == max(diffs)
+    # the check still reports the largest difference of all four cases
+    check = next(c for c in res.checks if c.name == "gw_enumeration_equality")
+    assert check.detail.endswith(f"{max(values.values()):.3e}")
 
 
 def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
