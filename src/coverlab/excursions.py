@@ -17,7 +17,7 @@ from .lattice import (
     BudgetExceededError,
     TorusPoint,
     WalkState,
-    advance_to_mask,
+    advance_group_to_mask,
     ball_mask,
     exterior_boundary_mask,
     outcome_or_raise,
@@ -366,6 +366,18 @@ def intermediate_traversals(
     return machine.run(walk, m, cap)
 
 
+def run_from_first_hit(machine: TraversalMachine, shift_mask: np.ndarray, walks, m: int, caps):
+    """``machine.run_group`` with each walk's ladders started at its first
+    visit of ``shift_mask``, its cap covering both phases; a walk that overruns
+    before that hit keeps its BudgetExceededError."""
+    out = advance_group_to_mask(walks, shift_mask, caps, inclusive=True)
+    hit = [i for i, used in enumerate(out) if not isinstance(used, BudgetExceededError)]
+    ran = machine.run_group([walks[i] for i in hit], m, [caps[i] - out[i] for i in hit])
+    for i, o in zip(hit, ran):
+        out[i] = o
+    return out
+
+
 def tilde_traversal(
     walk: WalkState,
     center: TorusPoint,
@@ -376,9 +388,8 @@ def tilde_traversal(
     """Traversal counts with the clock started at the first hit of the r_1 circle."""
     radii = validate_radii(radii, n=center.n)
     shift_mask = exterior_boundary_mask(ball_mask(center, radii[1]))
-    used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
     machine = circle_machine(center, radii)
-    return machine.run(walk, m, cap - used)
+    return outcome_or_raise(run_from_first_hit(machine, shift_mask, [walk], m, [cap])[0])
 
 
 def hat_inflation(n: int) -> float:
@@ -421,10 +432,8 @@ def hat_traversal(
         outer = add("plus", i, (1 + eps) * radii[i])
         inner = add("minus", i + 1, (1 - eps) * radii[i + 1])
         ladders.append(_Ladder(level=i, inner=inner, outer=outer))
-    shift_mask = circles[top_inner]
-    used = advance_to_mask(walk, shift_mask, cap, inclusive=True)
     machine = TraversalMachine(center.n, circles, ladders, driving=0)
-    return machine.run(walk, m, cap - used)
+    return outcome_or_raise(run_from_first_hit(machine, circles[top_inner], [walk], m, [cap])[0])
 
 
 def detect_late_event(

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gw, oracle, schedule, stats
-from .excursions import circle_machine, detect_late_event, validate_radii
+from .excursions import circle_machine, detect_late_event, run_from_first_hit, validate_radii
 from .lattice import (
     BudgetExceededError,
     TorusPoint,
@@ -365,9 +365,8 @@ def run_excursion_length_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     center = TorusPoint(n // 2, n // 2, n)
     ws = oracle.EquilibriumWorkspace(center, r, R, n)
     pair = ws.equilibrium_pair()
-    d1_exact = ws.expected_d1()
-    d1_mean_exact, d1_var_exact = ws.d1_moments()
-    d1_relsd = math.sqrt(d1_var_exact) / d1_mean_exact
+    d1_exact, d1_var_exact = ws.d1_moments()
+    d1_relsd = math.sqrt(d1_var_exact) / d1_exact
     formula = (2 / math.pi) * n * n * math.log(R / r)
     mu_cum = np.cumsum(pair.mu_outer)
     cap = int(200 * formula)
@@ -779,12 +778,7 @@ def run_barrier_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _tilde_ladders(machine, shift_mask, m, cap, walks):
     """tilde_traversal's counts, with its r_1 mask and machine prebuilt."""
-    out = advance_group_to_mask(walks, shift_mask, [cap] * len(walks), inclusive=True)
-    hit = [i for i, used in enumerate(out) if not isinstance(used, BudgetExceededError)]
-    ran = machine.run_group([walks[i] for i in hit], m, [cap - out[i] for i in hit])
-    for i, o in zip(hit, _counts(machine, ran)):
-        out[i] = o
-    return out
+    return _counts(machine, run_from_first_hit(machine, shift_mask, walks, m, [cap] * len(walks)))
 
 
 def _late_events(machine, watch, m, cap, walks):
@@ -972,17 +966,13 @@ def _hits_first(A, either, cap, walks):
     ]
 
 
-def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
-    """Exact-solver battery: MC-vs-exact agreement, circle-to-circle probability
-    brackets, the equilibrium machinery, and the Kac moment inequality.
-
-    ``sections`` selects from {'mc', 'bracket', 'equilibrium', 'kac'};
-    default runs all four.
-    """
+def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
+    """Exact-solver battery, in four sections: MC-vs-exact agreement,
+    circle-to-circle probability brackets, the equilibrium machinery, and the
+    Kac moment inequality."""
     tol = load_tolerances()
     z_max = tol["oracle.mc_sigma"]
     trials = cfg.trials or 100_000
-    sections = set(sections) if sections else {"mc", "bracket", "equilibrium", "kac"}
     rows = []
     checks = []
 
@@ -1005,182 +995,178 @@ def run_oracle_check(cfg: ExperimentConfig, sections=None) -> ExperimentResult:
         summ = stats.summarize_mean(vals)  # NaN if every trial overran
         book(case, n, metric, exact, summ.mean, summ.se, overruns=overruns)
 
-    if "mc" in sections:
-        # five mixed configurations of hit_prob / expected_hit at n = 32 and 64
-        configs = [
-            ("hit_prob_n32", 32, 3.0, 12.0, (6, 0)),
-            ("hit_prob_n64_mid", 64, 4.0, 24.0, (10, 0)),
-            ("hit_prob_n64_diag", 64, 3.0, 16.0, (5, 5)),
-        ]
-        for case, n, r, R, offset in configs:
-            x = TorusPoint(n // 2, n // 2, n)
-            y = TorusPoint(x.x + offset[0], x.y + offset[1], n)
-            A = exterior_boundary_mask(ball_mask(x, r))
-            B = exterior_boundary_mask(ball_mask(x, R))
-            exact = oracle.hit_prob_exact(y, A, B, n)
-            run = functools.partial(_hits_first, A, A | B, 100 * n * n)
-            vals, overruns = _map_trials(cfg, "oracle-check", case, run, y, trials)
-            mc, se = stats.proportion(sum(vals), len(vals))
-            book(case, n, "hit_prob", exact, mc, se, overruns=overruns)
-
-        for case, n, R, start_off in (
-            ("exit_time_n32", 32, 12.0, (0, 0)),
-            ("exit_time_n64", 64, 20.0, (5, 0)),
-        ):
-            x = TorusPoint(n // 2, n // 2, n)
-            v = TorusPoint(x.x + start_off[0], x.y + start_off[1], n)
-            A = exterior_boundary_mask(ball_mask(x, R))
-            exact = oracle.expected_hit_exact(v, A, n)
-            et_trials = max(20_000, trials // 5)
-            run = functools.partial(_hits, A, 1000 * n * n)
-            vals, overruns = _map_trials(cfg, "oracle-check", case, run, v, et_trials)
-            book_mean(case, n, "expected_hit", exact, vals, overruns)
-
-        # R^2 band for the center exit time (two-sided bound)
-        n = 64
-        x = TorusPoint(32, 32, n)
-        R = 20.0
-        exact = oracle.expected_hit_exact(x, exterior_boundary_mask(ball_mask(x, R)), n)
-        lo, hi = R**2, (R + 1) ** 2
-        inside = lo <= exact <= hi
-        row("exit_center_band", n, "expected_hit", exact, exact, inside, 1.0, 0.0, lo, hi)
-        detail = f"exact={exact:.5g} in [{lo:g}, {hi:g}]"
-        checks.append(Check("oracle_exit_center_band", inside, detail))
-
-        # tiny-torus cover chain oracle vs MC
-        exact2 = oracle.exact_cover_mean(2)
-        start = TorusPoint(0, 0, 2)
-        vals, overruns = _map_trials(cfg, "oracle-check", "cover_n2_chain", _covers, start, 20_000)
-        book_mean("cover_n2_chain", 2, "cover_mean", exact2, vals, overruns)
-
-    if "bracket" in sections:
-        c1, c2 = tol["lemma23.c1"], tol["lemma23.c2"]
-        bound = tol["lemma23.abs_bound"]
-        n = 64
+    # five mixed configurations of hit_prob / expected_hit at n = 32 and 64
+    configs = [
+        ("hit_prob_n32", 32, 3.0, 12.0, (6, 0)),
+        ("hit_prob_n64_mid", 64, 4.0, 24.0, (10, 0)),
+        ("hit_prob_n64_diag", 64, 3.0, 16.0, (5, 5)),
+    ]
+    for case, n, r, R, offset in configs:
         x = TorusPoint(n // 2, n // 2, n)
-        circle_grid = [
-            (3, 8, 16), (3, 6, 24), (4, 8, 16), (4, 10, 24),
-            (5, 10, 20), (6, 12, 24), (4, 16, 28), (8, 16, 28),
-        ]
-        ok_all = True
-        abs_all = True
-        for r, d, R in circle_grid:
-            y = TorusPoint(x.x + d, x.y, n)
-            A = exterior_boundary_mask(ball_mask(x, r))
-            B = exterior_boundary_mask(ball_mask(x, R))
-            p = oracle.hit_prob_exact(y, A, B, n)
-            lo = (math.log(R / d) - c1 / r) / math.log(R / r)
-            hi = (math.log(R / d) + c1 / r) / math.log(R / r)
-            ideal = math.log(R / d) / math.log(R / r)
-            scaled = abs(p - ideal) * r * math.log(R / r)
-            inside = lo <= p <= hi
-            ok_all &= inside
-            abs_all &= scaled <= bound
-            row(f"bracket_r{r}_d{d}_R{R}", n, "hit_prob", p, ideal, inside, z=scaled, lo=lo, hi=hi)
-        point_grid = [(16.0, 4), (24.0, 6), (28.0, 10), (20.0, 1), (16.0, 2)]
-        for R, d in point_grid:
-            y = TorusPoint(x.x + d, x.y, n)
-            A = np.zeros((n, n), dtype=bool)
-            A[x.x, x.y] = True
-            B = exterior_boundary_mask(ball_mask(x, R))
-            p = oracle.hit_prob_exact(y, A, B, n)
-            err = c2 * (1 / d + 1 / math.log(R))
-            lo = (math.log(R / d) - err) / math.log(R)
-            hi = (math.log(R / d) + err) / math.log(R)
-            inside = lo <= p <= hi
-            ok_all &= inside
-            ideal = math.log(R / d) / math.log(R)
-            row(f"bracket_point_d{d}_R{R:g}", n, "hit_point", p, ideal, inside, lo=lo, hi=hi)
-        checks.append(
-            Check(
-                "lemma23_brackets_c1_c2_2",
-                ok_all,
-                f"{len(circle_grid)} circle + {len(point_grid)} point configs inside "
-                "their brackets at c1 = c2 = 2",
-            )
-        )
-        checks.append(
-            Check(
-                "lemma23_scaled_deviation",
-                abs_all,
-                f"|P - log(R/d)/log(R/r)| * r * log(R/r) <= {bound:g} on the grid",
-            )
-        )
+        y = TorusPoint(x.x + offset[0], x.y + offset[1], n)
+        A = exterior_boundary_mask(ball_mask(x, r))
+        B = exterior_boundary_mask(ball_mask(x, R))
+        exact = oracle.hit_prob_exact(y, A, B, n)
+        run = functools.partial(_hits_first, A, A | B, 100 * n * n)
+        vals, overruns = _map_trials(cfg, "oracle-check", case, run, y, trials)
+        mc, se = stats.proportion(sum(vals), len(vals))
+        book(case, n, "hit_prob", exact, mc, se, overruns=overruns)
 
-    if "equilibrium" in sections:
-        n = 64
+    for case, n, R, start_off in (
+        ("exit_time_n32", 32, 12.0, (0, 0)),
+        ("exit_time_n64", 64, 20.0, (5, 0)),
+    ):
         x = TorusPoint(n // 2, n // 2, n)
-        worst_resid = 0.0
-        worst_qshape = 0.0
-        for r, R in ((3, 16), (4, 24), (4, 32)):
-            ws = oracle.EquilibriumWorkspace(x, r, R, n)
-            pair = ws.equilibrium_pair()
-            worst_resid = max(worst_resid, pair.residual)
-            worst_qshape = max(worst_qshape, (1 - pair.q) * R / r)
-            d1 = ws.expected_d1()
-            formula = (2 / math.pi) * n * n * math.log(R / r)
-            passed = pair.residual < tol["equilibrium.residual_max"]
-            z_rel = (d1 / formula - 1) * r
-            row(f"equilibrium_r{r}_R{R}", n, "d1_exact", d1, formula, passed, z=z_rel)
-        checks.append(
-            Check(
-                "equilibrium_fixed_point_residual",
-                worst_resid < tol["equilibrium.residual_max"],
-                f"max residual {worst_resid:.2e} < {tol['equilibrium.residual_max']:g}",
-            )
+        v = TorusPoint(x.x + start_off[0], x.y + start_off[1], n)
+        A = exterior_boundary_mask(ball_mask(x, R))
+        exact = oracle.expected_hit_exact(v, A, n)
+        et_trials = max(20_000, trials // 5)
+        run = functools.partial(_hits, A, 1000 * n * n)
+        vals, overruns = _map_trials(cfg, "oracle-check", case, run, v, et_trials)
+        book_mean(case, n, "expected_hit", exact, vals, overruns)
+
+    # R^2 band for the center exit time (two-sided bound)
+    n = 64
+    x = TorusPoint(32, 32, n)
+    R = 20.0
+    exact = oracle.expected_hit_exact(x, exterior_boundary_mask(ball_mask(x, R)), n)
+    lo, hi = R**2, (R + 1) ** 2
+    inside = lo <= exact <= hi
+    row("exit_center_band", n, "expected_hit", exact, exact, inside, 1.0, 0.0, lo, hi)
+    detail = f"exact={exact:.5g} in [{lo:g}, {hi:g}]"
+    checks.append(Check("oracle_exit_center_band", inside, detail))
+
+    # tiny-torus cover chain oracle vs MC
+    exact2 = oracle.exact_cover_mean(2)
+    start = TorusPoint(0, 0, 2)
+    vals, overruns = _map_trials(cfg, "oracle-check", "cover_n2_chain", _covers, start, 20_000)
+    book_mean("cover_n2_chain", 2, "cover_mean", exact2, vals, overruns)
+
+    c1, c2 = tol["lemma23.c1"], tol["lemma23.c2"]
+    bound = tol["lemma23.abs_bound"]
+    n = 64
+    x = TorusPoint(n // 2, n // 2, n)
+    circle_grid = [
+        (3, 8, 16), (3, 6, 24), (4, 8, 16), (4, 10, 24),
+        (5, 10, 20), (6, 12, 24), (4, 16, 28), (8, 16, 28),
+    ]
+    ok_all = True
+    abs_all = True
+    for r, d, R in circle_grid:
+        y = TorusPoint(x.x + d, x.y, n)
+        A = exterior_boundary_mask(ball_mask(x, r))
+        B = exterior_boundary_mask(ball_mask(x, R))
+        p = oracle.hit_prob_exact(y, A, B, n)
+        lo = (math.log(R / d) - c1 / r) / math.log(R / r)
+        hi = (math.log(R / d) + c1 / r) / math.log(R / r)
+        ideal = math.log(R / d) / math.log(R / r)
+        scaled = abs(p - ideal) * r * math.log(R / r)
+        inside = lo <= p <= hi
+        ok_all &= inside
+        abs_all &= scaled <= bound
+        row(f"bracket_r{r}_d{d}_R{R}", n, "hit_prob", p, ideal, inside, z=scaled, lo=lo, hi=hi)
+    point_grid = [(16.0, 4), (24.0, 6), (28.0, 10), (20.0, 1), (16.0, 2)]
+    for R, d in point_grid:
+        y = TorusPoint(x.x + d, x.y, n)
+        A = np.zeros((n, n), dtype=bool)
+        A[x.x, x.y] = True
+        B = exterior_boundary_mask(ball_mask(x, R))
+        p = oracle.hit_prob_exact(y, A, B, n)
+        err = c2 * (1 / d + 1 / math.log(R))
+        lo = (math.log(R / d) - err) / math.log(R)
+        hi = (math.log(R / d) + err) / math.log(R)
+        inside = lo <= p <= hi
+        ok_all &= inside
+        ideal = math.log(R / d) / math.log(R)
+        row(f"bracket_point_d{d}_R{R:g}", n, "hit_point", p, ideal, inside, lo=lo, hi=hi)
+    checks.append(
+        Check(
+            "lemma23_brackets_c1_c2_2",
+            ok_all,
+            f"{len(circle_grid)} circle + {len(point_grid)} point configs inside "
+            "their brackets at c1 = c2 = 2",
         )
-        checks.append(
-            Check(
-                "equilibrium_q_shape",
-                worst_qshape <= tol["equilibrium.q_shape_max"],
-                f"max (1-q)R/r = {worst_qshape:.3f}",
-            )
+    )
+    checks.append(
+        Check(
+            "lemma23_scaled_deviation",
+            abs_all,
+            f"|P - log(R/d)/log(R/r)| * r * log(R/r) <= {bound:g} on the grid",
         )
-        sc = oracle.stationary_check(TorusPoint(16, 16, 32), 3, 12, 32)
-        deviation = sc["max_rel_deviation"]
-        uniformity_max = tol["equilibrium.uniformity_max"]
-        checks.append(
-            Check(
-                "stationary_measure_uniform",
-                deviation < uniformity_max,
-                f"max relative deviation {deviation:.2e}",
-            )
-        )
-        # rounded so that the CSV does not pin the solver's rounding noise
-        row(
-            "stationary_n32", 32, "uniformity", round(deviation, 12), sc["m_at_center"],
-            deviation < uniformity_max, hi=uniformity_max,
-        )
-        # E[G_1] = E_mu[H_inner] / q against the simulated splitting chain
-        ws = oracle.EquilibriumWorkspace(x, 4, 16, n)
+    )
+
+    n = 64
+    x = TorusPoint(n // 2, n // 2, n)
+    worst_resid = 0.0
+    worst_qshape = 0.0
+    for r, R in ((3, 16), (4, 24), (4, 32)):
+        ws = oracle.EquilibriumWorkspace(x, r, R, n)
         pair = ws.equilibrium_pair()
-        expected_g1 = ws.expected_inward_leg() / pair.q
-        key = stream_key(cfg.seed, "oracle-check", "coupled_chain_g1")
-        run = oracle.coupled_chain_run(ws, x, length=700, seed=key)
-        blocks = run.block_sums[1:]  # G_m, m >= 1 are identically distributed
-        summ = stats.summarize_mean(blocks)
-        book("coupled_chain_g1", n, "block_sum_mean", expected_g1, summ.mean, summ.se)
-
-    if "kac" in sections:
-        n = 32
-        x = TorusPoint(16, 16, n)
-        dom1 = exterior_boundary_mask(ball_mask(x, 8.0))
-        dom2 = np.zeros((n, n), dtype=bool)
-        dom2[4, 4] = dom2[20, 9] = True
-        worst = 0.0
-        for name, dom in (("ball8", dom1), ("two_points", dom2)):
-            res = oracle.kac_moment_check(dom, n)
-            ratio = max(res["ratio_m2"], res["ratio_m3"])
-            worst = max(worst, ratio)
-            passed = ratio <= 1 + 1e-8
-            row(f"kac_{name}", n, "moment_ratio", res["ratio_m2"], res["ratio_m3"], passed, hi=1.0)
-        checks.append(
-            Check(
-                "kac_moment_inequality",
-                worst <= 1 + 1e-8,
-                f"max E[T^m] / (m! E[T] (max E)^(m-1)) = {worst:.4f} for m in {{2, 3}}",
-            )
+        worst_resid = max(worst_resid, pair.residual)
+        worst_qshape = max(worst_qshape, (1 - pair.q) * R / r)
+        d1 = ws.expected_d1()
+        formula = (2 / math.pi) * n * n * math.log(R / r)
+        passed = pair.residual < tol["equilibrium.residual_max"]
+        z_rel = (d1 / formula - 1) * r
+        row(f"equilibrium_r{r}_R{R}", n, "d1_exact", d1, formula, passed, z=z_rel)
+    checks.append(
+        Check(
+            "equilibrium_fixed_point_residual",
+            worst_resid < tol["equilibrium.residual_max"],
+            f"max residual {worst_resid:.2e} < {tol['equilibrium.residual_max']:g}",
         )
+    )
+    checks.append(
+        Check(
+            "equilibrium_q_shape",
+            worst_qshape <= tol["equilibrium.q_shape_max"],
+            f"max (1-q)R/r = {worst_qshape:.3f}",
+        )
+    )
+    sc = oracle.EquilibriumWorkspace(TorusPoint(16, 16, 32), 3, 12, 32).stationary_check()
+    deviation = sc["max_rel_deviation"]
+    uniformity_max = tol["equilibrium.uniformity_max"]
+    checks.append(
+        Check(
+            "stationary_measure_uniform",
+            deviation < uniformity_max,
+            f"max relative deviation {deviation:.2e}",
+        )
+    )
+    # rounded so that the CSV does not pin the solver's rounding noise
+    row(
+        "stationary_n32", 32, "uniformity", round(deviation, 12), sc["m_at_center"],
+        deviation < uniformity_max, hi=uniformity_max,
+    )
+    # E[G_1] = E_mu[H_inner] / q against the simulated splitting chain
+    ws = oracle.EquilibriumWorkspace(x, 4, 16, n)
+    pair = ws.equilibrium_pair()
+    expected_g1 = ws.expected_inward_leg() / pair.q
+    key = stream_key(cfg.seed, "oracle-check", "coupled_chain_g1")
+    run = oracle.coupled_chain_run(ws, x, length=700, seed=key)
+    blocks = run.block_sums[1:]  # G_m, m >= 1 are identically distributed
+    summ = stats.summarize_mean(blocks)
+    book("coupled_chain_g1", n, "block_sum_mean", expected_g1, summ.mean, summ.se)
+
+    n = 32
+    x = TorusPoint(16, 16, n)
+    dom1 = exterior_boundary_mask(ball_mask(x, 8.0))
+    dom2 = np.zeros((n, n), dtype=bool)
+    dom2[4, 4] = dom2[20, 9] = True
+    worst = 0.0
+    for name, dom in (("ball8", dom1), ("two_points", dom2)):
+        res = oracle.kac_moment_check(dom, n)
+        ratio = max(res["ratio_m2"], res["ratio_m3"])
+        worst = max(worst, ratio)
+        passed = ratio <= 1 + 1e-8
+        row(f"kac_{name}", n, "moment_ratio", res["ratio_m2"], res["ratio_m3"], passed, hi=1.0)
+    checks.append(
+        Check(
+            "kac_moment_inequality",
+            worst <= 1 + 1e-8,
+            f"max E[T^m] / (m! E[T] (max E)^(m-1)) = {worst:.4f} for m in {{2, 3}}",
+        )
+    )
 
     return _result(cfg, "oracle-check", ORACLE_SCHEMA, rows, checks)
 

@@ -12,6 +12,7 @@ reads the table directly.  No quantity is capped in n.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -80,12 +81,7 @@ class GridSystem:
         self.n = n
         self.absorbing = flat
         self.codes = np.nonzero(flat)[0]
-        # every identity below survives T -> T - const (the exit law sums to
-        # 1), and a zero-mean T drops the constant part of each field it is
-        # convolved with, which would otherwise cancel in the Green sums
-        table = expected_hit_origin_table(n)
-        self._table = table - table.mean()
-        self._table_hat = np.fft.rfft2(self._table).real  # T is even: its transform is real
+        self._table, self._table_hat = _centered_table(n)
         k = self.codes.size
         matrix = np.full((k + 1, k + 1), float(n * n))
         matrix[:k, :k] = self._hit_times(self.codes)
@@ -191,6 +187,20 @@ class GridSystem:
         return out[1:]
 
 
+@functools.lru_cache(maxsize=4)
+def _centered_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-mean T and its real rfft2, read-only, shared by the ``GridSystem``s
+    of one n.  Every identity there survives T -> T - const (the exit law sums
+    to 1), and a zero-mean T drops the constant part of each field it is
+    convolved with, which would otherwise cancel in the Green sums."""
+    table = expected_hit_origin_table(n)
+    table -= table.mean()
+    table_hat = np.fft.rfft2(table).real  # T is even: its transform is real
+    table.flags.writeable = False
+    table_hat.flags.writeable = False
+    return table, table_hat
+
+
 def _as_mask(target, n: int) -> np.ndarray:
     if isinstance(target, np.ndarray):
         return target
@@ -215,11 +225,6 @@ def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
     if not maskA.any():
         raise ValueError("A must be nonempty")
     return float(GridSystem(n, maskA).expected_hit()[v.code])
-
-
-def expected_hit_table(A, n: int) -> np.ndarray:
-    """E_v[H_A] for every cell v, as a flat length-N vector."""
-    return GridSystem(n, _as_mask(A, n)).expected_hit()
 
 
 def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,12 +260,6 @@ def green_exact(absorbing, probes, n: int) -> GreenTable:
     pcodes = _codes(probes)
     cols = GridSystem(n, mask).green_columns(pcodes)
     return GreenTable(n=n, absorbing=mask.reshape(-1), probe_codes=pcodes, columns=cols)
-
-
-def green_weighted_column(absorbing, weights: dict[int, float], n: int) -> np.ndarray:
-    """sum_v w(v) G(v, u) for all u, via one symmetric solve."""
-    sys = GridSystem(n, _as_mask(absorbing, n))
-    return sys.weighted_green(_codes(weights.keys()), np.array(list(weights.values())))
 
 
 # -- equilibrium pair and the excursion chain ---------------------------------
@@ -466,14 +465,6 @@ def coupled_chain_run(
         regen_indices=regen,
         block_sums=np.array(blocks, dtype=np.int64),
     )
-
-
-def equilibrium_pair(y: TorusPoint, r: float, R: float, n: int) -> EquilibriumPair:
-    return EquilibriumWorkspace(y, r, R, n).equilibrium_pair()
-
-
-def stationary_check(y: TorusPoint, r: float, R: float, n: int) -> dict[str, float]:
-    return EquilibriumWorkspace(y, r, R, n).stationary_check()
 
 
 # -- Kac moment hierarchy ------------------------------------------------------

@@ -58,22 +58,27 @@ def excursion_result():
     )
 
 
-def test_criterion_01_oracle_vs_mc():
-    """Oracle-vs-MC equivalence at n = 32, 64: 1e5 trials within 3 sigma."""
-    res = run_oracle_check(
-        ExperimentConfig(name="oracle-check", trials=100_000, seed=SEED, workers=WORKERS),
-        sections=("mc",),
+@pytest.fixture(scope="module")
+def oracle_result():
+    return run_oracle_check(
+        ExperimentConfig(name="oracle-check", trials=100_000, seed=SEED, workers=WORKERS)
     )
-    ok, checks = _report("1 (oracle vs MC)", res)
+
+
+def test_criterion_01_oracle_vs_mc(oracle_result):
+    """Oracle-vs-MC equivalence at n = 32, 64: 1e5 trials within 3 sigma."""
+    ok, checks = _report(
+        "1 (oracle vs MC)", oracle_result,
+        subset=("oracle_hit_prob", "oracle_exit", "oracle_cover"),
+    )
+    assert len(checks) == 7
     assert ok, [c.detail for c in checks if not c.passed]
 
 
-def test_criterion_02_lemma23_brackets():
+def test_criterion_02_lemma23_brackets(oracle_result):
     """Exact hit probabilities inside the c1 = c2 = 2 brackets on the grid."""
-    res = run_oracle_check(
-        ExperimentConfig(name="oracle-check", seed=SEED), sections=("bracket",)
-    )
-    ok, checks = _report("2 (circle-to-circle brackets)", res)
+    ok, checks = _report("2 (circle-to-circle brackets)", oracle_result, subset=("lemma23_",))
+    assert len(checks) == 2
     assert ok, [c.detail for c in checks if not c.passed]
 
 
@@ -108,19 +113,20 @@ def test_criterion_04b_concentration_faithful(excursion_result):
     assert ok, [c.detail for c in checks if not c.passed]
 
 
-def test_criterion_05_equilibrium_machinery():
+def test_criterion_05_equilibrium_machinery(oracle_result):
     """Fixed-point residuals, uniformity, q-shape, E[G_1] identity."""
-    res = run_oracle_check(
-        ExperimentConfig(name="oracle-check", seed=SEED), sections=("equilibrium",)
+    ok, checks = _report(
+        "5 (equilibrium machinery)", oracle_result,
+        subset=("equilibrium_", "stationary_measure_uniform", "oracle_coupled_chain_g1"),
     )
-    ok, checks = _report("5 (equilibrium machinery)", res)
+    assert len(checks) == 4
     assert ok, [c.detail for c in checks if not c.passed]
 
 
-def test_criterion_06_kac_moments():
+def test_criterion_06_kac_moments(oracle_result):
     """Kac inequality exact for m = 2, 3 on two domains."""
-    res = run_oracle_check(ExperimentConfig(name="oracle-check", seed=SEED), sections=("kac",))
-    ok, checks = _report("6 (Kac moments)", res)
+    ok, checks = _report("6 (Kac moments)", oracle_result, subset=("kac_moment_inequality",))
+    assert len(checks) == 1
     assert ok, [c.detail for c in checks if not c.passed]
 
 
@@ -183,10 +189,7 @@ def test_criterion_10_determinism(tmp_path):
         for tag in ("x", "y"):
             out = tmp_path / f"{name}.{tag}.csv"
             cfg_run = ExperimentConfig(**{**cfg.__dict__, "out": out})
-            if name == "oracle-check":
-                REGISTRY[name](cfg_run, sections=("mc",))
-            else:
-                REGISTRY[name](cfg_run)
+            REGISTRY[name](cfg_run)
             blobs = [out.read_bytes()]
             late = out.with_suffix(".late.csv")
             if late.exists():

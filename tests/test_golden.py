@@ -2,14 +2,17 @@
 
 Each ``REGISTRY`` experiment runs once at a small config with seed 7, and
 the sha256 of every CSV it writes (``curves`` also writes ``.late.csv``)
-must equal the digest recorded below.  ``oracle-check`` runs twice: its
-Monte Carlo sections into ``oracle-check.csv``, and its exact-only
-``bracket`` and ``kac`` sections into ``oracle-check.exact.csv``.  A refactor leaves every digest
+must equal the digest recorded below.  A refactor leaves every digest
 unchanged; a change that moves any output byte fails here and must
 re-record the digests on purpose.  They were last re-recorded on purpose
-for stream format 2: one named stream key per section (lattice.stream_key);
-since then only ``gw-check.csv`` moved, when each enumeration row began to
-report its own case's difference instead of a running maximum.
+for stream format 2: one named stream key per section (lattice.stream_key).
+Since then ``gw-check.csv`` moved, when each enumeration row began to report
+its own case's difference instead of a running maximum, and the oracle
+digests were merged: ``oracle-check`` used to be pinned as two partial runs
+(its Monte Carlo and equilibrium sections, and its exact-only bracket and
+Kac sections in ``oracle-check.exact.csv``), and it now runs whole like
+every other experiment, so one ``oracle-check.csv`` is pinned, recorded from
+an all-sections run of the code before the merge.
 
 The digests depend on numpy's Philox and negative-binomial samplers and on
 scipy's solvers, so the versions they were taken under are recorded too,
@@ -38,9 +41,6 @@ CONFIGS = {
     "oracle-check": dict(trials=2000),
 }
 
-ORACLE_SECTIONS = ("mc", "equilibrium")
-ORACLE_EXACT_SECTIONS = ("bracket", "kac")
-
 GOLDEN = {
     "cover.csv": "03c3f9c92862d9bb3f24bd6f4829f968babfcd8513b2884e3b2944151bab795c",
     "excursion.csv": "071df65070e0d69fdf1892d375e62c89328eae89c7aff09c11003676b4c7a45e",
@@ -49,8 +49,7 @@ GOLDEN = {
     "barrier.csv": "edb72e95cd77ae2edcd35ca99531ff48cae26e8969f23db0f8ca44867a91008f",
     "curves.csv": "0585181483c2ae54df8a868168756517eb904b777fb633ad1d1bcc81fb170ddb",
     "curves.late.csv": "a3348ad5052d1211b5337593974ea2f4eaf57b85a436622ed1e2929071fd8b03",
-    "oracle-check.csv": "c2877b362437e6e5f1191d361f7326198e19a971a955d91cd76fe8578dd40368",
-    "oracle-check.exact.csv": "957c9e2d3803af8f184f2174f915143771ee745827e0a31b13d179426f8dd3ff",
+    "oracle-check.csv": "409cb502981f35dce59668a59be28aa0ad18569d38a227472629c5c19698040e",
 }
 
 
@@ -59,18 +58,7 @@ def _digests(outdir) -> dict[str, str]:
         cfg = ExperimentConfig(
             name=name, seed=SEED, workers=1, out=outdir / f"{name}.csv", **kwargs
         )
-        if name == "oracle-check":
-            REGISTRY[name](cfg, sections=ORACLE_SECTIONS)
-        else:
-            REGISTRY[name](cfg)
-    exact = ExperimentConfig(
-        name="oracle-check",
-        seed=SEED,
-        workers=1,
-        out=outdir / "oracle-check.exact.csv",
-        **CONFIGS["oracle-check"],
-    )
-    REGISTRY["oracle-check"](exact, sections=ORACLE_EXACT_SECTIONS)
+        REGISTRY[name](cfg)
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(outdir.glob("*.csv"))

@@ -196,14 +196,6 @@ def test_non_positive_workers_is_a_usage_error(monkeypatch, capsys, value):
     assert ExperimentConfig(name="transfer", workers=2).worker_count() == 2
 
 
-def test_oracle_check_sections_isolated():
-    res = run_oracle_check(
-        ExperimentConfig(name="oracle-check", trials=500), sections=("kac",)
-    )
-    assert [c.name for c in res.checks] == ["kac_moment_inequality"]
-    assert res.all_passed
-
-
 def test_barrier_sweep_schema_and_csv(tmp_path):
     cfg = ExperimentConfig(name="barrier", trials=20_000, seed=2, out=tmp_path / "b.csv")
     res = run_barrier_sweep(cfg)
@@ -360,25 +352,28 @@ def _one_at_a_time(seed, experiment, section, run, start, n_trials):
 
 
 def _runner_cases():
-    """(run, start, trials) of four sections: at n = 32, mask hits and
-    ladders from a fixed start and clocks from per-trial starts, each with a
-    cap that overruns some walks; cover times at n = 6."""
+    """(run, start, trials) of five sections: at n = 32, mask hits, ladders
+    and ladders from the first hit of the r_1 circle from a fixed start, and
+    clocks from per-trial starts, each with a cap that overruns some walks;
+    cover times at n = 6."""
     n = 32
     center = TorusPoint(16, 16, n)
     exit_ring = lattice.exterior_boundary_mask(lattice.ball_mask(center, 10.0))
+    r1_ring = lattice.exterior_boundary_mask(lattice.ball_mask(center, 6.0))
     machine = circle_machine(center, [12.0, 6.0, 3.0])
     starts = [center.shifted(t % 9, t % 5) for t in range(70)]
     top = center.shifted(12, 0)
     return {
         "hits": (functools.partial(harness._hits, exit_ring, 90), center, 70),
         "ladders": (functools.partial(harness._ladders, machine, 1, 900), top, 70),
+        "tilde": (functools.partial(harness._tilde_ladders, machine, r1_ring, 2, 500), top, 70),
         "clocks": (functools.partial(harness._clocks, machine, 2, 420), starts, 70),
         "covers": (harness._covers, TorusPoint(0, 0, 6), 40),
     }
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["hits", "ladders", "clocks", "covers"])
+@pytest.mark.parametrize("case", ["hits", "ladders", "tilde", "clocks", "covers"])
 def test_map_trials_matches_each_walk_run_alone(case, workers):
     run, start, n_trials = _runner_cases()[case]
     alone = _one_at_a_time(11, "oracle-check", case, run, start, n_trials)
@@ -386,6 +381,15 @@ def test_map_trials_matches_each_walk_run_alone(case, workers):
     if case != "covers":
         # some walks overrun in the middle of the first group, and some finish
         assert any(over[1:31]) and not all(over[1:31])
+    if case == "tilde":
+        # some overrun before their first hit of the r_1 circle, some in the ladder
+        _, r1_ring, _, cap = run.args
+        first = _one_at_a_time(
+            11, "oracle-check", case, functools.partial(harness._hits, r1_ring, cap), start,
+            n_trials,
+        )
+        early = [isinstance(o, BudgetExceededError) for o in first]
+        assert any(early[1:31]) and any(o and not e for o, e in zip(over[1:31], early[1:31]))
     cfg = ExperimentConfig(name="oracle-check", seed=11, workers=workers)
     assert _map_trials(cfg, "oracle-check", case, run, start, n_trials) == (
         [o for o, bad in zip(alone, over) if not bad], sum(over)
@@ -541,11 +545,9 @@ def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
 
     monkeypatch.setattr(harness, "WalkState", Trial)
     monkeypatch.setattr(harness, "_hits_first", overrun_once)
-    res = run_oracle_check(
-        ExperimentConfig(name="oracle-check", trials=400, seed=4, workers=1), sections=("mc",)
-    )
+    res = run_oracle_check(ExperimentConfig(name="oracle-check", trials=400, seed=4, workers=1))
     checks = {c.name: c for c in res.checks}
-    assert len(checks) == 7  # the battery ran to its end
+    assert len(checks) == 14  # the battery ran to its end
     assert not checks["oracle_hit_prob_n32"].passed
     assert checks["oracle_hit_prob_n32"].detail.endswith("; budget overruns: 1")
     others = [c for name, c in checks.items() if name != "oracle_hit_prob_n32"]

@@ -16,18 +16,14 @@ from coverlab.oracle import (
     EquilibriumWorkspace,
     GridSystem,
     coupled_chain_run,
-    equilibrium_pair,
     exact_cover_mean,
     expected_hit_exact,
     expected_hit_origin_table,
-    expected_hit_table,
     green_exact,
-    green_weighted_column,
     harmonic_measure_exact,
     hit_prob_exact,
     kac_moment_check,
     matthews_cover_bracket,
-    stationary_check,
 )
 from coverlab.stats import summarize_mean, two_sample_chisquare, variance_se
 from lu_reference import LUSystem, neighbor_codes
@@ -68,7 +64,7 @@ def test_exact_engine_past_the_old_cap():
     y = TorusPoint(128, 128, n)
     ws = EquilibriumWorkspace(y, 4, 32, n)
     inner = ws.inner_mask
-    h = expected_hit_table(inner, n).reshape(n, n)
+    h = GridSystem(n, inner).expected_hit().reshape(n, n)
     one_step = sum(np.roll(h, s, axis=a) for s in (1, -1) for a in (0, 1)) / 4
     assert np.abs(h - one_step - 1)[~inner].max() <= 1e-13 * h.max()
     assert not h[inner].any()
@@ -196,9 +192,10 @@ def test_green_columns_match_single_solves():
     expected = sys.full_vector(_single_solves(sys, free_idx))
     assert np.abs(table.columns[:, :3] - expected).max() <= 1e-13
     assert not table.columns[:, 3].any()  # the last probe lies on the absorbing circle
-    weights = {p.code: w for p, w in zip(probes[:3], (0.5, 0.3, 0.2))}
-    mixed = green_weighted_column(absorbing, weights, n)
-    assert np.abs(mixed - expected @ [0.5, 0.3, 0.2]).max() <= 1e-13
+    weights = np.array([0.5, 0.3, 0.2])
+    codes = np.array([p.code for p in probes[:3]])
+    mixed = GridSystem(n, absorbing).weighted_green(codes, weights)
+    assert np.abs(mixed - expected @ weights).max() <= 1e-13
 
 
 def test_residual_check_raises_for_a_matrix_right_hand_side(monkeypatch):
@@ -284,7 +281,7 @@ def test_green_against_log_estimate():
 def test_equilibrium_identities_and_q():
     n = 64
     y = TorusPoint(32, 32, n)
-    pair = equilibrium_pair(y, 4, 16, n)
+    pair = EquilibriumWorkspace(y, 4, 16, n).equilibrium_pair()
     assert pair.residual < 1e-10
     assert pair.mu_outer.sum() == pytest.approx(1.0, abs=1e-12)
     assert pair.mu_inner.sum() == pytest.approx(1.0, abs=1e-12)
@@ -333,7 +330,7 @@ def test_d1_variance_matches_brute_force_mc():
 
 
 def test_stationary_measure_uniform_and_consistent():
-    sc = stationary_check(TorusPoint(16, 16, 32), 3, 12, 32)
+    sc = EquilibriumWorkspace(TorusPoint(16, 16, 32), 3, 12, 32).stationary_check()
     assert sc["max_rel_deviation"] < 1e-8
     # m(y) carries the (2/pi) log(R/r) value up to O(1/r)
     assert abs(sc["m_at_center"] - (2 / math.pi) * sc["log_ratio"]) <= 1.0 / 3
@@ -430,6 +427,17 @@ def test_exact_cover_mean_small():
     assert exact_cover_mean(3) > exact_cover_mean(2)
     with pytest.raises(ValueError):
         exact_cover_mean(4)
+
+
+def test_grid_systems_of_one_n_share_one_read_only_table():
+    n = 24
+    x = TorusPoint(12, 12, n)
+    a = GridSystem(n, exterior_boundary_mask(ball_mask(x, 3.0)))
+    b = GridSystem(n, exterior_boundary_mask(ball_mask(x, 8.0)))
+    assert a._table is b._table and a._table_hat is b._table_hat
+    assert not a._table.flags.writeable and not a._table_hat.flags.writeable
+    table = expected_hit_origin_table(n)
+    assert np.array_equal(a._table, table - table.mean())
 
 
 @pytest.mark.parametrize("n", [8, 16])
