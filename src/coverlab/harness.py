@@ -1032,7 +1032,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> ExperimentResult:
     exact = oracle.expected_hit_exact(x, exterior_boundary_mask(ball_mask(x, R)), n)
     lo, hi = R**2, (R + 1) ** 2
     inside = lo <= exact <= hi
-    row("exit_center_band", n, "expected_hit", exact, exact, inside, 1.0, 0.0, lo, hi)
+    row("exit_center_band", n, "expected_hit", exact, exact, inside, lo=lo, hi=hi)
     detail = f"exact={exact:.5g} in [{lo:g}, {hi:g}]"
     checks.append(Check("oracle_exit_center_band", inside, detail))
 

@@ -566,6 +566,14 @@ def test_oracle_check_books_an_overrun_as_a_failed_check(monkeypatch):
     assert not row["passed"]
 
 
+def test_exact_only_oracle_rows_carry_no_monte_carlo_error():
+    res = run_oracle_check(ExperimentConfig(name="oracle-check", trials=400, workers=1))
+    mc = {c.name.removeprefix("oracle_") for c in res.checks if c.detail.startswith("mc ")}
+    assert len(mc) == 7  # hit_prob x 3, exit_time x 2, cover_n2_chain, coupled_chain_g1
+    for row in res.rows:
+        assert (row["mc_se"] > 0) == (row["case"] in mc), row
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_cover_below_n3_is_a_usage_error_before_any_walk(monkeypatch, capsys, n):
     from coverlab.cli import main
