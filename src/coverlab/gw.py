@@ -9,6 +9,7 @@ and checked against a band-restricted convolution DP.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,26 +62,18 @@ def one_step_pmf(m: int, jmax: int) -> np.ndarray:
     return _nbinom_pmf(np.arange(jmax + 1), m, 0.5)
 
 
-_last_matrix: np.ndarray | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def transition_matrix(cap: int) -> np.ndarray:
     """Rows k = 0..cap: law of the next generation truncated to 0..cap.
 
     The last matrix built is kept and returned read-only: the iterated laws
-    and barrier sweeps ask for one cap many times in a row.  Only one is
-    kept, and it is dropped before another is built.
+    and barrier sweeps ask for one cap many times in a row.
     """
-    global _last_matrix
-    if _last_matrix is not None and len(_last_matrix) == cap + 1:
-        return _last_matrix
-    _last_matrix = None
     M = np.zeros((cap + 1, cap + 1))
     M[0, 0] = 1.0
     ks = np.arange(1, cap + 1)
     M[1:, :] = _nbinom_pmf(np.arange(cap + 1)[None, :], ks[:, None], 0.5)
     M.flags.writeable = False
-    _last_matrix = M
     return M
 
 

@@ -98,9 +98,6 @@ class BallSpec:
         if not self.radius < self.center.n / 2:
             raise ValueError("radius must be < n/2 so the ball does not wrap into itself")
 
-    def mask(self) -> np.ndarray:
-        return ball_mask(self.center, self.radius)
-
 
 def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
     """Euclidean length of the minimal wrapped displacement between a and b."""

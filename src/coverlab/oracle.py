@@ -27,7 +27,6 @@ from .lattice import (
     ball_mask,
     exterior_boundary_mask,
     philox_stream,
-    points_to_mask,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -201,30 +200,22 @@ def _centered_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table, table_hat
 
 
-def _as_mask(target, n: int) -> np.ndarray:
-    if isinstance(target, np.ndarray):
-        return target
-    return points_to_mask(target, n)
-
-
-def hit_prob_exact(v: TorusPoint, A, B_set, n: int) -> float:
-    """P_v[H_A < H_B] by the discrete Dirichlet problem (1 on A, 0 on B)."""
-    maskA = _as_mask(A, n)
-    maskB = _as_mask(B_set, n)
-    if not maskA.any() or not maskB.any():
+def hit_prob_exact(v: TorusPoint, A: np.ndarray, B: np.ndarray, n: int) -> float:
+    """P_v[H_A < H_B] by the discrete Dirichlet problem (1 on A, 0 on B);
+    A and B are (n, n) masks."""
+    if not A.any() or not B.any():
         raise ValueError("A and B must be nonempty")
-    if (maskA & maskB).any():
+    if (A & B).any():
         raise ValueError("A and B must be disjoint")
-    rows, bcodes = GridSystem(n, maskA | maskB).exit_distribution(np.array([v.code]))
-    return float(rows[0, maskA.reshape(-1)[bcodes]].sum())
+    rows, bcodes = GridSystem(n, A | B).exit_distribution(np.array([v.code]))
+    return float(rows[0, A.reshape(-1)[bcodes]].sum())
 
 
-def expected_hit_exact(v: TorusPoint, A, n: int) -> float:
+def expected_hit_exact(v: TorusPoint, A: np.ndarray, n: int) -> float:
     """E_v[H_A] by the Poisson equation (I - Q) h = 1, h = 0 on A."""
-    maskA = _as_mask(A, n)
-    if not maskA.any():
+    if not A.any():
         raise ValueError("A must be nonempty")
-    return float(GridSystem(n, maskA).expected_hit()[v.code])
+    return float(GridSystem(n, A).expected_hit()[v.code])
 
 
 def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +223,7 @@ def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.nd
 
     Returns (rows, boundary_codes); rows has shape (len(sources), #boundary).
     """
-    return GridSystem(n, _as_mask(boundary, n)).exit_distribution(_codes(sources))
+    return GridSystem(n, boundary).exit_distribution(_codes(sources))
 
 
 @dataclass
@@ -244,22 +235,15 @@ class GreenTable:
     probe_codes: np.ndarray
     columns: np.ndarray  # (N, #probes): G(u, probe) for every cell u
 
-    def value(self, u_code: int, v_code: int) -> float:
-        j = np.nonzero(self.probe_codes == v_code)[0]
-        if j.size == 0:
-            raise ValueError("v is not a probe cell")
-        return float(self.columns[u_code, j[0]])
-
     def probe_matrix(self) -> np.ndarray:
         return self.columns[self.probe_codes]
 
 
 def green_exact(absorbing, probes, n: int) -> GreenTable:
     """Green table of the domain killed on ``absorbing`` at the probe cells."""
-    mask = _as_mask(absorbing, n)
     pcodes = _codes(probes)
-    cols = GridSystem(n, mask).green_columns(pcodes)
-    return GreenTable(n=n, absorbing=mask.reshape(-1), probe_codes=pcodes, columns=cols)
+    cols = GridSystem(n, absorbing).green_columns(pcodes)
+    return GreenTable(n=n, absorbing=absorbing.reshape(-1), probe_codes=pcodes, columns=cols)
 
 
 # -- equilibrium pair and the excursion chain ---------------------------------
@@ -476,7 +460,7 @@ def kac_moment_check(A, n: int) -> dict[str, float]:
     Returns the worst ratios lhs/rhs of Kac's inequality
     E[T^m] <= m! E[T] (max E[T])^(m-1) over all start cells.
     """
-    mask = _as_mask(A, n).reshape(-1)
+    mask = A.reshape(-1)
     h1, h2, h3 = (h[~mask] for h in GridSystem(n, mask).hitting_moments(3))
     hmax = h1.max()
     ratio2 = float((h2 / (2 * h1 * hmax)).max())

@@ -50,13 +50,9 @@ class Inequality:
     def passed(self) -> bool:
         return self.lhs > self.rhs
 
-    @property
-    def slack(self) -> float:
-        return self.lhs - self.rhs
-
 
 def validate_params(p: ParamSet) -> list[Inequality]:
-    """Report, per constraint, pass/fail with slack (never raises)."""
+    """Report, per constraint, its two sides and pass/fail (never raises)."""
     return [
         Inequality("2*gamma - 2*beta - alpha > 1", 2 * p.gamma - 2 * p.beta - p.alpha, 1.0),
         Inequality("(1 - 2*delta)*beta > alpha", (1 - 2 * p.delta) * p.beta, p.alpha),

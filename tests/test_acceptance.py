@@ -96,6 +96,7 @@ def test_criterion_04a_excursion_length_and_tail(excursion_result):
         excursion_result,
         subset=("d1_within_5pct", "d1_mc_vs_exact", "tail_exponential"),
     )
+    assert len(checks) == 3
     assert ok, [c.detail for c in checks if not c.passed]
 
 
@@ -110,6 +111,7 @@ def test_criterion_04b_concentration_faithful(excursion_result):
     ok, checks = _report(
         "4b (concentration)", excursion_result, subset=("concentration",)
     )
+    assert len(checks) == 2
     assert ok, [c.detail for c in checks if not c.passed]
 
 
@@ -135,6 +137,7 @@ def test_criterion_07a_cover_gap_trend(cover_result):
     ok, checks = _report(
         "7a (cover gap trend)", cover_result, subset=("gap_monotone", "moves_toward")
     )
+    assert len(checks) == 2
     assert ok, [c.detail for c in checks if not c.passed]
 
 
@@ -148,6 +151,7 @@ def test_criterion_07b_cover_band_faithful(cover_result):
     the trend toward it.
     """
     ok, checks = _report("7b (cover band)", cover_result, subset=("band",))
+    assert len(checks) == 3
     assert ok, [c.detail for c in checks if not c.passed]
 
 

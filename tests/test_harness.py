@@ -447,49 +447,80 @@ def test_curves_whose_every_walk_overruns_fail_their_walk_checks(monkeypatch):
     assert walk and all((r["trials"], r["failures"]) == (0, 3) for r in walk)
 
 
-def _overrun_first_walk(run):
-    """``run``, except that the first walk it is ever handed overruns."""
+def _overrun_first_walk(run, m=None):
+    """``run``, except that the first walk it is handed overruns; with ``m``
+    set, the first walk of the first ``_clocks`` call for D_m clocks."""
     calls = []
 
     def first_overruns(*args):
         out = list(run(*args))
-        if not calls:
+        if not calls and (m is None or args[1] == m):
             out[0] = BudgetExceededError("forced overrun", steps_taken=0)
-        calls.append(len(out))
+            calls.append(len(out))
         return out
 
     return first_overruns
 
 
 @pytest.mark.parametrize(
-    "run_name, name, kwargs, cell_checks",
+    "run_name, m, name, kwargs, cell_checks",
     [
-        ("_covers", "cover", dict(n_values=(16,), trials=30), ["cover_band_n16"]),
         (
-            "_clocks", "excursion", dict(n_values=(32,), trials=200),
-            ["excursion_d1_mc_vs_exact_3sigma", "excursion_concentration_d1_variance_mc_vs_exact"],
+            "_covers", None, "cover", dict(n_values=(16, 24), trials=30),
+            ["cover_band_n16", "cover_gap_monotone", "cover_gap_moves_toward_correction"],
         ),
         (
-            "_ladders", "transfer", dict(trials=300),
+            "_clocks", 1, "excursion", dict(n_values=(32,), trials=200),
+            [
+                "excursion_d1_within_5pct", "excursion_d1_mc_vs_exact_3sigma",
+                "excursion_concentration_d1_variance_mc_vs_exact", "excursion_tail_exponential",
+            ],
+        ),
+        # the D_100 cell runs before the m-sweep's own m = 100 cell
+        (
+            "_clocks", 100, "excursion", dict(n_values=(32,), trials=200),
+            ["excursion_concentration_p95"],
+        ),
+        (
+            "_clocks", 9, "excursion", dict(n_values=(32,), trials=200),
+            ["excursion_spread_shrinks_like_sqrt_m"],
+        ),
+        (
+            "_ladders", None, "transfer", dict(trials=300),
             ["transfer_base_T0_0_bracket_mc", "transfer_base_T1_0_bracket_mc"],
         ),
-        ("_late_events", "curves", dict(trials=3), ["late_event_below_corridor"]),
+        ("_tilde_ladders", None, "curves", dict(trials=3), ["curves_level0_equals_m"]),
+        (
+            "_late_events", None, "curves", dict(trials=3),
+            ["late_event_positive", "late_event_below_corridor"],
+        ),
     ],
-    ids=["cover", "excursion", "transfer", "late"],
+    ids=["cover", "excursion", "excursion_dm", "excursion_sweep", "transfer", "tilde", "late"],
 )
 def test_one_overrun_fails_the_monte_carlo_checks_of_its_cell(
-    monkeypatch, run_name, name, kwargs, cell_checks
+    monkeypatch, run_name, m, name, kwargs, cell_checks
 ):
-    # the trials that finish beside an overrun are a censored sample: the
-    # cell's Monte Carlo checks fail, as oracle-check's do
+    # the trials that finish beside an overrun are a censored sample: every
+    # check that reads the cell fails, Monte Carlo rule or not, as
+    # oracle-check's do; the checks of the other cells keep their verdicts
     cfg = ExperimentConfig(name=name, seed=9, workers=1, **kwargs)
-    clean = {c.name: c for c in REGISTRY[name](cfg).checks}
-    monkeypatch.setattr(harness, run_name, _overrun_first_walk(getattr(harness, run_name)))
-    once = {c.name: c for c in REGISTRY[name](cfg).checks}
+    clean = REGISTRY[name](cfg)
+    monkeypatch.setattr(harness, run_name, _overrun_first_walk(getattr(harness, run_name), m))
+    once = REGISTRY[name](cfg)
+    before = {c.name: c for c in clean.checks}
+    after = {c.name: c for c in once.checks}
+    assert before.keys() == after.keys()
     for check in cell_checks:
-        assert clean[check].passed and "overruns" not in clean[check].detail
-        assert not once[check].passed
-        assert once[check].detail.endswith("; budget overruns: 1")
+        assert before[check].passed and "overruns" not in before[check].detail
+        assert not after[check].passed
+        assert after[check].detail.endswith("; budget overruns: 1")
+    for check in before.keys() - set(cell_checks):
+        assert after[check].passed == before[check].passed, check
+    if name == "curves":
+        # the late table's below_envelope column follows the Monte Carlo rule
+        late_overran = run_name == "_late_events"
+        assert all(r["below_envelope"] for r in clean.late_rows)
+        assert all(r["below_envelope"] != late_overran for r in once.late_rows)
 
 
 @pytest.mark.parametrize("z", [0.0, 3.0])
