@@ -124,11 +124,15 @@ class TraversalMachine:
                 raise ValueError(f"circle {idx} is empty")
             label[mask.reshape(-1)] |= np.uint32(1 << idx)
         self._label = label
+        self._on = label != 0
         for lad in self.ladders:
             if lad.inner == lad.outer:
                 raise ValueError("ladder inner and outer circles must differ")
         self._inner = np.array([[1 << lad.inner] for lad in self.ladders], dtype=np.uint32)
         self._outer = np.array([[1 << lad.outer] for lad in self.ladders], dtype=np.uint32)
+        # cells on both circles of some ladder: a hit there is an event each time
+        both = (((self._inner & label) != 0) & ((self._outer & label) != 0)).any(axis=0)
+        self._both = both if both.any() else None
         self._inner_first = np.array([lad.inner < lad.outer for lad in self.ladders])
 
     def run(
@@ -177,12 +181,21 @@ class TraversalMachine:
             """One round: walk group[i] steps through codes[bounds[i]:bounds[i+1]],
             having taken taken[i] steps.  Returns each walk's end index or -1."""
             ends = np.full(group.size, -1)
-            lab = self._label.take(codes)
-            hits = lab.nonzero()[0]
+            hits = self._on.take(codes).nonzero()[0]
             if hits.size == 0:
                 return ends
-            hv = lab.take(hits)
+            cells = codes.take(hits)
+            hv = self._label.take(cells)
             row = bounds[1:].searchsorted(hits, side="right")
+            # a hit with the label of the walk's previous hit changes no
+            # ladder, unless its cell lies on both circles of one
+            repeat = (hv[1:] == hv[:-1]) & (row[1:] == row[:-1])
+            if self._both is not None:
+                repeat &= ~self._both.take(cells[1:])
+            if repeat.any():
+                keep = np.ones(hits.size, dtype=bool)
+                np.logical_not(repeat, out=keep[1:])
+                hits, hv, row = hits[keep], hv[keep], row[keep]
             shift = taken + 1 - bounds[:-1]  # a hit's step count, less its index
 
             def time(h):
