@@ -13,15 +13,11 @@ a block's worth of numpy calls.  A single walk is the group of one
 (``advance_to_mask``, ``cover_time``), and every callback has the group
 signature.
 
-Moves are read straight from the raw 64-bit Philox words, and the stream
-format is unchanged: each move is the one ``Generator.integers(0, 4)``
-would give.  Numpy draws a bounded integer with Lemire's multiply-shift
-(Lemire, "Fast random integer generation in an interval", ACM TOMACS 2019)
-on one 32-bit half of a word, the low half first.  For a range of 4 the
-rejection threshold (2^32 - 4) mod 4 is 0, so nothing is ever rejected and
-the move is ``u32 * 4 >> 32``, the top two bits of the half.  Every block
-drawn from a stream has an even size, so no half-word is left buffered
-between blocks.
+Moves are read straight from the raw 64-bit Philox words, 32 to a word
+(stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
+raw word k // 32, the low pair first, so each little-endian byte of a word
+holds four moves, its low pair first.  Every block drawn from a stream is a
+multiple of 32 moves, so no word is split between blocks.
 
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
 times, which only ask when a set is first entered.
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Both even, so every block uses whole raw words.
+# Both multiples of 32, so every block uses whole raw words.
 _FIRST_BLOCK = 1 << 10
 _MAX_BLOCK = 1 << 15
 
@@ -49,6 +45,10 @@ _Y_BITS = 20
 _Y_MASK = (1 << _Y_BITS) - 1
 # Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
 _STEP = np.array([1 << _Y_BITS, -(1 << _Y_BITS), 1, -1], dtype=np.int64)
+# The bit pairs of a byte, low pair first, and the packed steps of the four
+# moves each byte value holds.
+_PAIRS = np.array([0, 2, 4, 6], dtype=np.uint8)
+_BYTE_STEPS = _STEP[np.arange(256, dtype=np.uint8)[:, None] >> _PAIRS & 3]
 
 
 class BudgetExceededError(RuntimeError):
@@ -198,10 +198,10 @@ class WalkState:
     ``stream``.
     A WalkState is confined to one worker at a time and never shared.
 
-    The k-th move equals the k-th draw of
-    ``philox_stream(seed, stream).integers(0, 4, dtype=np.int64)``: it is
-    read as the top two bits of a 32-bit half of a raw Philox word, low half
-    first (see the module docstring), and every block drawn has an even size.
+    The k-th move is the bit pair 2(k mod 32), 2(k mod 32) + 1 of raw word
+    k // 32 of ``philox_stream(seed, stream).bit_generator.random_raw()``
+    (stream format 3, see the module docstring); every block drawn is a
+    multiple of 32 moves.
     Positions are int32 flat codes ``x * n + y``; index tables with them
     through ``take``, which numpy runs about twice as fast as ``table[codes]``
     for int32 indices.
@@ -264,7 +264,7 @@ class WalkState:
                 raise RuntimeError("forced move stream exhausted")
             self._forced_used += moves.size
             return moves
-        return self._bits.random_raw(size // 2)
+        return self._bits.random_raw(size // 32)
 
     def peek_block(self) -> np.ndarray:
         """Flat position codes for the not-yet-consumed part of the current block."""
@@ -287,21 +287,27 @@ class WalkState:
         byte each, to decode before the next block.  A walk between scan
         rounds so holds no round's arrays alive."""
         if self._cursor < self._codes.size:
-            self._kept = _moves_of(self._drawn)[self._cursor :].astype(np.uint8)
+            self._kept = _moves_of(self._drawn, self._cursor)
         self._codes = _NO_CODES
         self._drawn = _NO_MOVES
         self._cursor = 0
 
 
-def _halves(raw: np.ndarray) -> np.ndarray:
-    """The 32-bit halves of raw Philox words, low half first; a move is the
-    top two bits of one."""
-    return raw.astype("<u8", copy=False).view("<u4")
+def _bytes(raw: np.ndarray) -> np.ndarray:
+    """The bytes of raw Philox words in little-endian order: byte j of word
+    i holds moves 32 i + 4 j to 32 i + 4 j + 3."""
+    return raw.astype("<u8", copy=False).view(np.uint8)
 
 
-def _moves_of(drawn: np.ndarray) -> np.ndarray:
-    """The moves of what ``WalkState._draw`` gave."""
-    return (_halves(drawn) >> 30).astype(np.intp) if drawn.dtype == np.uint64 else drawn
+def _moves_of(drawn: np.ndarray, start: int) -> np.ndarray:
+    """The moves of what ``WalkState._draw`` gave, from move ``start`` on,
+    one byte each; raw words are decoded from the one holding ``start``."""
+    if drawn.dtype != np.uint64:
+        return drawn[start:].astype(np.uint8)
+    word, skip = divmod(start, 32)
+    moves = _bytes(drawn[word:])[:, None] >> _PAIRS
+    moves &= 3
+    return moves.reshape(-1)[skip:]
 
 
 # Scratch space of _decode, which a round of _MAX_BLOCK moves fills.  Fresh
@@ -309,7 +315,7 @@ def _moves_of(drawn: np.ndarray) -> np.ndarray:
 # page faults cost more than the arithmetic.  No decode result points into
 # them; decodes in one process must not run concurrently (trials run in
 # worker processes, not threads).
-_MOVES = np.empty(_MAX_BLOCK, dtype=np.intp)
+_COORDS = np.empty(_MAX_BLOCK, dtype=np.intp)
 _PACKED = np.empty(_MAX_BLOCK, dtype=np.int64)
 
 
@@ -318,34 +324,38 @@ def _decode(walks) -> np.ndarray:
     one set of numpy calls; returns their codes, concatenated in order, and
     hands each walk its own part.
 
-    The moves become one array of packed steps.  The first step of each
-    walk's part is offset by the walk's packed start minus where the part
-    before it ends, so one running sum gives every walk's positions.
+    The moves become one array of packed steps, raw words a byte at a time
+    through ``_BYTE_STEPS``.  The first step of each walk's part is offset by
+    the walk's packed start minus where the part before it ends, so one
+    running sum gives every walk's positions.
     """
     parts = [w._draw() for w in walks]
+    sizes = [32 * p.size if p.dtype == np.uint64 else p.size for p in parts]
+    pos = _PACKED[: sum(sizes)]
     if all(p.dtype == np.uint64 for p in parts):
         raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        moves = _MOVES[: 2 * raw.size]
-        np.right_shift(_halves(raw), 30, out=moves, casting="unsafe")
-        sizes = [2 * p.size for p in parts]
+        _BYTE_STEPS.take(_bytes(raw), axis=0, out=pos.reshape(-1, 4), mode="clip")
     else:
-        each = [_moves_of(p) for p in parts]
-        sizes = [m.size for m in each]
-        moves = _MOVES[: sum(sizes)]
-        np.concatenate(each, out=moves, casting="unsafe")
+        lo = 0
+        for p, size in zip(parts, sizes):
+            if p.dtype == np.uint64:
+                out = pos[lo : lo + size].reshape(-1, 4)
+                _BYTE_STEPS.take(_bytes(p), axis=0, out=out, mode="clip")
+            else:
+                _STEP.take(p, out=pos[lo : lo + size], mode="clip")
+            lo += size
     n = walks[0].n
     wrap = _wrap_table(n)
     firsts = np.array([0, *itertools.accumulate(sizes[:-1])])
     start = np.array(
         [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
     )
-    pos = _STEP.take(moves, out=_PACKED[: moves.size], mode="clip")
     if len(walks) > 1:
         ends = start + np.add.reduceat(pos, firsts)
         start[1:] -= ends[:-1]
     pos[firsts] += start
     np.cumsum(pos, out=pos)
-    x = np.right_shift(pos, _Y_BITS, out=moves, casting="unsafe")
+    x = np.right_shift(pos, _Y_BITS, out=_COORDS[: pos.size], casting="unsafe")
     codes = np.multiply(wrap.take(x, mode="clip"), n, dtype=np.int32)
     pos &= _Y_MASK
     codes += wrap.take(pos, mode="clip")

@@ -132,14 +132,17 @@ def _cover_n3():
     return run_cover_experiment(ExperimentConfig(name="cover", n_values=(3,), trials=30, seed=0))
 
 
-def test_cover_band_allows_the_mean_its_sampling_error():
-    # at 30 trials the n = 3 mean sits above Matthews' upper edge, though the
-    # exact mean lies inside the bracket: the band check allows mc_sigma SEs
+def test_cover_band_allows_the_mean_its_sampling_error(monkeypatch):
+    # the exact mean lies inside Matthews' bracket, and a run's mean may sit
+    # beyond it by its sampling error: the band check allows mc_sigma SEs
+    row = _cover_n3().rows[0]
+    scale = 9 * np.log(3) ** 2
+    assert row["band_lo"] <= oracle.exact_cover_mean(3) / scale <= row["band_hi"]
+    upper = row["mean_steps"] - row["se_steps"]  # 1 SE below the run's mean
+    monkeypatch.setattr(oracle, "matthews_cover_bracket", lambda n: (upper / 2, upper))
     res = _cover_n3()
     row = res.rows[0]
-    scale = 9 * np.log(3) ** 2
     assert row["norm_mean"] > row["band_hi"] and not row["in_band"]
-    assert row["band_lo"] <= oracle.exact_cover_mean(3) / scale <= row["band_hi"]
     assert res.checks[0].name == "cover_band_n3" and res.checks[0].passed
 
 
@@ -502,7 +505,12 @@ def test_one_overrun_fails_the_monte_carlo_checks_of_its_cell(
 ):
     # the trials that finish beside an overrun are a censored sample: every
     # check that reads the cell fails, Monte Carlo rule or not, as
-    # oracle-check's do; the checks of the other cells keep their verdicts
+    # oracle-check's do; the checks of the other cells keep their verdicts.
+    # At n = 32 the exact E[D_1] itself lies 6 % below the formula that
+    # excursion_d1_within_5pct bands, so a 100 % band leaves the overrun to
+    # decide that check
+    real = harness.load_tolerances
+    monkeypatch.setattr(harness, "load_tolerances", lambda: {**real(), "excursion.d1_rel_tol": 1.0})
     cfg = ExperimentConfig(name=name, seed=9, workers=1, **kwargs)
     clean = REGISTRY[name](cfg)
     monkeypatch.setattr(harness, run_name, _overrun_first_walk(getattr(harness, run_name), m))

@@ -162,8 +162,30 @@ def test_stream_key_is_pinned_and_independent_of_the_hash_seed():
         assert int(out.stdout) == STREAM_KEY_7_COVER_N16
 
 
+def _format3_moves(seed, stream, total):
+    """The first ``total`` moves of a key by the stream format 3 formula:
+    move k is (raw[k // 32] >> 2 (k % 32)) & 3 of the key's raw Philox words."""
+    raw = philox_stream(seed, stream).bit_generator.random_raw(-(-total // 32))
+    k = np.arange(total)
+    shift = (2 * (k % 32)).astype(np.uint64)
+    return ((raw[k // 32] >> shift) & np.uint64(3)).astype(np.int64)
+
+
+# the first 64 moves of the key [STREAM_KEY_7_COVER_N16, 0], the first cover
+# trial of the n = 16 side at seed 7 (0 = +x, 1 = -x, 2 = +y, 3 = -y)
+FIRST_MOVES_7_COVER_N16 = "1130131312222123111002301130232303202003312221220221220101110311"
+
+
+def test_first_moves_of_a_fixed_key_are_pinned():
+    n = 16
+    moves = np.array([int(c) for c in FIRST_MOVES_7_COVER_N16])
+    assert moves.size == 64
+    walk = WalkState(TorusPoint(0, 0, n), seed=STREAM_KEY_7_COVER_N16, stream=0)
+    assert np.array_equal(_walk_codes(walk, 64, 64), _int64_codes(moves, n, 0, 0))
+
+
 @pytest.mark.parametrize("n", [3, 50, 128])
-def test_walk_stream_matches_generator_integers(n):
+def test_walk_stream_matches_the_format_3_formula(n):
     # 300 000 moves cross the doubling first blocks and nine full-size ones;
     # odd slice lengths make consumption straddle every block boundary
     total = 300_000
@@ -171,7 +193,7 @@ def test_walk_stream_matches_generator_integers(n):
         x, y = seed % n, stream % n
         walk = WalkState(TorusPoint(x, y, n), seed=seed, stream=stream)
         got = _walk_codes(walk, total, slice_len)
-        moves = philox_stream(seed, stream).integers(0, 4, size=total, dtype=np.int64)
+        moves = _format3_moves(seed, stream, total)
         assert np.array_equal(got, _int64_codes(moves, n, x, y))
         assert walk.steps == total
         assert walk.code == got[-1]
@@ -408,7 +430,7 @@ def test_kept_moves_continue_the_stream():
     used = advance_group_to_mask(walks, mask, [10**6] * len(walks))
     for t, walk in enumerate(walks):
         steps = walk.steps
-        moves = philox_stream(seed, t).integers(0, 4, size=steps + 500, dtype=np.int64)
+        moves = _format3_moves(seed, t, steps + 500)
         want = _int64_codes(moves, n, 12, 12)
         assert used[t] == steps and mask.flat[want[steps - 1]]
         assert np.array_equal(_walk_codes(walk, 500, 33), want[steps:])
