@@ -547,6 +547,33 @@ def test_barrier_and_d1_mean_checks_read_mc_sigma(monkeypatch, z):
     assert all(c.detail.endswith(f"z={z:g}") for c in checks)
 
 
+def test_summary_checks_report_a_failing_row(monkeypatch):
+    # bounds that every row fails: each summary check names a row and its value
+    real = harness.load_tolerances
+    tight = {
+        "lemma23.c1": 1e-3, "lemma23.c2": 1e-3, "lemma23.abs_bound": 1e-3,
+        "curves.centering_abs_tol": 0.0, "oracle.mc_sigma": 0.0,
+    }
+    monkeypatch.setattr(harness, "load_tolerances", lambda: {**real(), **tight})
+    res = run_oracle_check(ExperimentConfig(name="oracle-check", trials=200, seed=1, workers=1))
+    checks = {c.name: c for c in res.checks}
+    brackets = [r for r in res.rows if r["case"].startswith("bracket_")]
+    assert not any(r["passed"] for r in brackets)
+    detail = checks["lemma23_brackets_c1_c2_2"].detail
+    assert not checks["lemma23_brackets_c1_c2_2"].passed and detail.startswith("0/13 configs")
+    assert any(f"{r['case']}: P={r['exact']:.5g}," in detail for r in brackets)
+    detail = checks["lemma23_scaled_deviation"].detail
+    assert not checks["lemma23_scaled_deviation"].passed
+    assert any(f"= {r['z']:.4g} at {r['case']}," in detail for r in brackets)
+    res = run_curve_report(ExperimentConfig(name="curves", trials=3, seed=1, workers=1))
+    check = next(c for c in res.checks if c.name == "curves_gw_sqrt_centering")
+    levels = [r for r in res.rows if r["source"] == "gw_conditioned"]
+    assert not check.passed
+    assert any(
+        check.detail.startswith(f"mc sqrt(T_{r['level']})={r['mean_sqrt']:.5g} ") for r in levels
+    )
+
+
 def test_gw_enumeration_rows_report_each_case_alone():
     res = run_gw_equivalence(ExperimentConfig(name="gw-check", trials=2000, seed=1))
     values = {r["case"]: r["value"] for r in res.rows if r["case"].startswith("enum_")}
