@@ -15,8 +15,8 @@ signature.
 
 Moves are read straight from the raw 64-bit Philox words, 32 to a word
 (stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
-raw word k // 32, the low pair first, so each little-endian byte of a word
-holds four moves, its low pair first.  Every block drawn from a stream is a
+raw word k // 32, so byte j of a word, read little-endian, holds its moves
+4j to 4j + 3, the low pair first.  Every block drawn from a stream is a
 multiple of 32 moves, so no word is split between blocks.
 
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
