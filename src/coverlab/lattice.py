@@ -17,7 +17,10 @@ Moves are read straight from the raw 64-bit Philox words, 32 to a word
 (stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
 raw word k // 32, so byte j of a word, read little-endian, holds its moves
 4j to 4j + 3, the low pair first.  Every block drawn from a stream is a
-multiple of 32 moves, so no word is split between blocks.
+multiple of 32 moves, so no word is split between blocks.  Raw words are
+the engine's only form of moves: a walk that stops inside a block keeps
+the words it has not finished and how many moves of the first it took,
+and its next round decodes them again.
 
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
 times, which only ask when a set is first entered.
@@ -45,10 +48,9 @@ _Y_BITS = 20
 _Y_MASK = (1 << _Y_BITS) - 1
 # Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
 _STEP = np.array([1 << _Y_BITS, -(1 << _Y_BITS), 1, -1], dtype=np.int64)
-# The bit pairs of a byte, low pair first, and the packed steps of the four
-# moves each byte value holds.
-_PAIRS = np.array([0, 2, 4, 6], dtype=np.uint8)
-_BYTE_STEPS = _STEP[np.arange(256, dtype=np.uint8)[:, None] >> _PAIRS & 3]
+# The packed steps of the four moves each byte value holds, read from its
+# bit pairs, low pair first.
+_BYTE_STEPS = _STEP[np.arange(256)[:, None] >> np.arange(0, 8, 2) & 3]
 
 
 class BudgetExceededError(RuntimeError):
@@ -185,15 +187,15 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _NO_CODES = np.empty(0, dtype=np.int32)
-_NO_MOVES = np.empty(0, dtype=np.uint8)
+_NO_WORDS = np.empty(0, dtype=np.uint64)
 
 
 class WalkState:
     """A simple random walk on the torus with a deterministic move stream.
 
-    The stream of moves is a pure function of ``(seed, stream)`` (or of the
-    ``forced_moves`` array), independent of how operations slice it, so any
-    sequence of operations on equal-seed walks reproduces bit-for-bit.
+    The stream of moves is a pure function of ``(seed, stream)``, independent
+    of how operations slice it, so any sequence of operations on equal-seed
+    walks reproduces bit-for-bit.
     Experiments pass a ``stream_key`` as ``seed`` and the trial index as
     ``stream``.
     A WalkState is confined to one worker at a time and never shared.
@@ -202,18 +204,15 @@ class WalkState:
     k // 32 of ``philox_stream(seed, stream).bit_generator.random_raw()``
     (stream format 3, see the module docstring); every block drawn is a
     multiple of 32 moves.
+    Between operations a walk holds only the raw words it has not finished,
+    a view of the block they came from, and ``_skip``, the number of moves
+    of the first of them already taken (0 to 31).
     Positions are int32 flat codes ``x * n + y``; index tables with them
     through ``take``, which numpy runs about twice as fast as ``table[codes]``
     for int32 indices.
     """
 
-    def __init__(
-        self,
-        start: TorusPoint,
-        seed: int = 0,
-        stream: int = 0,
-        forced_moves=None,
-    ):
+    def __init__(self, start: TorusPoint, seed: int = 0, stream: int = 0):
         if start.n * start.n > _INT32_MAX:
             raise ValueError(f"torus side {start.n} is too large for int32 cell codes")
         self.n = start.n
@@ -221,16 +220,11 @@ class WalkState:
         self._py = start.y
         self.steps = 0
         self._next_block = _FIRST_BLOCK
-        if forced_moves is not None:
-            self._forced = np.asarray(forced_moves, dtype=np.intp)
-            self._forced_used = 0
-        else:
-            self._forced = None
-            self._bits = philox_stream(seed, stream).bit_generator
-        self._codes = _NO_CODES
-        self._drawn = _NO_MOVES  # what _draw gave for _codes
+        self._bits = philox_stream(seed, stream).bit_generator
+        self._words = _NO_WORDS  # the words of _codes, or those kept
+        self._skip = 0
+        self._codes = _NO_CODES  # positions after each move of _words
         self._cursor = 0
-        self._kept = _NO_MOVES  # moves to take before the next block
 
     @property
     def position(self) -> TorusPoint:
@@ -243,32 +237,22 @@ class WalkState:
     # -- block machinery ---------------------------------------------------
 
     def _ahead(self) -> int:
-        """Moves the walk's next scan round holds: the rest of its current
-        block, the moves it kept, or the size of the block it draws next."""
-        rest = self._codes.size - self._cursor or self._kept.size
-        if rest or self._forced is None:
-            return rest or self._next_block
-        return min(self._next_block, self._forced.size - self._forced_used)
+        """Moves the walk's next scan round decodes: its kept words, skipped
+        head included, or the size of the block it draws next."""
+        return 32 * self._words.size or self._next_block
 
     def _draw(self) -> np.ndarray:
-        """The walk's next moves: those it kept, else its next block, as raw
-        Philox words or a forced walk's moves."""
-        if self._kept.size:
-            moves, self._kept = self._kept, _NO_MOVES
-            return moves
-        size = self._next_block
-        self._next_block = min(size * 2, _MAX_BLOCK)
-        if self._forced is not None:
-            moves = self._forced[self._forced_used : self._forced_used + size]
-            if moves.size == 0:
-                raise RuntimeError("forced move stream exhausted")
-            self._forced_used += moves.size
-            return moves
-        return self._bits.random_raw(size // 32)
+        """The walk's next raw words: those it kept, else its next block."""
+        if not self._words.size:
+            size = self._next_block
+            self._next_block = min(size * 2, _MAX_BLOCK)
+            self._words = self._bits.random_raw(size // 32)
+        return self._words
 
     def peek_block(self) -> np.ndarray:
         """Flat position codes for the not-yet-consumed part of the current block."""
         if self._cursor >= self._codes.size:
+            self._keep_rest()
             _decode([self])
         return self._codes[self._cursor :]
 
@@ -283,31 +267,20 @@ class WalkState:
         self._cursor = j + 1
 
     def _keep_rest(self):
-        """Drop the current block, keeping the moves not yet consumed, one
-        byte each, to decode before the next block.  A walk between scan
-        rounds so holds no round's arrays alive."""
-        if self._cursor < self._codes.size:
-            self._kept = _moves_of(self._drawn, self._cursor)
-        self._codes = _NO_CODES
-        self._drawn = _NO_MOVES
-        self._cursor = 0
+        """Drop the decoded block, keeping the words not yet finished and the
+        moves of the first one taken.  A walk between scan rounds so holds no
+        round's arrays alive, and keeping decodes nothing."""
+        if self._codes.size:
+            word, self._skip = divmod(self._cursor, 32)
+            self._words = self._words[word:]
+            self._codes = _NO_CODES
+            self._cursor = 0
 
 
 def _bytes(raw: np.ndarray) -> np.ndarray:
     """The bytes of raw Philox words in little-endian order: byte j of word
     i holds moves 32 i + 4 j to 32 i + 4 j + 3."""
     return raw.astype("<u8", copy=False).view(np.uint8)
-
-
-def _moves_of(drawn: np.ndarray, start: int) -> np.ndarray:
-    """The moves of what ``WalkState._draw`` gave, from move ``start`` on,
-    one byte each; raw words are decoded from the one holding ``start``."""
-    if drawn.dtype != np.uint64:
-        return drawn[start:].astype(np.uint8)
-    word, skip = divmod(start, 32)
-    moves = _bytes(drawn[word:])[:, None] >> _PAIRS
-    moves &= 3
-    return moves.reshape(-1)[skip:]
 
 
 # Scratch space of _decode, which a round of _MAX_BLOCK moves fills.  Fresh
@@ -320,33 +293,27 @@ _PACKED = np.empty(_MAX_BLOCK, dtype=np.int64)
 
 
 def _decode(walks) -> np.ndarray:
-    """Draw the next block of every walk in ``walks`` and decode them all in
-    one set of numpy calls; returns their codes, concatenated in order, and
-    hands each walk its own part.
+    """Draw the next words of every walk in ``walks``, none of which holds a
+    decoded block, and decode them all in one set of numpy calls; returns
+    their codes, concatenated in order, and hands each walk its own part.
 
-    The moves become one array of packed steps, raw words a byte at a time
-    through ``_BYTE_STEPS``.  The first step of each walk's part is offset by
-    the walk's packed start minus where the part before it ends, so one
-    running sum gives every walk's positions.
+    The words become one array of packed steps, a byte at a time through
+    ``_BYTE_STEPS``.  Each walk's first ``_skip`` steps, taken before, are
+    zeroed, so its part starts with that many copies of where it stands.
+    The first step of each part is offset by the walk's packed start minus
+    where the part before it ends, so one running sum gives every walk's
+    positions.
     """
     parts = [w._draw() for w in walks]
-    sizes = [32 * p.size if p.dtype == np.uint64 else p.size for p in parts]
+    sizes = [32 * p.size for p in parts]
     pos = _PACKED[: sum(sizes)]
-    if all(p.dtype == np.uint64 for p in parts):
-        raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        _BYTE_STEPS.take(_bytes(raw), axis=0, out=pos.reshape(-1, 4), mode="clip")
-    else:
-        lo = 0
-        for p, size in zip(parts, sizes):
-            if p.dtype == np.uint64:
-                out = pos[lo : lo + size].reshape(-1, 4)
-                _BYTE_STEPS.take(_bytes(p), axis=0, out=out, mode="clip")
-            else:
-                _STEP.take(p, out=pos[lo : lo + size], mode="clip")
-            lo += size
+    raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    _BYTE_STEPS.take(_bytes(raw), axis=0, out=pos.reshape(-1, 4), mode="clip")
+    firsts = np.array([0, *itertools.accumulate(sizes[:-1])])
+    for w, lo in zip(walks, firsts.tolist()):
+        pos[lo : lo + w._skip] = 0
     n = walks[0].n
     wrap = _wrap_table(n)
-    firsts = np.array([0, *itertools.accumulate(sizes[:-1])])
     start = np.array(
         [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
     )
@@ -359,10 +326,9 @@ def _decode(walks) -> np.ndarray:
     codes = np.multiply(wrap.take(x, mode="clip"), n, dtype=np.int32)
     pos &= _Y_MASK
     codes += wrap.take(pos, mode="clip")
-    for w, lo, size, part in zip(walks, firsts.tolist(), sizes, parts):
+    for w, lo, size in zip(walks, firsts.tolist(), sizes):
         w._codes = codes[lo : lo + size]
-        w._drawn = part
-        w._cursor = 0
+        w._cursor = w._skip
     return codes
 
 
@@ -399,13 +365,15 @@ def scan_group(walks, caps, stop, what) -> list:
     steps ``codes[bounds[i]:bounds[i + 1]]`` next, at most its cap minus the
     ``taken[i]`` steps it has taken in this call.  ``stop`` returns, per row,
     the index in that row's codes of the step that ends the walk, or -1 to
-    take them all.  A walk that ends inside a block keeps the rest of it for
-    its next operation.
+    take them all.  A walk that ends inside a block keeps the rest of its
+    words for its next operation.
     """
     caps = [int(cap) for cap in caps]
     out: list = [None] * len(walks)
     taken = [0] * len(walks)
     queue = deque()
+    for walk in walks:
+        walk._keep_rest()
     for i, cap in enumerate(caps):
         if cap > 0:
             queue.append(i)
@@ -419,13 +387,11 @@ def scan_group(walks, caps, stop, what) -> list:
                 break
             rows.append(queue.popleft())
             width += ahead
-        fresh = [walks[i] for i in rows if walks[i]._cursor >= walks[i]._codes.size]
-        decoded = _decode(fresh) if fresh else None
+        decoded = _decode([walks[i] for i in rows])
         segs = [walks[i].peek_block()[: caps[i] - taken[i]] for i in rows]
         sizes = [s.size for s in segs]
         bounds = np.array([0, *itertools.accumulate(sizes)])
-        whole = len(fresh) == len(rows) and decoded.size == bounds[-1]
-        codes = decoded if whole else np.concatenate(segs)
+        codes = decoded if decoded.size == bounds[-1] else np.concatenate(segs)
         ends = stop(codes, bounds, np.array(rows), np.array([taken[i] for i in rows]))
         for i, size, end in zip(rows, sizes, ends.tolist()):
             walk = walks[i]
@@ -506,7 +472,7 @@ def default_cover_budget(n: int) -> int:
 
 
 def cover_time(walk: WalkState, cap: int | None = None) -> int:
-    """First step index at which every torus vertex has been visited.
+    """Steps this call takes until every torus vertex has been visited.
 
     Visited cells are tracked in a flat bitset and counted after each block
     that visits a new one; only the block that covers the torus is sorted,
@@ -521,7 +487,7 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     visited[walk.code] = True
     remaining = n * n - 1
     if remaining == 0:
-        return walk.steps
+        return 0
 
     def last_new_cell(codes, bounds, rows, taken):
         nonlocal remaining
@@ -539,5 +505,4 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     ran = scan_group(
         [walk], [cap], last_new_cell, lambda i: f"torus not covered ({remaining} cells left)"
     )
-    outcome_or_raise(ran[0])
-    return walk.steps
+    return outcome_or_raise(ran[0])

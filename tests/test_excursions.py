@@ -326,23 +326,16 @@ def test_group_ladder_matches_one_walk_at_a_time(built, data, seed, m, collect_i
         st.lists(
             st.tuples(
                 st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 2**40),
-                st.one_of(st.just(10**6), st.integers(1, 4000)), st.booleans(),
+                st.one_of(st.just(10**6), st.integers(1, 4000)),
             ),
             min_size=1, max_size=40,
         )
     )
 
     def walks():
-        # a forced walk's moves outlast its cap
-        return [
-            WalkState(
-                TorusPoint(x, y, n), seed=seed, stream=stream,
-                forced_moves=np.random.default_rng(stream).integers(0, 4, 8000) if forced else None,
-            )
-            for x, y, stream, _, forced in specs
-        ]
+        return [WalkState(TorusPoint(x, y, n), seed=seed, stream=stream) for x, y, stream, _ in specs]
 
-    caps = [min(cap, 4000) if forced else cap for *_, cap, forced in specs]
+    caps = [cap for *_, cap in specs]
     first_circle = (machine._label & 1).astype(bool).reshape(n, n)
     group, alone = walks(), walks()
     run_caps = caps

@@ -33,6 +33,10 @@ from coverlab.lattice import (
 )
 
 
+# stream_key(7, "cover", "n16"): BLAKE2b of "(7, 'cover', 'n16')", first 8 bytes little-endian
+STREAM_KEY_7_COVER_N16 = 10725293465982372454
+
+
 def test_torus_distance_examples():
     assert torus_distance(TorusPoint(0, 0, 8), TorusPoint(0, 1, 8)) == 1
     assert torus_distance(TorusPoint(0, 0, 8), TorusPoint(7, 0, 8)) == 1
@@ -101,11 +105,13 @@ def test_ballspec_rejects_wrapping_radius():
         BallSpec(TorusPoint(0, 0, 8), 4.0)
 
 
-def test_forced_step_up():
-    w = WalkState(TorusPoint(0, 0, 4), forced_moves=[2])
-    step(w)
-    assert w.position == TorusPoint(0, 1, 4)
-    assert w.steps == 1
+def test_step_takes_the_next_move_of_the_stream():
+    # the pinned key's first moves are -x, -x, -y, +x
+    w = WalkState(TorusPoint(0, 0, 4), seed=STREAM_KEY_7_COVER_N16)
+    for k, want in enumerate([(3, 0), (2, 0), (2, 3), (3, 3)], start=1):
+        step(w)
+        assert w.position == TorusPoint(*want, 4)
+        assert w.steps == k
 
 
 def test_step_direction_frequencies():
@@ -141,10 +147,6 @@ def _walk_codes(walk, total, slice_len):
         walk.consume(codes.size)
         got += codes.size
     return np.concatenate(out)
-
-
-# stream_key(7, "cover", "n16"): BLAKE2b of "(7, 'cover', 'n16')", first 8 bytes little-endian
-STREAM_KEY_7_COVER_N16 = 10725293465982372454
 
 
 def test_stream_key_is_pinned_and_independent_of_the_hash_seed():
@@ -199,20 +201,10 @@ def test_walk_stream_matches_the_format_3_formula(n):
         assert walk.code == got[-1]
 
 
-def test_forced_moves_match_int64_formula():
-    moves = np.random.default_rng(11).integers(0, 4, size=5_000)
-    for n in (3, 50, 128):
-        walk = WalkState(TorusPoint(1, n - 1, n), forced_moves=moves)
-        got = _walk_codes(walk, moves.size, 333)
-        assert np.array_equal(got, _int64_codes(moves, n, 1, n - 1))
-        with pytest.raises(RuntimeError, match="exhausted"):
-            step(walk)
-
-
 def test_walk_rejects_a_side_beyond_int32_codes():
-    WalkState(TorusPoint(0, 0, 46340), forced_moves=[0])
+    WalkState(TorusPoint(0, 0, 46340))
     with pytest.raises(ValueError, match="int32"):
-        WalkState(TorusPoint(0, 0, 46341), forced_moves=[0])
+        WalkState(TorusPoint(0, 0, 46341))
 
 
 def test_walk_steps_are_unit_moves_and_reduced():
@@ -309,6 +301,27 @@ def test_cover_time_trivial_and_bounds():
         assert cover_time(w_cov) >= hitting_time(w_hit, far, 10**7)
 
 
+def test_cover_time_counts_only_its_own_steps():
+    # a walk that stepped before covers in the steps this call takes, as its
+    # cap and its overrun count them
+    def stepped(stream):
+        walk = WalkState(TorusPoint(0, 0, 8), seed=19, stream=stream)
+        for _ in range(10):
+            step(walk)
+        return walk
+
+    for stream in range(10):
+        ref = stepped(stream)
+        cover = _cover_by_steps(ref, 10**7)[0] - 10
+        walk = stepped(stream)
+        assert cover_time(walk, cap=cover) == cover
+        assert walk.steps == 10 + cover and walk.code == ref.code
+        walk = stepped(stream)
+        with pytest.raises(BudgetExceededError) as err:
+            cover_time(walk, cap=cover - 1)
+        assert err.value.steps_taken == cover - 1 and walk.steps == 9 + cover
+
+
 def test_cover_time_budget_error():
     with pytest.raises(BudgetExceededError):
         cover_time(WalkState(TorusPoint(0, 0, 32), seed=2), cap=100)
@@ -369,30 +382,22 @@ def test_cover_time_matches_a_per_step_reference(n):
 
 @st.composite
 def _walk_specs(draw, n):
-    """One walk of a group: start, stream, cap, and forced moves or a Philox
-    stream.  Small caps make some walks overrun while the others go on."""
-    forced = draw(st.booleans())
-    cap = draw(st.integers(1, 3000) if forced else st.one_of(st.just(10**6), st.integers(1, 3000)))
+    """One walk of a group: start, stream and cap.  Small caps make some
+    walks overrun while the others go on."""
     return (
         draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 2**40)),
-        cap, forced,
+        draw(st.one_of(st.just(10**6), st.integers(1, 3000))),
     )
 
 
 def _make_walks(specs, n, seed):
-    """Fresh walks from specs; a forced walk's moves outlast its cap."""
-    walks = []
-    for x, y, stream, _, forced in specs:
-        moves = np.random.default_rng(stream).integers(0, 4, 6000) if forced else None
-        walks.append(WalkState(TorusPoint(x, y, n), seed=seed, stream=stream, forced_moves=moves))
-    return walks
+    """Fresh walks from specs."""
+    return [WalkState(TorusPoint(x, y, n), seed=seed, stream=stream) for x, y, stream, _ in specs]
 
 
-def _after(walk, forced):
+def _after(walk):
     """Where a walk stands, and its next 40 codes: they must continue its
     stream whatever the operation before them stopped on."""
-    if forced:
-        return walk.steps, walk.code
     return walk.steps, walk.code, _walk_codes(walk, 40, 7).tolist()
 
 
@@ -410,7 +415,7 @@ def test_group_mask_hit_matches_one_walk_at_a_time(n, data, seed, radius, inclus
     caps = [spec[3] for spec in specs]
     group = _make_walks(specs, n, seed)
     got = advance_group_to_mask(group, mask, caps, inclusive)
-    for walk, alone, cap, spec, out in zip(group, _make_walks(specs, n, seed), caps, specs, got):
+    for walk, alone, cap, out in zip(group, _make_walks(specs, n, seed), caps, got):
         try:
             want = advance_to_mask(alone, mask, cap, inclusive)
         except BudgetExceededError as err:
@@ -418,7 +423,7 @@ def test_group_mask_hit_matches_one_walk_at_a_time(n, data, seed, radius, inclus
             assert (str(out), out.steps_taken) == (str(err), err.steps_taken)
         else:
             assert out == want
-        assert _after(walk, spec[4]) == _after(alone, spec[4])
+        assert _after(walk) == _after(alone)
 
 
 def test_kept_moves_continue_the_stream():
@@ -434,6 +439,19 @@ def test_kept_moves_continue_the_stream():
         want = _int64_codes(moves, n, 12, 12)
         assert used[t] == steps and mask.flat[want[steps - 1]]
         assert np.array_equal(_walk_codes(walk, 500, 33), want[steps:])
+    # caps of 1 to 127 steps stop walks at every offset 0-31 of a word; the
+    # single cell at L1 distance 128 lies beyond every cap
+    n = 128
+    far = np.zeros((n, n), dtype=bool)
+    far[64, 64] = True
+    caps = range(1, 128)
+    walks = [WalkState(TorusPoint(0, 0, n), seed=seed, stream=cap) for cap in caps]
+    out = advance_group_to_mask(walks, far, caps)
+    for cap, walk, o in zip(caps, walks, out):
+        assert isinstance(o, BudgetExceededError) and walk.steps == o.steps_taken == cap
+        want = _int64_codes(_format3_moves(seed, cap, cap + 500), n, 0, 0)
+        assert walk.code == want[cap - 1]
+        assert np.array_equal(_walk_codes(walk, 500, 500), want[cap:])
 
 
 def test_no_scan_round_decodes_more_than_the_largest_block(monkeypatch):
@@ -441,8 +459,11 @@ def test_no_scan_round_decodes_more_than_the_largest_block(monkeypatch):
     real = lattice._decode
 
     def counting(walks):
+        ahead = sum(w._ahead() for w in walks)
+        kept = sum(w._words.size > 0 for w in walks)
         codes = real(walks)
-        decoded.append((len(walks), codes.size))
+        assert codes.size == ahead  # skipped heads included
+        decoded.append((len(walks), codes.size, kept))
         return codes
 
     monkeypatch.setattr(lattice, "_decode", counting)
@@ -450,8 +471,17 @@ def test_no_scan_round_decodes_more_than_the_largest_block(monkeypatch):
     walks = [WalkState(TorusPoint(0, 0, n), seed=3, stream=t) for t in range(40)]
     far = ball_mask(TorusPoint(64, 64, n), 2.0)
     out = advance_group_to_mask(walks, far, [10**6] * len(walks))
-    assert max(size for _, size in decoded) <= _MAX_BLOCK
+    assert max(size for _, size, _ in decoded) <= _MAX_BLOCK
     # the first rounds fill a whole block's worth with 32 first blocks each
-    assert decoded[0] == (_MAX_BLOCK // _FIRST_BLOCK, _MAX_BLOCK)
-    assert any(k == 1 and size == _MAX_BLOCK for k, size in decoded)  # long walks go alone
+    assert decoded[0] == (_MAX_BLOCK // _FIRST_BLOCK, _MAX_BLOCK, 0)
+    assert any(k == 1 and size == _MAX_BLOCK for k, size, _ in decoded)  # long walks go alone
     assert all(not isinstance(o, BudgetExceededError) for o in out)
+    # half the walks take the rest of their block, so that the rounds of a
+    # second operation mix the words the others kept with fresh blocks
+    for walk in walks[::2]:
+        walk.consume(walk.peek_block().size)
+    decoded.clear()
+    out = advance_group_to_mask(walks, ball_mask(TorusPoint(0, 0, n), 2.0), [10**6] * len(walks))
+    assert all(not isinstance(o, BudgetExceededError) for o in out)
+    assert max(size for _, size, _ in decoded) <= _MAX_BLOCK
+    assert any(0 < kept < k for k, _, kept in decoded)
