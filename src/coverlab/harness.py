@@ -158,9 +158,9 @@ def _mc_check(name, label, mc, se, lo, hi, z, overruns, note):
     return _check(name, lo - z * se <= mc <= hi + z * se, detail, overruns)
 
 
-# Walks a worker hands a section's run at once: enough to fill a scan round
-# of first blocks (32 x 1024 moves).  Larger groups ran no faster on
-# transfer and raised peak RSS (+1 MiB at 64 on excursion).
+# Walks a worker hands a section's run at once: 32 first blocks of 1024
+# moves, half a scan round of lattice._MAX_ROUND.  Larger groups ran no
+# faster on transfer and raised peak RSS (+1 MiB at 64 on excursion).
 _GROUP = 32
 
 

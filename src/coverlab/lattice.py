@@ -11,7 +11,10 @@ round decodes the new blocks of several walks in one set of numpy calls and
 hands the callback all of them at once, so that short walks do not each pay
 a block's worth of numpy calls.  A single walk is the group of one
 (``advance_to_mask``, ``cover_time``), and every callback has the group
-signature.
+signature.  A walk's blocks double from ``_FIRST_BLOCK`` = 1 024 to
+``_MAX_BLOCK`` = 32 768 moves, and a round packs walks, in turn, up to
+``_MAX_ROUND`` = 65 536 moves; its running sum is over bytes, four moves
+each, not over moves.
 
 Moves are read straight from the raw 64-bit Philox words, 32 to a word
 (stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
@@ -32,6 +35,7 @@ import functools
 import hashlib
 import itertools
 import math
+import mmap
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,17 +44,24 @@ import numpy as np
 # Both multiples of 32, so every block uses whole raw words.
 _FIRST_BLOCK = 1 << 10
 _MAX_BLOCK = 1 << 15
+# The most moves one scan round decodes, over all its walks.
+_MAX_ROUND = 1 << 16
 
 # Block decoding packs a position into one int64, x << _Y_BITS | y, each
 # coordinate offset by _MAX_BLOCK so that it stays in [0, 2^_Y_BITS) over a
-# block, and one running sum of the packed steps moves both.
+# walk's part of a round, and one running sum of packed displacements moves
+# both.
 _Y_BITS = 20
 _Y_MASK = (1 << _Y_BITS) - 1
 # Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
 _STEP = np.array([1 << _Y_BITS, -(1 << _Y_BITS), 1, -1], dtype=np.int64)
 # The packed steps of the four moves each byte value holds, read from its
-# bit pairs, low pair first.
+# bit pairs, low pair first; _BYTE_SUM[v] is their packed displacement, and
+# _BYTE_FROM_END[v, j] is where move j leaves the walk relative to where the
+# byte's fourth move leaves it.
 _BYTE_STEPS = _STEP[np.arange(256)[:, None] >> np.arange(0, 8, 2) & 3]
+_BYTE_SUM = _BYTE_STEPS.sum(axis=1)
+_BYTE_FROM_END = _BYTE_STEPS.cumsum(axis=1) - _BYTE_SUM[:, None]
 
 
 class BudgetExceededError(RuntimeError):
@@ -283,13 +294,24 @@ def _bytes(raw: np.ndarray) -> np.ndarray:
     return raw.astype("<u8", copy=False).view(np.uint8)
 
 
-# Scratch space of _decode, which a round of _MAX_BLOCK moves fills.  Fresh
+def _scratch(size: int, dtype) -> np.ndarray:
+    """An array of its own anonymous memory map: its pages join the process
+    only once written, and it takes no room in the heap, where a buffer of
+    this size moved the peak resident memory of runs that never fill it.
+    The map is private, so a forked worker writes its own copy; a shared
+    one, ``mmap``'s default, would be one buffer for every worker."""
+    buf = mmap.mmap(-1, size * np.dtype(dtype).itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=dtype)
+
+
+# Scratch space of _decode, which a round of _MAX_ROUND moves fills.  Fresh
 # arrays of this size come from the operating system on every call, and their
 # page faults cost more than the arithmetic.  No decode result points into
 # them; decodes in one process must not run concurrently (trials run in
 # worker processes, not threads).
-_COORDS = np.empty(_MAX_BLOCK, dtype=np.intp)
-_PACKED = np.empty(_MAX_BLOCK, dtype=np.int64)
+_COORDS = _scratch(_MAX_ROUND, np.intp)
+_PACKED = _scratch(_MAX_ROUND, np.int64)
+_BYTE_ENDS = _scratch(_MAX_ROUND // 4, np.int64)
 
 
 def _decode(walks) -> np.ndarray:
@@ -297,50 +319,80 @@ def _decode(walks) -> np.ndarray:
     decoded block, and decode them all in one set of numpy calls; returns
     their codes, concatenated in order, and hands each walk its own part.
 
-    The words become one array of packed steps, a byte at a time through
-    ``_BYTE_STEPS``.  Each walk's first ``_skip`` steps, taken before, are
-    zeroed, so its part starts with that many copies of where it stands.
-    The first step of each part is offset by the walk's packed start minus
-    where the part before it ends, so one running sum gives every walk's
-    positions.
+    The running sum is over bytes, four moves each: ``_BYTE_SUM`` gives
+    where each byte's fourth move leaves the walk, and ``_BYTE_FROM_END``
+    each move's place from there.  The first byte of each part is offset by
+    the walk's packed start, less the moves of its first ``_skip`` already
+    taken, minus where the part before it ends, so one running sum gives
+    every walk's positions; the skipped head's codes are never read.
     """
     parts = [w._draw() for w in walks]
     sizes = [32 * p.size for p in parts]
-    pos = _PACKED[: sum(sizes)]
     raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    _BYTE_STEPS.take(_bytes(raw), axis=0, out=pos.reshape(-1, 4), mode="clip")
+    moves = _bytes(raw)
+    ends = _BYTE_SUM.take(moves, out=_BYTE_ENDS[: moves.size], mode="clip")
     firsts = np.array([0, *itertools.accumulate(sizes[:-1])])
-    for w, lo in zip(walks, firsts.tolist()):
-        pos[lo : lo + w._skip] = 0
-    n = walks[0].n
-    wrap = _wrap_table(n)
     start = np.array(
         [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
     )
+    skips = np.array([w._skip for w in walks])
+    if skips.any():
+        start -= _head(moves.reshape(-1, 8).take(firsts // 32, axis=0), skips)
+    first_byte = firsts // 4
     if len(walks) > 1:
-        ends = start + np.add.reduceat(pos, firsts)
-        start[1:] -= ends[:-1]
-    pos[firsts] += start
-    np.cumsum(pos, out=pos)
+        stops = start + np.add.reduceat(ends, first_byte)
+        start[1:] -= stops[:-1]
+    ends[first_byte] += start
+    np.cumsum(ends, out=ends)
+    pos = _PACKED[: 4 * moves.size]
+    by_byte = pos.reshape(-1, 4)
+    _BYTE_FROM_END.take(moves, axis=0, out=by_byte, mode="clip")
+    for j in range(4):  # four column adds beat one broadcast over rows of four
+        np.add(by_byte[:, j], ends, out=by_byte[:, j])
+    n = walks[0].n
     x = np.right_shift(pos, _Y_BITS, out=_COORDS[: pos.size], casting="unsafe")
-    codes = np.multiply(wrap.take(x, mode="clip"), n, dtype=np.int32)
+    codes = _row_table(n).take(x, mode="clip")
     pos &= _Y_MASK
-    codes += wrap.take(pos, mode="clip")
+    codes += _wrap_table(n).take(pos, mode="clip")
     for w, lo, size in zip(walks, firsts.tolist(), sizes):
         w._codes = codes[lo : lo + size]
         w._cursor = w._skip
     return codes
 
 
+def _head(first, skips) -> np.ndarray:
+    """Packed displacement of the first ``skips[i]`` moves (0 to 31) of the
+    word whose eight bytes are row i of ``first``: the whole bytes from
+    ``_BYTE_SUM``, the last one's part from ``_BYTE_FROM_END``."""
+    last = skips - 1
+    rows = np.arange(skips.size)
+    byte, move = last >> 2, last & 3
+    whole = _BYTE_SUM.take(first).cumsum(axis=1)[rows, byte]
+    head = whole + _BYTE_FROM_END[first[rows, byte], move]
+    head[skips == 0] = 0
+    return head
+
+
 @functools.lru_cache(maxsize=4)
 def _wrap_table(n: int) -> np.ndarray:
-    """c mod n for a coordinate c offset by ``_MAX_BLOCK``.  A block moves a
-    walk at most ``_MAX_BLOCK`` cells from where it started, so the table
-    covers every coordinate a block reaches; a table read is far faster than
+    """c mod n for a coordinate c offset by ``_MAX_BLOCK``.  A walk's part of
+    a round spans at most ``_MAX_BLOCK`` moves, skipped head included, so it
+    stays within ``_MAX_BLOCK`` cells of where the walk stands and the table
+    covers every coordinate a round reaches; a table read is far faster than
     numpy's remainder."""
     c = np.arange(n + 2 * _MAX_BLOCK, dtype=np.int32) - _MAX_BLOCK
     c %= n
     table = c.astype(np.uint16)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _row_table(n: int) -> np.ndarray:
+    """n (c mod n) for a coordinate c offset by ``_MAX_BLOCK``: the code of
+    the first cell of row c, in int32, so that a code is one read here plus
+    one in ``_wrap_table``."""
+    table = _wrap_table(n).astype(np.int32) * n
     table.flags.writeable = False
     return table
 
@@ -359,13 +411,13 @@ def scan_group(walks, caps, stop, what) -> list:
     of a walk that reached its cap, worded "<what(i)> within <cap> steps".
 
     Each round takes queued walks, in turn, while their next codes number at
-    most ``_MAX_BLOCK`` together (32 walks on 1024-move blocks down to one on
-    32 768), decodes the new blocks among them in one set of numpy calls, and
-    calls ``stop(codes, bounds, rows, taken)`` once: walk ``rows[i]`` takes the
-    steps ``codes[bounds[i]:bounds[i + 1]]`` next, at most its cap minus the
-    ``taken[i]`` steps it has taken in this call.  ``stop`` returns, per row,
-    the index in that row's codes of the step that ends the walk, or -1 to
-    take them all.  A walk that ends inside a block keeps the rest of its
+    most ``_MAX_ROUND`` together (64 walks on 1024-move blocks down to two
+    on 32 768), decodes the new blocks among them in one set of numpy calls,
+    and calls ``stop(codes, bounds, rows, taken)`` once: walk ``rows[i]``
+    takes the steps ``codes[bounds[i]:bounds[i + 1]]`` next, at most its cap
+    minus the ``taken[i]`` steps it has taken in this call.  ``stop``
+    returns, per row, the index in that row's codes of the step that ends
+    the walk, or -1 to take them all.  A walk that ends inside a block keeps the rest of its
     words for its next operation.
     """
     caps = [int(cap) for cap in caps]
@@ -383,7 +435,7 @@ def scan_group(walks, caps, stop, what) -> list:
         rows, width = [], 0
         while queue:
             ahead = walks[queue[0]]._ahead()
-            if rows and width + ahead > _MAX_BLOCK:
+            if rows and width + ahead > _MAX_ROUND:
                 break
             rows.append(queue.popleft())
             width += ahead
@@ -474,29 +526,29 @@ def default_cover_budget(n: int) -> int:
 def cover_time(walk: WalkState, cap: int | None = None) -> int:
     """Steps this call takes until every torus vertex has been visited.
 
-    Visited cells are tracked in a flat bitset and counted after each block
-    that visits a new one; only the block that covers the torus is sorted,
-    to find the step that reached its last new cell.
+    Unvisited cells are tracked in a flat boolean table and counted after
+    each block that visits a new one; only the block that covers the torus
+    is sorted, to find the step that reached its last new cell.
     """
     n = walk.n
     if cap is None:
         cap = default_cover_budget(n)
     if cap <= 0:
         raise ValueError("cap must be positive")
-    visited = np.zeros(n * n, dtype=bool)
-    visited[walk.code] = True
+    unseen = np.ones(n * n, dtype=bool)
+    unseen[walk.code] = False
     remaining = n * n - 1
     if remaining == 0:
         return 0
 
     def last_new_cell(codes, bounds, rows, taken):
         nonlocal remaining
-        idx = np.flatnonzero(~visited.take(codes))
+        idx = np.flatnonzero(unseen.take(codes))
         if idx.size == 0:
             return np.array([-1])
         new = codes[idx]
-        visited[new] = True
-        remaining = visited.size - np.count_nonzero(visited)
+        unseen[new] = False
+        remaining = np.count_nonzero(unseen)
         if remaining:
             return np.array([-1])
         _, first = np.unique(new, return_index=True)

@@ -14,6 +14,7 @@ from coverlab import lattice
 from coverlab.lattice import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
+    _MAX_ROUND,
     BallSpec,
     BudgetExceededError,
     TorusPoint,
@@ -27,6 +28,7 @@ from coverlab.lattice import (
     hitting_time,
     mask_to_points,
     philox_stream,
+    scan_group,
     step,
     stream_key,
     torus_distance,
@@ -381,12 +383,12 @@ def test_cover_time_matches_a_per_step_reference(n):
 
 
 @st.composite
-def _walk_specs(draw, n):
-    """One walk of a group: start, stream and cap.  Small caps make some
-    walks overrun while the others go on."""
+def _walk_specs(draw, n, big=10**6):
+    """One walk of a group: start, stream and cap, ``big`` or 1-3000.  Small
+    caps make some walks overrun while the others go on."""
     return (
         draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, 2**40)),
-        draw(st.one_of(st.just(10**6), st.integers(1, 3000))),
+        draw(st.one_of(st.just(big), st.integers(1, 3000))),
     )
 
 
@@ -426,6 +428,33 @@ def test_group_mask_hit_matches_one_walk_at_a_time(n, data, seed, radius, inclus
         assert _after(walk) == _after(alone)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    n=st.sampled_from([5, 16, 48]),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    radius=st.sampled_from([1.5, 3.0]),
+    inclusive=st.booleans(),
+)
+def test_group_mask_hit_matches_the_format_3_positions(n, data, seed, radius, inclusive):
+    # each walk's hit is the first of its formula positions on the mask
+    # within its cap, or it overruns at the cap; either way it stands there
+    specs = data.draw(st.lists(_walk_specs(n, big=20_000), min_size=1, max_size=40))
+    mask = ball_mask(TorusPoint(data.draw(st.integers(0, n - 1)), 0, n), min(radius, n / 2 - 0.5))
+    group = _make_walks(specs, n, seed)
+    got = advance_group_to_mask(group, mask, [spec[3] for spec in specs], inclusive)
+    for (x, y, stream, cap), walk, out in zip(specs, group, got):
+        codes = _int64_codes(_format3_moves(seed, stream, cap), n, x, y)
+        hits = np.flatnonzero(mask.reshape(-1).take(codes))
+        if inclusive and mask[x, y]:
+            assert out == 0 and walk.code == x * n + y
+        elif hits.size:
+            assert out == hits[0] + 1 and walk.code == codes[hits[0]]
+        else:
+            assert isinstance(out, BudgetExceededError) and out.steps_taken == cap
+            assert walk.code == codes[-1]
+
+
 def test_kept_moves_continue_the_stream():
     # a walk that stops inside a block keeps the rest; the codes after it are
     # the stream's own, however operations cut it
@@ -454,16 +483,17 @@ def test_kept_moves_continue_the_stream():
         assert np.array_equal(_walk_codes(walk, 500, 500), want[cap:])
 
 
-def test_no_scan_round_decodes_more_than_the_largest_block(monkeypatch):
-    decoded = []
+def test_scan_rounds_keep_to_the_block_and_round_limits(monkeypatch):
+    rounds = []
     real = lattice._decode
 
     def counting(walks):
-        ahead = sum(w._ahead() for w in walks)
+        ahead = [w._ahead() for w in walks]
         kept = sum(w._words.size > 0 for w in walks)
         codes = real(walks)
-        assert codes.size == ahead  # skipped heads included
-        decoded.append((len(walks), codes.size, kept))
+        # each walk's part, skipped head included, is what it had ahead
+        assert [w._codes.size for w in walks] == ahead and codes.size == sum(ahead)
+        rounds.append((ahead, kept))
         return codes
 
     monkeypatch.setattr(lattice, "_decode", counting)
@@ -471,17 +501,58 @@ def test_no_scan_round_decodes_more_than_the_largest_block(monkeypatch):
     walks = [WalkState(TorusPoint(0, 0, n), seed=3, stream=t) for t in range(40)]
     far = ball_mask(TorusPoint(64, 64, n), 2.0)
     out = advance_group_to_mask(walks, far, [10**6] * len(walks))
-    assert max(size for _, size, _ in decoded) <= _MAX_BLOCK
-    # the first rounds fill a whole block's worth with 32 first blocks each
-    assert decoded[0] == (_MAX_BLOCK // _FIRST_BLOCK, _MAX_BLOCK, 0)
-    assert any(k == 1 and size == _MAX_BLOCK for k, size, _ in decoded)  # long walks go alone
     assert all(not isinstance(o, BudgetExceededError) for o in out)
+    assert rounds[0] == ([_FIRST_BLOCK] * 40, 0)  # one round packs all first blocks
+    assert any(parts == [_MAX_BLOCK] * 2 for parts, _ in rounds)  # full blocks go in pairs
     # half the walks take the rest of their block, so that the rounds of a
     # second operation mix the words the others kept with fresh blocks
     for walk in walks[::2]:
         walk.consume(walk.peek_block().size)
-    decoded.clear()
+    first = len(rounds)
     out = advance_group_to_mask(walks, ball_mask(TorusPoint(0, 0, n), 2.0), [10**6] * len(walks))
     assert all(not isinstance(o, BudgetExceededError) for o in out)
-    assert max(size for _, size, _ in decoded) <= _MAX_BLOCK
-    assert any(0 < kept < k for k, _, kept in decoded)
+    assert any(0 < kept < len(parts) for parts, kept in rounds[first:])
+    assert max(max(parts) for parts, _ in rounds) == _MAX_BLOCK
+    assert max(sum(parts) for parts, _ in rounds) == _MAX_ROUND
+
+
+def test_grouped_decodes_match_the_format_3_formula(monkeypatch):
+    # walks that start within 4 cells of the torus edges stop at every offset
+    # 0-31 of a word; a second operation's rounds mix the words they kept
+    # with fresh blocks and fill _MAX_ROUND.  Every code a round hands the
+    # stop callback is the formula's.
+    rounds = []
+    real = lattice._decode
+
+    def counting(walks):
+        kept = sum(w._words.size > 0 for w in walks)
+        codes = real(walks)
+        rounds.append((codes.size, kept, len(walks)))
+        return codes
+
+    monkeypatch.setattr(lattice, "_decode", counting)
+    n, seed = 50, 23
+    edge = [0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1]
+    starts = [(edge[t % 8], edge[t // 8 % 8]) for t in range(128)]
+    walks = [WalkState(TorusPoint(x, y, n), seed=seed, stream=t) for t, (x, y) in enumerate(starts)]
+    seen = [[] for _ in walks]
+
+    def record(codes, bounds, rows, taken):
+        for i, row in enumerate(rows.tolist()):
+            seen[row].append(codes[bounds[i] : bounds[i + 1]])
+        return np.full(rows.size, -1)
+
+    first = [1 + t % 127 for t in range(128)]
+    out = scan_group(walks, first, record, str)
+    assert [o.steps_taken for o in out] == first
+    assert {walk._skip for walk in walks} == set(range(32))
+    rounds.clear()
+    second = [3000] * 128
+    out = scan_group(walks, second, record, str)
+    assert [o.steps_taken for o in out] == second
+    assert any(0 < kept < k for _, kept, k in rounds)
+    assert max(size for size, _, _ in rounds) == _MAX_ROUND
+    for t, (x, y) in enumerate(starts):
+        want = _int64_codes(_format3_moves(seed, t, first[t] + second[t]), n, x, y)
+        assert np.array_equal(np.concatenate(seen[t]), want)
+        assert walks[t].code == want[-1]
