@@ -109,15 +109,19 @@ class TraversalMachine:
     ``circles`` are boolean cell masks; ladders reference them by index.  A
     cell may belong to several circles (inflated/deflated families), so the
     label is a bitmask.  State per ladder and walk is one phase flag plus
-    counters.
+    counters.  ``watch``, if given, is the index of a circle whose first hit
+    time each run records (H_x bookkeeping in late-point detection).
     """
 
-    def __init__(self, n: int, circles, ladders, driving: int):
+    def __init__(self, n: int, circles, ladders, driving: int, watch: int | None = None):
         if len(circles) > 32:
             raise ValueError("at most 32 circles per machine")
+        if watch is not None and not 0 <= watch < len(circles):
+            raise ValueError(f"watch circle {watch} out of range")
         self.n = n
         self.ladders = list(ladders)
         self.driving = driving
+        self.watch = watch
         label = np.zeros(n * n, dtype=np.uint32)
         for idx, mask in enumerate(circles):
             if not mask.any():
@@ -135,25 +139,17 @@ class TraversalMachine:
         self._both = both if both.any() else None
         self._inner_first = np.array([lad.inner < lad.outer for lad in self.ladders])
 
-    def run(
-        self,
-        walk: WalkState,
-        m: int,
-        cap: int,
-        collect_intervals: bool = False,
-        watch: int | None = None,
-    ):
+    def run(self, walk: WalkState, m: int, cap: int, collect_intervals: bool = False):
         """Advance ``walk`` until the driving ladder completes m departures;
         ``run_group`` on a group of one."""
-        return outcome_or_raise(self.run_group([walk], m, [cap], collect_intervals, watch)[0])
+        return outcome_or_raise(self.run_group([walk], m, [cap], collect_intervals)[0])
 
-    def run_group(self, walks, m: int, caps, collect_intervals: bool = False, watch=None):
+    def run_group(self, walks, m: int, caps, collect_intervals: bool = False):
         """Advance every walk until its driving ladder completes m departures.
 
         Returns, per walk, its (TraversalRecord, ExcursionClock), or the
-        BudgetExceededError of a walk that reached its cap.  ``watch`` names a
-        circle index whose first hit time is recorded on the record (used for
-        H_x bookkeeping in late-point detection).
+        BudgetExceededError of a walk that reached its cap.  A machine with a
+        watch circle records its first hit time on the record.
 
         Each scan round is read in numpy, every walk and ladder at once.  A
         unit step cannot jump a circle, so a ladder only needs the hits on
@@ -166,7 +162,7 @@ class TraversalMachine:
         """
         G = len(walks)
         nlad = len(self.ladders)
-        driving = self.driving
+        driving, watch = self.driving, self.watch
         # per (ladder, walk), flat at ladder * G + walk
         waiting_d = np.zeros(nlad * G, dtype=bool)
         r_count = np.zeros(nlad * G, dtype=np.int64)
@@ -327,8 +323,7 @@ def circle_machine(
     Ladder i, at level first_level + i, has its D-events on the circle of
     radius radii[i] and its R-events on the circle of radius radii[i+1];
     ladder 0 drives.  ``watch`` is an extra cell mask appended as the last
-    circle (index len(radii)), whose first hit ``run(watch=len(radii))``
-    records.
+    circle (index len(radii)), the machine's watch circle.
     """
     circles = [exterior_boundary_mask(ball_mask(center, r)) for r in radii]
     if watch is not None:
@@ -336,7 +331,9 @@ def circle_machine(
     ladders = [
         _Ladder(level=first_level + i, inner=i + 1, outer=i) for i in range(len(radii) - 1)
     ]
-    return TraversalMachine(center.n, circles, ladders, driving=0)
+    return TraversalMachine(
+        center.n, circles, ladders, driving=0, watch=None if watch is None else len(radii)
+    )
 
 
 def excursion_clock(walk: WalkState, annulus: AnnulusSpec, m: int, cap: int) -> ExcursionClock:

@@ -162,11 +162,8 @@ def srw_traversal_samples(
     raise RuntimeError("batch sampler did not absorb within the iteration cap")
 
 
-# enumerate_traversal_law stops once the live mass falls below ENUM_TOL or
-# after ENUM_MAX_ITERS steps, and counts above ENUM_COUNT_CAP overflow
+# enumerate_traversal_law: counts above ENUM_COUNT_CAP overflow
 ENUM_COUNT_CAP = 14
-ENUM_TOL = 1e-16
-ENUM_MAX_ITERS = 20_000
 
 
 def enumerate_traversal_law(L: int, m: int) -> dict[tuple, float]:
@@ -174,17 +171,16 @@ def enumerate_traversal_law(L: int, m: int) -> dict[tuple, float]:
 
     Independent of the NB convolution route: the state is the walk position,
     the number of 0-visits, and the capped count vector; mass reaching a
-    count above ``ENUM_COUNT_CAP``, or still live at the stop, is reported
-    under the key ``"overflow"``.
+    count above ``ENUM_COUNT_CAP`` is reported under the key ``"overflow"``.
+    A state fixes its step number, so stepping merges paths exactly, and the
+    cap empties the live set within finitely many steps.
     """
     start_counts = tuple([1] + [0] * (L - 1))
     live: dict[tuple, float] = {(1, 0, start_counts): 1.0}
     absorbed: dict[tuple, float] = {}
     overflow = 0.0
 
-    for _ in range(ENUM_MAX_ITERS):
-        if sum(live.values()) < ENUM_TOL:
-            break
+    while live:
         nxt: dict[tuple, float] = {}
 
         def push(state, mass):
@@ -216,9 +212,8 @@ def enumerate_traversal_law(L: int, m: int) -> dict[tuple, float]:
                 push((down, visits + (1 if down == 0 else 0), counts), mass / 2)
         live = nxt
 
-    leak = sum(live.values()) + overflow
     out = dict(absorbed)
-    out["overflow"] = leak
+    out["overflow"] = overflow
     return out
 
 

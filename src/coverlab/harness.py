@@ -774,9 +774,9 @@ def _tilde_ladders(machine, shift_mask, m, cap, walks):
     return _counts(machine, run_from_first_hit(machine, shift_mask, walks, m, [cap] * len(walks)))
 
 
-def _late_events(machine, watch, m, cap, walks):
-    """Each walk's (record, clock), with the first hit of circle ``watch``."""
-    return machine.run_group(walks, m, [cap] * len(walks), watch=watch)
+def _late_events(machine, m, cap, walks):
+    """Each walk's (record, clock), with the first hit of the machine's watch circle."""
+    return machine.run_group(walks, m, [cap] * len(walks))
 
 
 CURVE_SCHEMA = [
@@ -890,7 +890,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     target = np.zeros((late_n, late_n), dtype=bool)
     target[late_center.x, late_center.y] = True
     machine = circle_machine(late_center, late_radii, watch=target)
-    run = functools.partial(_late_events, machine, len(late_radii), late_m, late_cap)
+    run = functools.partial(_late_events, machine, late_m, late_cap)
     start = late_center.shifted(int(late_radii[0]), 0)
     outcomes, late_failures = _map_trials(cfg, "curves", "late", run, start, late_trials)
     total = len(outcomes)

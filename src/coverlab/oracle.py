@@ -590,38 +590,31 @@ class CircleChain:
 
         ``targets`` must specify every level 1..L-1; T_i counts inward circle
         transitions i -> i+1, and the start must sit on the outermost circle.
+        Paths that reach the same (level, counts, departures) state are merged.
+        An inward move raises a count and an outward move lowers the level, so
+        the backward recursion over those states ends.
         """
         if sorted(targets) != list(range(1, self.L)):
             raise ValueError("targets must cover levels 1..L-1")
         pos0 = np.nonzero(self.circle_codes[0] == start.code)[0]
         if pos0.size != 1:
             raise ValueError("start must lie on the outermost circle")
-        total = 0.0
-        counts0 = [0] * self.L
+        goal = tuple(targets[i] for i in range(1, self.L))
 
-        def dfs(level: int, vec: np.ndarray, counts: list[int], dcount: int):
-            nonlocal total
+        @functools.cache
+        def finish(level: int, counts: tuple[int, ...], departures: int) -> np.ndarray:
+            """Per cell of circle ``level``, the chance of completing the event
+            from there; counts[i - 1] is T_i so far."""
             if level == 0:
-                if dcount == m:
-                    if all(counts[i] == targets[i] for i in range(1, self.L)):
-                        total += float(vec.sum())
-                    return
-                counts = counts.copy()
-                counts[0] += 1
-                dfs(1, vec @ self.kern_down[0], counts, dcount)
-                return
-            if level == self.L:
-                dfs(self.L - 1, vec @ self.kern_up[self.L], counts, dcount)
-                return
-            # inward branch
-            if counts[level] < targets[level]:
-                c2 = counts.copy()
-                c2[level] += 1
-                dfs(level + 1, vec @ self.kern_down[level], c2, dcount)
-            # outward branch
-            dfs(level - 1, vec @ self.kern_up[level], counts, dcount + (1 if level == 1 else 0))
+                if departures == m:
+                    return np.full(self.circle_codes[0].size, float(counts == goal))
+                return self.kern_down[0] @ finish(1, counts, departures)
+            out = self.kern_up[level] @ finish(level - 1, counts, departures + (level == 1))
+            if level < self.L and counts[level - 1] < goal[level - 1]:
+                inward = counts[: level - 1] + (counts[level - 1] + 1,) + counts[level:]
+                out += self.kern_down[level] @ finish(level + 1, inward, departures)
+            return out
 
-        vec = np.zeros(self.circle_codes[0].size)
-        vec[pos0[0]] = 1.0
-        dfs(0, vec, counts0, 0)
-        return total
+        p = float(finish(0, (0,) * (self.L - 1), 0)[pos0[0]])
+        finish.cache_clear()  # finish refers to itself: free its arrays now, not at a gc
+        return p

@@ -124,7 +124,7 @@ def test_traversal_counts_budget_error_keeps_departures_done():
         assert f"finished only {done}/5 departures within {cap} steps" in str(err.value)
 
 
-def reference_run(machine, walk, m, cap, collect_intervals=False, watch=None):
+def reference_run(machine, walk, m, cap, collect_intervals=False):
     """TraversalMachine.run as a per-hit Python ladder, the reference for the
     per-block one: every labelled hit visits its circles in index order, each
     circle feeding the ladders whose inner (R-event) and then outer (D-event)
@@ -145,7 +145,7 @@ def reference_run(machine, walk, m, cap, collect_intervals=False, watch=None):
     def on_circle(c, t):
         nonlocal watch_time
         finished = False
-        if c == watch and watch_time is None:
+        if c == machine.watch and watch_time is None:
             watch_time = t
         for li in inner_of.get(c, ()):
             if phase[li] == wait_r:
@@ -200,12 +200,12 @@ def reference_run(machine, walk, m, cap, collect_intervals=False, watch=None):
     return record, clock
 
 
-def _outcome(run, machine, start, seed, stream, m, cap, collect_intervals, watch):
+def _outcome(run, machine, start, seed, stream, m, cap, collect_intervals):
     """Everything one ladder run leaves behind: record and clock fields, or
     the overrun's message and steps, plus where the walk stopped."""
     walk = WalkState(start, seed=seed, stream=stream)
     try:
-        record, clock = run(machine, walk, m, cap, collect_intervals, watch)
+        record, clock = run(machine, walk, m, cap, collect_intervals)
     except BudgetExceededError as err:
         return ("overrun", str(err), err.steps_taken, walk.steps, walk.code)
     return (
@@ -214,8 +214,8 @@ def _outcome(run, machine, start, seed, stream, m, cap, collect_intervals, watch
     )
 
 
-def _new_run(machine, walk, m, cap, collect_intervals, watch):
-    return machine.run(walk, m, cap, collect_intervals=collect_intervals, watch=watch)
+def _new_run(machine, walk, m, cap, collect_intervals):
+    return machine.run(walk, m, cap, collect_intervals=collect_intervals)
 
 
 @st.composite
@@ -232,8 +232,7 @@ def _concentric_machines(draw):
     watch = None
     if draw(st.booleans()):
         watch = ball_mask(TorusPoint(draw(st.integers(0, n - 1)), 0, n), 1.5)
-    machine = circle_machine(center, radii, watch=watch)
-    return machine, len(radii) if watch is not None else None
+    return circle_machine(center, radii, watch=watch)
 
 
 @st.composite
@@ -252,14 +251,15 @@ def _shared_cell_machines(draw):
     pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
     ladders = [_Ladder(level=i, inner=a, outer=b) for i, (a, b) in enumerate(chosen)]
-    machine = TraversalMachine(n, circles, ladders, driving=draw(st.integers(0, len(ladders) - 1)))
-    watch = draw(st.one_of(st.none(), st.integers(0, k - 1)))
-    return machine, watch
+    return TraversalMachine(
+        n, circles, ladders, driving=draw(st.integers(0, len(ladders) - 1)),
+        watch=draw(st.one_of(st.none(), st.integers(0, k - 1))),
+    )
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=500)
 @given(
-    built=st.one_of(_concentric_machines(), _shared_cell_machines()),
+    machine=st.one_of(_concentric_machines(), _shared_cell_machines()),
     start=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
     seed=st.integers(0, 2**32),
     stream=st.integers(0, 2**32),
@@ -268,12 +268,11 @@ def _shared_cell_machines(draw):
     collect_intervals=st.booleans(),
 )
 def test_block_ladder_matches_per_hit_reference(
-    built, start, seed, stream, m, cap, collect_intervals
+    machine, start, seed, stream, m, cap, collect_intervals
 ):
-    machine, watch = built
     n = machine.n
     point = TorusPoint(start[0] % n, start[1] % n, n)
-    args = (machine, point, seed, stream, m, cap, collect_intervals, watch)
+    args = (machine, point, seed, stream, m, cap, collect_intervals)
     assert _outcome(_new_run, *args) == _outcome(reference_run, *args)
 
 
@@ -292,7 +291,7 @@ def test_block_ladder_overrun_mid_ladder_matches_reference():
         third_block_end + 1,
     ):
         for intervals in (False, True):
-            args = (machine, TorusPoint(48, 32, N), 5, 3, 4, cap, intervals, None)
+            args = (machine, TorusPoint(48, 32, N), 5, 3, 4, cap, intervals)
             got = _outcome(_new_run, *args)
             assert got == _outcome(reference_run, *args)
             if cap < clock.departures[-1]:
@@ -312,15 +311,16 @@ def _ran(out, walk):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=120)
 @given(
-    built=st.one_of(_concentric_machines(), _shared_cell_machines()),
+    machine=st.one_of(_concentric_machines(), _shared_cell_machines()),
     data=st.data(),
     seed=st.integers(0, 2**32),
     m=st.sampled_from([3, 2, 1, 0]),
     collect_intervals=st.booleans(),
     chained=st.booleans(),
 )
-def test_group_ladder_matches_one_walk_at_a_time(built, data, seed, m, collect_intervals, chained):
-    machine, watch = built
+def test_group_ladder_matches_one_walk_at_a_time(
+    machine, data, seed, m, collect_intervals, chained
+):
     n = machine.n
     specs = data.draw(
         st.lists(
@@ -350,10 +350,10 @@ def test_group_ladder_matches_one_walk_at_a_time(built, data, seed, m, collect_i
         ok = [i for i, u in enumerate(used) if not isinstance(u, BudgetExceededError)]
         group, alone = [group[i] for i in ok], [alone[i] for i in ok]
         run_caps = [caps[i] - used[i] for i in ok]
-    got = machine.run_group(group, m, run_caps, collect_intervals, watch)
+    got = machine.run_group(group, m, run_caps, collect_intervals)
     for out, g_walk, walk, cap in zip(got, group, alone, run_caps):
         try:
-            want = machine.run(walk, m, cap, collect_intervals=collect_intervals, watch=watch)
+            want = machine.run(walk, m, cap, collect_intervals=collect_intervals)
         except BudgetExceededError as err:
             want = err
         assert _ran(out, g_walk) == _ran(want, walk)
@@ -365,6 +365,12 @@ def test_group_runs_take_empty_groups():
     machine = circle_machine(CENTER, RADII)
     assert machine.run_group([], 2, []) == []
     assert advance_group_to_mask([], ball_mask(CENTER, 2.0), []) == []
+
+
+def test_machine_rejects_a_watch_circle_it_lacks():
+    circles = [exterior_boundary_mask(ball_mask(CENTER, r)) for r in RADII]
+    with pytest.raises(ValueError, match=f"watch circle {len(RADII)} out of range"):
+        TraversalMachine(N, circles, [], driving=0, watch=len(RADII))
 
 
 def test_radii_validation():

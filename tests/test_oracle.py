@@ -1,9 +1,12 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from coverlab import oracle
+from coverlab import gw, oracle
+from coverlab.excursions import circle_machine
 from coverlab.lattice import (
     TorusPoint,
     WalkState,
@@ -466,25 +469,74 @@ def test_matthews_bracket_beyond_exact_solve_cap():
 
 
 def test_circle_chain_event_probability_vs_mc():
-    from coverlab.excursions import traversal_counts
-
     n = 48
     center = TorusPoint(24, 24, n)
     radii = [8.0, 4.0, 2.0, 1.0]
     chain = CircleChain(center, radii, n)
+    machine = circle_machine(center, radii)
     start = TorusPoint(24 + 8, 24, n)
     trials = 4000
-    tallies = {}
-    for t in range(trials):
-        w = WalkState(start, seed=13, stream=t)
-        rec, _ = traversal_counts(w, center, radii, m=1, cap=10**8)
-        key = (rec.counts[1], rec.counts[2])
-        tallies[key] = tallies.get(key, 0) + 1
-    for event in ((0, 0), (1, 0), (1, 1)):
-        exact = chain.event_probability(start, 1, {1: event[0], 2: event[1]})
-        freq = tallies.get(event, 0) / trials
-        se = math.sqrt(max(freq * (1 - freq), 1e-9) / trials)
-        assert abs(freq - exact) <= 3.5 * se
+    for m in (1, 2):
+        walks = [WalkState(start, seed=13, stream=(m - 1) * trials + t) for t in range(trials)]
+        ran = machine.run_group(walks, m, [10**8] * trials)
+        tallies = Counter((record.counts[1], record.counts[2]) for record, _ in ran)
+        for event in ((0, 0), (1, 0), (1, 1), (2, 1)):
+            exact = chain.event_probability(start, m, {1: event[0], 2: event[1]})
+            freq = tallies[event] / trials
+            se = math.sqrt(max(freq * (1 - freq), 1e-9) / trials)
+            assert abs(freq - exact) <= 3.5 * se, (m, event, freq, exact)
+
+
+def _scalar_chain(L: int) -> CircleChain:
+    """A CircleChain of one cell per circle: from levels 1..L-1 a step goes in
+    or out with chance 1/2 each, the top always goes in and the bottom out."""
+    chain = object.__new__(CircleChain)
+    chain.L = L
+    chain.circle_codes = [np.array([0])] * (L + 1)
+    half, one = np.array([[0.5]]), np.array([[1.0]])
+    chain.kern_down = {0: one, **{i: half for i in range(1, L)}}
+    chain.kern_up = {L: one, **{i: half for i in range(1, L)}}
+    return chain
+
+
+def test_scalar_circle_chain_event_probability_is_the_gw_law():
+    # one cell per circle makes the chain the reflecting walk on {0..L}, whose
+    # inward counts over m top excursions are the critical GW generations
+    # from m: an oracle that shares nothing with the chain's recursion
+    origin = TorusPoint(0, 0, 4)
+    for L in (2, 3, 4):
+        chain = _scalar_chain(L)
+        for m in (1, 2, 3):
+            for event in itertools.product(range(5), repeat=L - 1):
+                got = chain.event_probability(origin, m, dict(enumerate(event, 1)))
+                assert got == pytest.approx(gw.gw_joint_prob(m, event), rel=1e-14, abs=0), (
+                    L, m, event,
+                )
+
+
+# event_probability at both transfer schedules, as the path enumeration it
+# replaced computed them: (n, m) -> {(T_1, T_2): probability}
+_CHAIN_PINS = {
+    (64, 2): {(0, 0): 0.2573373988276868, (2, 2): 0.03276297076034951,
+              (4, 2): 0.01389909651625095},
+    (64, 3): {(0, 0): 0.13088404030927203, (3, 2): 0.029959915807932003,
+              (6, 3): 0.007437275053887515},
+    (130, 2): {(0, 0): 0.24540480061180042, (2, 2): 0.03445204626429852,
+               (4, 2): 0.013669541742696396},
+    (130, 3): {(0, 0): 0.12157157184365554, (3, 2): 0.030257841340599265,
+               (6, 3): 0.007134988806578272},
+}
+
+
+@pytest.mark.parametrize("n, radii", [(64, [8.0, 4.0, 2.0, 1.0]), (130, [64.0, 16.0, 4.0, 1.0])])
+def test_circle_chain_event_probability_matches_pinned_values(n, radii):
+    center = TorusPoint(n // 2, n // 2, n)
+    chain = CircleChain(center, radii, n)
+    start = TorusPoint(center.x + int(radii[0]), center.y, n)
+    for m in (2, 3):
+        for event, want in _CHAIN_PINS[n, m].items():
+            got = chain.event_probability(start, m, {1: event[0], 2: event[1]})
+            assert got == pytest.approx(want, rel=1e-13), (m, event)
 
 
 def test_circle_chain_rows_are_substochastic():
