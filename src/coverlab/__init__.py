@@ -3,7 +3,6 @@ cover times, annulus excursion decompositions, and critical Galton-Watson
 barrier estimates."""
 
 from .lattice import (
-    BallSpec,
     BudgetExceededError,
     TorusPoint,
     WalkState,
@@ -15,7 +14,6 @@ from .lattice import (
 )
 
 __all__ = [
-    "BallSpec",
     "BudgetExceededError",
     "TorusPoint",
     "WalkState",

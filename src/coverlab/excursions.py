@@ -106,22 +106,26 @@ class _Ladder:
 class TraversalMachine:
     """Streams walks through a family of circles, maintaining R/D ladders.
 
-    ``circles`` are boolean cell masks; ladders reference them by index.  A
-    cell may belong to several circles (inflated/deflated families), so the
-    label is a bitmask.  State per ladder and walk is one phase flag plus
-    counters.  ``watch``, if given, is the index of a circle whose first hit
-    time each run records (H_x bookkeeping in late-point detection).
+    ``circles`` are boolean cell masks; ladders reference them by index, and
+    ladder 0 drives: its m-th departure ends a run.  A cell may belong to
+    several circles (inflated/deflated families), so the label is a bitmask,
+    but a ladder's own two circles share no cell.  State per ladder and walk
+    is one phase flag plus counters.  ``watch``, if given, is the index of a
+    circle whose first hit time each run records (H_x bookkeeping in
+    late-point detection).
     """
 
-    def __init__(self, n: int, circles, ladders, driving: int, watch: int | None = None):
+    def __init__(self, n: int, circles, ladders, watch: int | None = None):
         if len(circles) > 32:
             raise ValueError("at most 32 circles per machine")
         if watch is not None and not 0 <= watch < len(circles):
             raise ValueError(f"watch circle {watch} out of range")
         self.n = n
         self.ladders = list(ladders)
-        self.driving = driving
         self.watch = watch
+        for lad in self.ladders:
+            if (circles[lad.inner] & circles[lad.outer]).any():
+                raise ValueError(f"ladder {lad.level}'s inner and outer circles share a cell")
         label = np.zeros(n * n, dtype=np.uint32)
         for idx, mask in enumerate(circles):
             if not mask.any():
@@ -129,23 +133,16 @@ class TraversalMachine:
             label[mask.reshape(-1)] |= np.uint32(1 << idx)
         self._label = label
         self._on = label != 0
-        for lad in self.ladders:
-            if lad.inner == lad.outer:
-                raise ValueError("ladder inner and outer circles must differ")
         self._inner = np.array([[1 << lad.inner] for lad in self.ladders], dtype=np.uint32)
         self._outer = np.array([[1 << lad.outer] for lad in self.ladders], dtype=np.uint32)
-        # cells on both circles of some ladder: a hit there is an event each time
-        both = (((self._inner & label) != 0) & ((self._outer & label) != 0)).any(axis=0)
-        self._both = both if both.any() else None
-        self._inner_first = np.array([lad.inner < lad.outer for lad in self.ladders])
 
     def run(self, walk: WalkState, m: int, cap: int, collect_intervals: bool = False):
-        """Advance ``walk`` until the driving ladder completes m departures;
+        """Advance ``walk`` until ladder 0 completes m departures;
         ``run_group`` on a group of one."""
         return outcome_or_raise(self.run_group([walk], m, [cap], collect_intervals)[0])
 
     def run_group(self, walks, m: int, caps, collect_intervals: bool = False):
-        """Advance every walk until its driving ladder completes m departures.
+        """Advance every walk until its ladder 0 completes m departures.
 
         Returns, per walk, its (TraversalRecord, ExcursionClock), or the
         BudgetExceededError of a walk that reached its cap.  A machine with a
@@ -154,16 +151,15 @@ class TraversalMachine:
         Each scan round is read in numpy, every walk and ladder at once.  A
         unit step cannot jump a circle, so a ladder only needs the hits on
         its own two circles, in order.  On each hit it is in the phase the
-        previous hit of the same walk left it in, and a hit's circles are
-        handled in index order, each feeding the ladders it is the inner
-        (R-event) and then the outer (D-event) circle of.  So where a cell
-        lies on both of a ladder's circles, the one with the lower index acts
-        first.  A walk's m-th driving departure ends it for every ladder.
+        previous hit of the same walk left it in: an inner hit is an R-event
+        iff the ladder waits for R, an outer hit a D-event iff it waits for
+        D, and the hit leaves it waiting for D iff it is an inner hit.  A
+        walk's m-th ladder-0 departure ends it for every ladder.
         """
         G = len(walks)
         nlad = len(self.ladders)
-        driving, watch = self.driving, self.watch
-        # per (ladder, walk), flat at ladder * G + walk
+        watch = self.watch
+        # per (ladder, walk), flat at ladder * G + walk; ladder 0 comes first
         waiting_d = np.zeros(nlad * G, dtype=bool)
         r_count = np.zeros(nlad * G, dtype=np.int64)
         d_count = np.zeros(nlad * G, dtype=np.int64)
@@ -171,7 +167,6 @@ class TraversalMachine:
         # per round: (ladder * G + walk, time, R-event, D-event) of the events
         # the records list
         events = []
-        driving_span = np.array([driving, driving + 1])
 
         def read(codes, bounds, group, taken):
             """One round: walk group[i] steps through codes[bounds[i]:bounds[i+1]],
@@ -180,14 +175,10 @@ class TraversalMachine:
             hits = self._on.take(codes).nonzero()[0]
             if hits.size == 0:
                 return ends
-            cells = codes.take(hits)
-            hv = self._label.take(cells)
+            hv = self._label.take(codes.take(hits))
             row = bounds[1:].searchsorted(hits, side="right")
-            # a hit with the label of the walk's previous hit changes no
-            # ladder, unless its cell lies on both circles of one
+            # a hit with the label of the walk's previous hit changes no ladder
             repeat = (hv[1:] == hv[:-1]) & (row[1:] == row[:-1])
-            if self._both is not None:
-                repeat &= ~self._both.take(cells[1:])
             if repeat.any():
                 keep = np.ones(hits.size, dtype=bool)
                 np.logical_not(repeat, out=keep[1:])
@@ -200,29 +191,26 @@ class TraversalMachine:
             # every (ladder, hit) with the hit on one of the ladder's circles,
             # ladder by ladder, each in step order
             on_in = (self._inner & hv) != 0
-            on_out = (self._outer & hv) != 0
-            pair = (on_in | on_out).ravel().nonzero()[0]
+            pair = (on_in | ((self._outer & hv) != 0)).ravel().nonzero()[0]
             lad, hit = np.divmod(pair, hits.size)
-            on_in = on_in.take(pair)
-            on_out = on_out.take(pair)
+            # the ladder's circles are disjoint: a hit not on its inner circle
+            # is on its outer one, and leaves it waiting for D iff inner
+            after = on_in.take(pair)
             r = row.take(hit)
             key = lad * G + group.take(r)
-            fi = self._inner_first.take(lad)
-            # a hit leaves the ladder waiting for D iff its inner circle acted last
-            after = on_in & ~(on_out & fi)
             first = np.ones(key.size, dtype=bool)
             np.not_equal(key[1:], key[:-1], out=first[1:])
             before = np.empty_like(after)
             before[1:] = after[:-1]
             before[first] = waiting_d.take(key[first])
-            r_ev = on_in & (~before | (on_out & ~fi))
-            d_ev = on_out & (before | (on_in & fi))
-            # the walk's m-th driving departure ends it: drop its later hits
-            lo, hi = lad.searchsorted(driving_span)
-            d_at = d_ev[lo:hi].nonzero()[0] + lo
+            r_ev = after & ~before
+            d_ev = before & ~after
+            # the walk's m-th ladder-0 departure ends it: drop its later hits
+            hi = lad.searchsorted(1)
+            d_at = d_ev[:hi].nonzero()[0]
             d_row = r.take(d_at)
             rank = np.arange(d_row.size) - d_row.searchsorted(d_row)
-            done = rank == (m - 1 - d_count.take(driving * G + group)).take(d_row)
+            done = rank == (m - 1 - d_count.take(group)).take(d_row)
             limit = None
             if done.any():
                 cut = hit.take(d_at[done])
@@ -233,7 +221,7 @@ class TraversalMachine:
                 lad, hit, key, after, r_ev, d_ev = (
                     a[keep] for a in (lad, hit, key, after, r_ev, d_ev)
                 )
-                lo, hi = lad.searchsorted(driving_span)
+                hi = lad.searchsorted(1)
             r_count[:] += np.bincount(key[r_ev], minlength=nlad * G)
             d_count[:] += np.bincount(key[d_ev], minlength=nlad * G)
             last = np.ones(key.size, dtype=bool)
@@ -241,7 +229,6 @@ class TraversalMachine:
             waiting_d[key[last]] = after[last]
             listed = r_ev | d_ev
             if not collect_intervals:
-                listed[:lo] = False
                 listed[hi:] = False
             at = listed.nonzero()[0]
             events.append((key.take(at), time(hit.take(at)), r_ev.take(at), d_ev.take(at)))
@@ -269,7 +256,7 @@ class TraversalMachine:
                 [walks[g] for g in live], [caps[g] for g in live],
                 lambda codes, bounds, rows, taken: read(codes, bounds, live.take(rows), taken),
                 lambda i: f"driving ladder finished only "
-                f"{d_count[driving * G + live[i]]}/{m} departures",
+                f"{d_count[live[i]]}/{m} departures",
             )
             for g, o in zip(live.tolist(), ran):
                 outcome[g] = o
@@ -302,7 +289,7 @@ class TraversalMachine:
                 continue
             record = TraversalRecord(
                 counts={lad.level: int(r_count[li * G + g]) for li, lad in enumerate(self.ladders)},
-                driving_level=self.ladders[self.driving].level,
+                driving_level=self.ladders[0].level,
                 m=m,
                 intervals={
                     lad.level: list(zip(*times(li, g))) for li, lad in enumerate(self.ladders)
@@ -311,7 +298,7 @@ class TraversalMachine:
                 else None,
                 watch_time=None if watch_time[g] < 0 else int(watch_time[g]),
             )
-            out.append((record, ExcursionClock(*times(self.driving, g))))
+            out.append((record, ExcursionClock(*times(0, g))))
         return out
 
 
@@ -332,7 +319,7 @@ def circle_machine(
         _Ladder(level=first_level + i, inner=i + 1, outer=i) for i in range(len(radii) - 1)
     ]
     return TraversalMachine(
-        center.n, circles, ladders, driving=0, watch=None if watch is None else len(radii)
+        center.n, circles, ladders, watch=None if watch is None else len(radii)
     )
 
 
@@ -420,7 +407,8 @@ def hat_traversal(
     deflated level-(i+1) circle; the driving clock runs between the deflated
     top circle and the inflated r_1 circle, started at the first hit of the
     latter.  Sharing one trajectory with the tilde counts gives the pathwise
-    domination hat <= tilde.
+    domination hat <= tilde.  The machine refuses radii whose two top
+    circles, pulled together by the inflation, share a cell.
     """
     radii = validate_radii(radii, n=center.n)
     eps = hat_inflation(center.n)
@@ -442,7 +430,7 @@ def hat_traversal(
         outer = add("plus", i, (1 + eps) * radii[i])
         inner = add("minus", i + 1, (1 - eps) * radii[i + 1])
         ladders.append(_Ladder(level=i, inner=inner, outer=outer))
-    machine = TraversalMachine(center.n, circles, ladders, driving=0)
+    machine = TraversalMachine(center.n, circles, ladders)
     return outcome_or_raise(run_from_first_hit(machine, circles[top_inner], [walk], m, [cap])[0])
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -57,23 +56,15 @@ class ExperimentConfig:
     params: schedule.ParamSet | None = None
     kappa_plus: float = 2.0
     kappa_minus: float = 2.0
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trial count must be >= 1 (0 selects the default)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        self.worker_count()  # a non-positive count is a usage error before any run
-
-    def worker_count(self) -> int:
-        if self.workers is not None:
-            workers, source = self.workers, "workers"
-        else:
-            workers, source = int(os.environ.get("COVERLAB_WORKERS") or 1), "COVERLAB_WORKERS"
-        if workers < 1:
-            raise ValueError(f"{source} must be >= 1 (got {workers})")
-        return workers
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1 (got {self.workers})")
 
 
 @dataclass
@@ -181,7 +172,7 @@ def _map_trials(cfg: ExperimentConfig, experiment: str, section: str, run, start
     Returns (outcomes of the trials that finished, in trial order, number of
     trials that overran)."""
     key = stream_key(cfg.seed, experiment, section)
-    workers = cfg.worker_count()
+    workers = cfg.workers
     if workers <= 1:
         out = _run_chunk((run, key, start, range(n_trials)))
     else:

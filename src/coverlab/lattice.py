@@ -98,20 +98,6 @@ class TorusPoint:
         return tuple(self.shifted(dx, dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)))
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    """Open ball B(center, radius) = {y : d(center, y) < radius}, radius real."""
-
-    center: TorusPoint
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not self.radius < self.center.n / 2:
-            raise ValueError("radius must be < n/2 so the ball does not wrap into itself")
-
-
 def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
     """Euclidean length of the minimal wrapped displacement between a and b."""
     if a.n != b.n:

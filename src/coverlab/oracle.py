@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,18 +34,6 @@ POWER_TOL = 1e-12
 POWER_MAX_ITERS = 100_000
 # coupled_chain_run: step budget per walk leg, in units of n^2
 LEG_CAP_PER_CELL = 2000
-
-
-def _neighbor_codes(n: int) -> np.ndarray:
-    """(N, 4) flat codes of the four lattice neighbors of every cell."""
-    codes = np.arange(n * n, dtype=np.int64)
-    x, y = divmod(codes, n)
-    out = np.empty((n * n, 4), dtype=np.int64)
-    out[:, 0] = ((x + 1) % n) * n + y
-    out[:, 1] = ((x - 1) % n) * n + y
-    out[:, 2] = x * n + (y + 1) % n
-    out[:, 3] = x * n + (y - 1) % n
-    return out
 
 
 def _codes(points) -> np.ndarray:
@@ -226,24 +213,9 @@ def harmonic_measure_exact(sources, boundary, n: int) -> tuple[np.ndarray, np.nd
     return GridSystem(n, boundary).exit_distribution(_codes(sources))
 
 
-@dataclass
-class GreenTable:
-    """Symmetric Green function values G(u, v) for probe cells of one domain."""
-
-    n: int
-    absorbing: np.ndarray
-    probe_codes: np.ndarray
-    columns: np.ndarray  # (N, #probes): G(u, probe) for every cell u
-
-    def probe_matrix(self) -> np.ndarray:
-        return self.columns[self.probe_codes]
-
-
-def green_exact(absorbing, probes, n: int) -> GreenTable:
-    """Green table of the domain killed on ``absorbing`` at the probe cells."""
-    pcodes = _codes(probes)
-    cols = GridSystem(n, absorbing).green_columns(pcodes)
-    return GreenTable(n=n, absorbing=absorbing.reshape(-1), probe_codes=pcodes, columns=cols)
+def green_exact(absorbing, probes, n: int) -> np.ndarray:
+    """(N, #probes) Green columns G(., probe) of the domain killed on ``absorbing``."""
+    return GridSystem(n, absorbing).green_columns(_codes(probes))
 
 
 # -- equilibrium pair and the excursion chain ---------------------------------
@@ -510,39 +482,35 @@ def matthews_cover_bracket(n: int) -> tuple[float, float]:
 
 
 def exact_cover_mean(n: int) -> float:
-    """Exact expected cover time by enumerating the (position, visited-set) chain."""
+    """Exact expected cover time by a DP over covered sets.
+
+    Translate each state so that the walker sits at 0.  With S the covered
+    set, V(S) = E_0[H_{S^c}] + sum_y P_0(X_{H_{S^c}} = y) V((S + {y}) - y),
+    y over the exterior boundary of S: one ``GridSystem`` on S^c per set.
+    """
     if n > 3:
-        raise ValueError("state space explodes beyond n = 3")
-    ncells = n * n
-    full = (1 << ncells) - 1
-    nb = _neighbor_codes(n)
-    # Breadth-first enumeration of reachable states from (0, {0}).
-    start = (0, 1)
-    queue = deque([start])
-    seen = {start}
-    transitions = []
-    while queue:
-        pos, vis = queue.popleft()
-        if vis == full:
-            continue
-        for t in nb[pos]:
-            nvis = vis | (1 << int(t))
-            nxt = (int(t), nvis)
-            transitions.append(((pos, vis), nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    transient = [s for s in seen if s[1] != full]
-    tid = {s: i for i, s in enumerate(transient)}
-    size = len(transient)
-    M = np.zeros((size, size))
-    for src, dst in transitions:
-        if src[1] == full:
-            continue
-        if dst in tid:
-            M[tid[src], tid[dst]] += 0.25
-    h = np.linalg.solve(np.eye(size) - M, np.ones(size))
-    return float(h[tid[start]])
+        raise ValueError("the covered-set DP is enumerated only up to n = 3")
+
+    @functools.cache
+    def value(covered: bytes) -> float:
+        S = np.frombuffer(covered, dtype=bool).reshape(n, n)
+        if S.all():
+            return 0.0
+        system = GridSystem(n, ~S)
+        rows, codes = system.exit_distribution(np.array([0]))
+        exits = exterior_boundary_mask(S).reshape(-1)[codes]
+        total = float(system.expected_hit()[0])
+        for y, p in zip(codes[exits].tolist(), rows[0, exits].tolist()):
+            nxt = S.copy()
+            nxt.flat[y] = True
+            total += p * value(np.roll(nxt, (-(y // n), -(y % n)), axis=(0, 1)).tobytes())
+        return total
+
+    start = np.zeros((n, n), dtype=bool)
+    start[0, 0] = True
+    mean = value(start.tobytes())
+    value.cache_clear()  # value refers to itself: free its entries now, not at a gc
+    return mean
 
 
 # -- exact circle-chain event probabilities ------------------------------------

@@ -101,6 +101,8 @@ def test_clock_interleaving_and_r1_zero_on_inner_start():
 def test_excursion_clock_rejects_degenerate_annulus():
     with pytest.raises(ValueError):
         AnnulusSpec(CENTER, 8.0, 8.0)
+    with pytest.raises(ValueError, match="outer radius must be < n/2"):
+        AnnulusSpec(TorusPoint(0, 0, 8), 1.0, 4.0)
     with pytest.raises(ValueError):
         excursion_clock(_walk(0), AnnulusSpec(CENTER, 4.0, 16.0), m=0, cap=CAP)
 
@@ -127,8 +129,8 @@ def test_traversal_counts_budget_error_keeps_departures_done():
 def reference_run(machine, walk, m, cap, collect_intervals=False):
     """TraversalMachine.run as a per-hit Python ladder, the reference for the
     per-block one: every labelled hit visits its circles in index order, each
-    circle feeding the ladders whose inner (R-event) and then outer (D-event)
-    circle it is."""
+    circle feeding the ladders whose inner (R-event) or outer (D-event)
+    circle it is.  Ladder 0 drives."""
     wait_r, wait_d = 0, 1
     inner_of, outer_of = {}, {}
     for li, lad in enumerate(machine.ladders):
@@ -152,14 +154,14 @@ def reference_run(machine, walk, m, cap, collect_intervals=False):
                 phase[li] = wait_d
                 counts[li] += 1
                 open_r[li] = t
-                if li == machine.driving:
+                if li == 0:
                     clock.returns.append(t)
         for li in outer_of.get(c, ()):
             if phase[li] == wait_d:
                 phase[li] = wait_r
                 if collect_intervals:
                     intervals[li].append((open_r[li], t))
-                if li == machine.driving:
+                if li == 0:
                     clock.departures.append(t)
                     if len(clock.departures) == m:
                         finished = True
@@ -190,7 +192,7 @@ def reference_run(machine, walk, m, cap, collect_intervals=False):
         outcome_or_raise(ran[0])
     record = TraversalRecord(
         counts={lad.level: counts[li] for li, lad in enumerate(machine.ladders)},
-        driving_level=machine.ladders[machine.driving].level,
+        driving_level=machine.ladders[0].level,
         m=m,
         intervals={lad.level: intervals[li] for li, lad in enumerate(machine.ladders)}
         if collect_intervals
@@ -220,15 +222,18 @@ def _new_run(machine, walk, m, cap, collect_intervals):
 
 @st.composite
 def _concentric_machines(draw):
-    """circle_machine on 2-4 decreasing radii, some closer than one cell so
-    their circles share cells, with an optional watch mask.  A wide top
-    annulus makes walks that span several blocks."""
+    """circle_machine on 2-4 decreasing radii at least one apart, so that no
+    two circles share a cell, with an optional watch mask that may share
+    cells with them.  A wide top annulus makes walks that span several
+    blocks."""
     n = draw(st.sampled_from([48, 24, 12]))
     center = TorusPoint(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n)
     top = draw(st.sampled_from([n / 2 - 1, n / 4]))
-    halves = st.integers(2, int(2 * top) - 1)
-    rest = draw(st.lists(halves, min_size=1, max_size=3, unique=True))
-    radii = [top] + sorted((h / 2 for h in rest), reverse=True)
+    radii = [top]
+    for gap in draw(st.lists(st.integers(2, int(2 * top) - 2), min_size=1, max_size=3)):
+        if radii[-1] - gap / 2 < 1:
+            break
+        radii.append(radii[-1] - gap / 2)
     watch = None
     if draw(st.booleans()):
         watch = ball_mask(TorusPoint(draw(st.integers(0, n - 1)), 0, n), 1.5)
@@ -236,30 +241,35 @@ def _concentric_machines(draw):
 
 
 @st.composite
-def _shared_cell_machines(draw):
-    """Hand-built machines on random cell masks, so circles share cells and a
-    single hit can be an R- and a D-event of one ladder."""
+def _cross_shared_cell_machines(draw):
+    """Hand-built machines on random cell masks.  Each ladder's two masks are
+    disjoint, but cells are shared across ladders and with the watch circle,
+    so a single hit can be an event of several ladders and a watch hit."""
     n = draw(st.integers(6, 24))
     k = draw(st.integers(2, 5))
     density = draw(st.sampled_from([0.02, 0.1, 0.3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     circles = []
-    for _ in range(k):
-        mask = rng.random((n, n)) < density
-        mask[rng.integers(n), rng.integers(n)] = True
-        circles.append(mask)
+    # each circle owns one cell of its own, so none ends up empty
+    own = rng.permutation(n * n)[:k]
+    for c in range(k):
+        mask = rng.random(n * n) < density
+        mask[own] = False
+        mask[own[c]] = True
+        circles.append(mask.reshape(n, n))
     pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    for a, b in chosen:
+        circles[b] &= ~circles[a]
     ladders = [_Ladder(level=i, inner=a, outer=b) for i, (a, b) in enumerate(chosen)]
     return TraversalMachine(
-        n, circles, ladders, driving=draw(st.integers(0, len(ladders) - 1)),
-        watch=draw(st.one_of(st.none(), st.integers(0, k - 1))),
+        n, circles, ladders, watch=draw(st.one_of(st.none(), st.integers(0, k - 1)))
     )
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=500)
 @given(
-    machine=st.one_of(_concentric_machines(), _shared_cell_machines()),
+    machine=st.one_of(_concentric_machines(), _cross_shared_cell_machines()),
     start=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
     seed=st.integers(0, 2**32),
     stream=st.integers(0, 2**32),
@@ -311,7 +321,7 @@ def _ran(out, walk):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=120)
 @given(
-    machine=st.one_of(_concentric_machines(), _shared_cell_machines()),
+    machine=st.one_of(_concentric_machines(), _cross_shared_cell_machines()),
     data=st.data(),
     seed=st.integers(0, 2**32),
     m=st.sampled_from([3, 2, 1, 0]),
@@ -369,8 +379,20 @@ def test_group_runs_take_empty_groups():
 
 def test_machine_rejects_a_watch_circle_it_lacks():
     circles = [exterior_boundary_mask(ball_mask(CENTER, r)) for r in RADII]
+    ladder = _Ladder(level=0, inner=1, outer=0)
     with pytest.raises(ValueError, match=f"watch circle {len(RADII)} out of range"):
-        TraversalMachine(N, circles, [], driving=0, watch=len(RADII))
+        TraversalMachine(N, circles, [ladder], watch=len(RADII))
+
+
+def test_machine_rejects_a_ladder_whose_circles_share_a_cell():
+    # the cell (4, 0) from the centre lies outside the ball of radius 4 and
+    # next to the ball of radius 3.5: it is on both circles
+    shared = TorusPoint(CENTER.x + 4, CENTER.y, N).code
+    assert exterior_boundary_mask(ball_mask(CENTER, 4.0)).reshape(-1)[shared]
+    assert exterior_boundary_mask(ball_mask(CENTER, 3.5)).reshape(-1)[shared]
+    with pytest.raises(ValueError, match="ladder 0's inner and outer circles share a cell"):
+        circle_machine(CENTER, [4.0, 3.5, 1.0])
+    circle_machine(CENTER, [4.0, 3.0, 1.0])  # one apart: disjoint
 
 
 def test_radii_validation():
@@ -380,6 +402,8 @@ def test_radii_validation():
         validate_radii([16, 15.5, 1])  # gap < 1 crosses two circles in a step
     with pytest.raises(ValueError):
         validate_radii([16.0, 16.0, 1.0])
+    with pytest.raises(ValueError, match="outermost radius must be < n/2"):
+        validate_radii([4.0, 1.0], n=8)  # the ball would wrap into itself
 
 
 def test_counts_nondecreasing_in_m_pathwise():

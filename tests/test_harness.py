@@ -175,28 +175,14 @@ def test_worker_override_matches_serial(name, kwargs):
     assert pooled.late_rows == serial.late_rows
 
 
-def test_workers_env_variable(monkeypatch):
-    monkeypatch.setenv("COVERLAB_WORKERS", "2")
-    assert ExperimentConfig(name="cover").worker_count() == 2
-    monkeypatch.delenv("COVERLAB_WORKERS")
-    assert ExperimentConfig(name="cover").worker_count() == 1
-
-
 @pytest.mark.parametrize("value", ["0", "-5"])
-def test_non_positive_workers_is_a_usage_error(monkeypatch, capsys, value):
+def test_non_positive_workers_is_a_usage_error(capsys, value):
     from coverlab.cli import main
 
     with pytest.raises(ValueError, match=f"workers must be >= 1 \\(got {value}\\)"):
         ExperimentConfig(name="transfer", workers=int(value))
     assert main(["transfer", "--workers", value]) == 2
     assert f"workers must be >= 1 (got {value})" in capsys.readouterr().err
-    monkeypatch.setenv("COVERLAB_WORKERS", value)
-    with pytest.raises(ValueError, match=f"COVERLAB_WORKERS must be >= 1 \\(got {value}\\)"):
-        ExperimentConfig(name="transfer")
-    assert main(["transfer"]) == 2
-    assert f"COVERLAB_WORKERS must be >= 1 (got {value})" in capsys.readouterr().err
-    # the flag overrides the environment
-    assert ExperimentConfig(name="transfer", workers=2).worker_count() == 2
 
 
 def test_barrier_sweep_schema_and_csv(tmp_path):

@@ -15,7 +15,6 @@ from coverlab.lattice import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
     _MAX_ROUND,
-    BallSpec,
     BudgetExceededError,
     TorusPoint,
     WalkState,
@@ -100,11 +99,6 @@ def test_boundary_of_whole_torus_is_an_error():
     pts = [TorusPoint(i, j, 2) for i in range(2) for j in range(2)]
     with pytest.raises(ValueError):
         boundary(pts)
-
-
-def test_ballspec_rejects_wrapping_radius():
-    with pytest.raises(ValueError):
-        BallSpec(TorusPoint(0, 0, 8), 4.0)
 
 
 def test_step_takes_the_next_move_of_the_stream():
