@@ -20,6 +20,7 @@ from .lattice import (
     advance_group_to_mask,
     ball_mask,
     exterior_boundary_mask,
+    near_table,
     outcome_or_raise,
     scan_group,
     torus_distance,
@@ -112,7 +113,9 @@ class TraversalMachine:
     but a ladder's own two circles share no cell.  State per ladder and walk
     is one phase flag plus counters.  ``watch``, if given, is the index of a
     circle whose first hit time each run records (H_x bookkeeping in
-    late-point detection).
+    late-point detection).  Scan rounds expand only the bytes of a walk
+    that start or end within L1 distance 2 of a circle cell, watch circle
+    included (``lattice.near_table``).
     """
 
     def __init__(self, n: int, circles, ladders, watch: int | None = None):
@@ -133,6 +136,7 @@ class TraversalMachine:
             label[mask.reshape(-1)] |= np.uint32(1 << idx)
         self._label = label
         self._on = label != 0
+        self._near = near_table(self._on.reshape(n, n))
         self._inner = np.array([[1 << lad.inner] for lad in self.ladders], dtype=np.uint32)
         self._outer = np.array([[1 << lad.outer] for lad in self.ladders], dtype=np.uint32)
 
@@ -168,9 +172,11 @@ class TraversalMachine:
         # the records list
         events = []
 
-        def read(codes, bounds, group, taken):
-            """One round: walk group[i] steps through codes[bounds[i]:bounds[i+1]],
-            having taken taken[i] steps.  Returns each walk's end index or -1."""
+        def read(codes, at, bounds, group, taken):
+            """One round: walk group[i], having taken taken[i] steps, steps
+            onto codes[bounds[i]:bounds[i+1]] at its steps at[...] of the
+            round, and onto no other circle cell.  Returns the ``at`` of each
+            walk's end, or -1."""
             ends = np.full(group.size, -1)
             hits = self._on.take(codes).nonzero()[0]
             if hits.size == 0:
@@ -183,10 +189,10 @@ class TraversalMachine:
                 keep = np.ones(hits.size, dtype=bool)
                 np.logical_not(repeat, out=keep[1:])
                 hits, hv, row = hits[keep], hv[keep], row[keep]
-            shift = taken + 1 - bounds[:-1]  # a hit's step count, less its index
+            steps = at.take(hits)
 
             def time(h):
-                return hits.take(h) + shift.take(row.take(h))
+                return steps.take(h) + 1 + taken.take(row.take(h))
 
             # every (ladder, hit) with the hit on one of the ladder's circles,
             # ladder by ladder, each in step order
@@ -214,7 +220,7 @@ class TraversalMachine:
             limit = None
             if done.any():
                 cut = hit.take(d_at[done])
-                ends[d_row[done]] = hits.take(cut) - bounds.take(d_row[done])
+                ends[d_row[done]] = steps.take(cut)
                 limit = np.full(group.size, hits.size)
                 limit[d_row[done]] = cut
                 keep = hit <= limit.take(r)
@@ -248,13 +254,15 @@ class TraversalMachine:
         if m:
             # the start cell is step 0: a one-cell round after taken = -1 steps
             ends = read(
-                np.array([w.code for w in walks], dtype=np.intp), np.arange(G + 1),
-                np.arange(G), np.full(G, -1),
+                np.array([w.code for w in walks], dtype=np.intp), np.zeros(G, dtype=np.intp),
+                np.arange(G + 1), np.arange(G), np.full(G, -1),
             )
             live = np.flatnonzero(ends < 0)
             ran = scan_group(
-                [walks[g] for g in live], [caps[g] for g in live],
-                lambda codes, bounds, rows, taken: read(codes, bounds, live.take(rows), taken),
+                [walks[g] for g in live], [caps[g] for g in live], self._near,
+                lambda codes, at, bounds, rows, taken: read(
+                    codes, at, bounds, live.take(rows), taken
+                ),
                 lambda i: f"driving ladder finished only "
                 f"{d_count[live[i]]}/{m} departures",
             )
@@ -407,8 +415,8 @@ def hat_traversal(
     deflated level-(i+1) circle; the driving clock runs between the deflated
     top circle and the inflated r_1 circle, started at the first hit of the
     latter.  Sharing one trajectory with the tilde counts gives the pathwise
-    domination hat <= tilde.  The machine refuses radii whose two top
-    circles, pulled together by the inflation, share a cell.
+    domination hat <= tilde.  Radii whose two top circles, pulled together
+    by the inflation, share a cell are refused.
     """
     radii = validate_radii(radii, n=center.n)
     eps = hat_inflation(center.n)
@@ -425,6 +433,12 @@ def hat_traversal(
 
     top_outer = add("minus", 0, (1 - eps) * radii[0])
     top_inner = add("plus", 1, (1 + eps) * radii[1])
+    if (circles[top_outer] & circles[top_inner]).any():
+        raise ValueError(
+            f"radii {radii[0]:g} and {radii[1]:g} are too close for the hat inflation "
+            f"eps = {eps:.4g}: the circles of radius (1 - eps) {radii[0]:g} and "
+            f"(1 + eps) {radii[1]:g} share a cell"
+        )
     ladders = [_Ladder(level=0, inner=top_inner, outer=top_outer)]
     for i in range(1, L):
         outer = add("plus", i, (1 + eps) * radii[i])

@@ -905,6 +905,7 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
             )
             envelope += hi * p
     below = _mc_check("", "freq", freq, se, 0.0, envelope, z, late_failures, "").passed
+    late_factor = tol["curves.late_corridor_factor"]
     late_rows = [
         dict(
             n=late_n, L=late_L, ell=late_ell, m=late_m, level=i,
@@ -924,8 +925,10 @@ def run_curve_report(cfg: ExperimentConfig) -> ExperimentResult:
     )
     checks.append(
         _mc_check(
-            "late_event_below_corridor", "freq", freq, se, 0.0, 1.5 * corridor, z, late_failures,
-            f"(exact: 1.5 * GW corridor {corridor:.5f}; the unvisited clause only removes mass)",
+            "late_event_below_corridor", "freq", freq, se, 0.0, late_factor * corridor, z,
+            late_failures,
+            f"(exact: {late_factor:g} * GW corridor {corridor:.5f}; "
+            "the unvisited clause only removes mass)",
         )
     )
     return _result(cfg, "curves", CURVE_SCHEMA, rows, checks, late_rows=late_rows)

@@ -13,8 +13,16 @@ a block's worth of numpy calls.  A single walk is the group of one
 (``advance_to_mask``, ``cover_time``), and every callback has the group
 signature.  A walk's blocks double from ``_FIRST_BLOCK`` = 1 024 to
 ``_MAX_BLOCK`` = 32 768 moves, and a round packs walks, in turn, up to
-``_MAX_ROUND`` = 65 536 moves; its running sum is over bytes, four moves
-each, not over moves.
+``_MAX_ROUND`` = 65 536 moves.
+
+A round is decoded in two passes.  The coarse pass is a running sum over
+bytes, four moves each, and gives the cell at every byte's end.  The fine
+pass expands to per-move cells only the bytes that start or end on the
+callback's ``near`` table, plus each walk's first word.  A byte's four
+positions lie within L1 distance ``_REACH`` = 2 of its start or its end,
+so a callback whose ``near`` holds every cell within 2 of the cells it
+reacts to (``near_table``) sees every step onto them.  ``peek_block``
+decodes with a ``near`` that holds every cell, so it expands every byte.
 
 Moves are read straight from the raw 64-bit Philox words, 32 to a word
 (stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
@@ -62,6 +70,19 @@ _STEP = np.array([1 << _Y_BITS, -(1 << _Y_BITS), 1, -1], dtype=np.int64)
 _BYTE_STEPS = _STEP[np.arange(256)[:, None] >> np.arange(0, 8, 2) & 3]
 _BYTE_SUM = _BYTE_STEPS.sum(axis=1)
 _BYTE_FROM_END = _BYTE_STEPS.cumsum(axis=1) - _BYTE_SUM[:, None]
+# Moves 0 and 1 of a byte end within L1 distance 2 of where the byte starts,
+# moves 2 and 3 within 1 of where it ends: every cell a byte visits is within
+# _REACH of one of the two.
+_REACH = 2
+_PAD = 3  # the farthest a move of a byte lies from its end, in x or in y
+# _BYTE_FROM_END in x and in y (each unpacked from [-_PAD, _PAD]), and as
+# Python (dx, dy) pairs for one move at a time
+_BYTE_FROM_END_X = ((_BYTE_FROM_END + (_PAD << _Y_BITS) + _PAD) >> _Y_BITS) - _PAD
+_BYTE_FROM_END_Y = ((_BYTE_FROM_END + _PAD) & _Y_MASK) - _PAD
+_FROM_END_XY = [
+    list(zip(xs, ys)) for xs, ys in zip(_BYTE_FROM_END_X.tolist(), _BYTE_FROM_END_Y.tolist())
+]
+_QUADS = np.tile(np.arange(4, dtype=np.int8), _MAX_ROUND // 4)  # each move's place in its byte
 
 
 class BudgetExceededError(RuntimeError):
@@ -136,6 +157,42 @@ def exterior_boundary_mask(mask: np.ndarray) -> np.ndarray:
     return near & ~mask
 
 
+def near_table(mask: np.ndarray) -> np.ndarray:
+    """Flat boolean table of the cells within L1 distance ``_REACH`` of a
+    cell of the (n, n) ``mask``, on the torus: the ``near`` table of a scan
+    callback that reacts to the cells of ``mask``.
+
+    The mask is padded by ``_REACH`` on every side, so that each shift is
+    one slice of the flattened padding: ``band`` widens it by k along y, and
+    the rows at x-distance ``_REACH - k`` take that band.
+    """
+    n = mask.shape[0]
+    w = n + 2 * _REACH
+    wrap = np.arange(-_REACH, n + _REACH) % n
+    rows = mask.take(wrap, axis=0)
+    pad = np.concatenate(
+        (rows[:, wrap[:_REACH]], rows, rows[:, wrap[n + _REACH :]]), axis=1
+    ).reshape(-1)
+    lo, hi = _REACH * w, (_REACH + n) * w  # the padded rows of the torus
+    band = pad.copy()
+    out = pad[lo - _REACH * w : hi - _REACH * w] | pad[lo + _REACH * w : hi + _REACH * w]
+    for k in range(1, _REACH + 1):
+        band[k:-k] |= pad[: -2 * k]
+        band[k:-k] |= pad[2 * k :]
+        dx = (_REACH - k) * w
+        out |= band[lo - dx : hi - dx]
+        out |= band[lo + dx : hi + dx]
+    return out.reshape(n, w)[:, _REACH : _REACH + n].reshape(-1)
+
+
+@functools.lru_cache(maxsize=4)
+def _everywhere(n: int) -> np.ndarray:
+    """The ``near`` table that holds every cell: its decode expands every move."""
+    table = np.ones(n * n, dtype=bool)
+    table.flags.writeable = False
+    return table
+
+
 def points_to_mask(points, n: int) -> np.ndarray:
     mask = np.zeros((n, n), dtype=bool)
     for p in points:
@@ -203,7 +260,10 @@ class WalkState:
     multiple of 32 moves.
     Between operations a walk holds only the raw words it has not finished,
     a view of the block they came from, and ``_skip``, the number of moves
-    of the first of them already taken (0 to 31).
+    of the first of them already taken (0 to 31).  While it holds a decoded
+    block it also has the cell at each byte's end, ``_ends``, and the cells
+    its decode expanded, ``_codes``, with their step indices ``_at``
+    (counted from its first step after ``_skip``).
     Positions are int32 flat codes ``x * n + y``; index tables with them
     through ``take``, which numpy runs about twice as fast as ``table[codes]``
     for int32 indices.
@@ -218,10 +278,10 @@ class WalkState:
         self.steps = 0
         self._next_block = _FIRST_BLOCK
         self._bits = philox_stream(seed, stream).bit_generator
-        self._words = _NO_WORDS  # the words of _codes, or those kept
+        self._words = _NO_WORDS  # the words of the decoded block, or those kept
         self._skip = 0
-        self._codes = _NO_CODES  # positions after each move of _words
-        self._cursor = 0
+        self._ends = self._codes = self._at = _NO_CODES  # the decoded block's
+        self._cursor = 0  # steps taken of the decoded block
 
     @property
     def position(self) -> TorusPoint:
@@ -247,30 +307,41 @@ class WalkState:
         return self._words
 
     def peek_block(self) -> np.ndarray:
-        """Flat position codes for the not-yet-consumed part of the current block."""
-        if self._cursor >= self._codes.size:
+        """Flat position codes for the not-yet-consumed steps of the current
+        block that its decode expanded: every one, unless a scan round
+        decoded the block."""
+        steps = 4 * self._ends.size - self._skip
+        if self._cursor >= steps:
             self._keep_rest()
-            _decode([self])
-        return self._codes[self._cursor :]
+            _decode([self], _everywhere(self.n))
+            steps = self._codes.size
+        if self._codes.size == steps:  # every step expanded: _at counts from 0
+            return self._codes[self._cursor :]
+        return self._codes[self._at.searchsorted(np.int32(self._cursor)) :]
 
     def consume(self, k: int):
-        """Advance the walk through the next ``k`` moves of the current block."""
+        """Advance the walk through the next ``k`` moves of the current block:
+        it stands at the end of the byte of its last move, plus that move's
+        ``_BYTE_FROM_END``."""
         if k <= 0:
             return
-        j = self._cursor + k - 1
-        code = int(self._codes[j])
-        self._px, self._py = divmod(code, self.n)
+        j = self._skip + self._cursor + k - 1
+        x, y = divmod(int(self._ends[j >> 2]), self.n)
+        byte = int(self._words[j >> 5]) >> 2 * (j & 28) & 255  # the byte of move j
+        dx, dy = _FROM_END_XY[byte][j & 3]
+        self._px = (x + dx) % self.n
+        self._py = (y + dy) % self.n
         self.steps += k
-        self._cursor = j + 1
+        self._cursor += k
 
     def _keep_rest(self):
         """Drop the decoded block, keeping the words not yet finished and the
         moves of the first one taken.  A walk between scan rounds so holds no
         round's arrays alive, and keeping decodes nothing."""
-        if self._codes.size:
-            word, self._skip = divmod(self._cursor, 32)
+        if self._ends.size:
+            word, self._skip = divmod(self._skip + self._cursor, 32)
             self._words = self._words[word:]
-            self._codes = _NO_CODES
+            self._ends = self._codes = self._at = _NO_CODES
             self._cursor = 0
 
 
@@ -295,55 +366,86 @@ def _scratch(size: int, dtype) -> np.ndarray:
 # page faults cost more than the arithmetic.  No decode result points into
 # them; decodes in one process must not run concurrently (trials run in
 # worker processes, not threads).
-_COORDS = _scratch(_MAX_ROUND, np.intp)
+_COORDS = _scratch(_MAX_ROUND // 4, np.intp)
 _PACKED = _scratch(_MAX_ROUND, np.int64)
 _BYTE_ENDS = _scratch(_MAX_ROUND // 4, np.int64)
 
 
-def _decode(walks) -> np.ndarray:
+def _decode(walks, near: np.ndarray):
     """Draw the next words of every walk in ``walks``, none of which holds a
-    decoded block, and decode them all in one set of numpy calls; returns
-    their codes, concatenated in order, and hands each walk its own part.
+    decoded block, and decode them all in one set of numpy calls, in two
+    passes.  Returns ``(codes, at, bounds)`` as ``scan_group`` hands them to
+    its callback, and gives each walk its own part of them and of the cells
+    at its byte ends.
 
-    The running sum is over bytes, four moves each: ``_BYTE_SUM`` gives
-    where each byte's fourth move leaves the walk, and ``_BYTE_FROM_END``
-    each move's place from there.  The first byte of each part is offset by
-    the walk's packed start, less the moves of its first ``_skip`` already
-    taken, minus where the part before it ends, so one running sum gives
-    every walk's positions; the skipped head's codes are never read.
+    The coarse pass is a running sum over bytes, four moves each:
+    ``_BYTE_SUM`` gives where each byte's fourth move leaves the walk.  The
+    first byte of each part is offset by the walk's packed start, less the
+    moves of its first ``_skip`` already taken, minus where the part before
+    it ends, so one running sum gives every walk's byte ends, and two table
+    reads their cells.  The fine pass places the moves of each part's first
+    word and of every byte that starts or ends on ``near``: each byte's end,
+    in the padded torus of ``_padded_tables``, plus ``_BYTE_FROM_END``.  The
+    skipped head lies in the first word, so its codes are the first
+    ``_skip`` of the part's, and are dropped.
     """
     parts = [w._draw() for w in walks]
     sizes = [32 * p.size for p in parts]
     raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
     moves = _bytes(raw)
     ends = _BYTE_SUM.take(moves, out=_BYTE_ENDS[: moves.size], mode="clip")
-    firsts = np.array([0, *itertools.accumulate(sizes[:-1])])
+    byte_bounds = np.array([0, *itertools.accumulate(size // 4 for size in sizes)])
+    first_byte = byte_bounds[:-1]
     start = np.array(
         [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
     )
     skips = np.array([w._skip for w in walks])
     if skips.any():
-        start -= _head(moves.reshape(-1, 8).take(firsts // 32, axis=0), skips)
-    first_byte = firsts // 4
+        start -= _head(moves.reshape(-1, 8).take(first_byte // 8, axis=0), skips)
     if len(walks) > 1:
         stops = start + np.add.reduceat(ends, first_byte)
         start[1:] -= stops[:-1]
     ends[first_byte] += start
-    np.cumsum(ends, out=ends)
-    pos = _PACKED[: 4 * moves.size]
-    by_byte = pos.reshape(-1, 4)
-    _BYTE_FROM_END.take(moves, axis=0, out=by_byte, mode="clip")
-    for j in range(4):  # four column adds beat one broadcast over rows of four
-        np.add(by_byte[:, j], ends, out=by_byte[:, j])
+    np.add.accumulate(ends, out=ends)
     n = walks[0].n
-    x = np.right_shift(pos, _Y_BITS, out=_COORDS[: pos.size], casting="unsafe")
-    codes = _row_table(n).take(x, mode="clip")
-    pos &= _Y_MASK
-    codes += _wrap_table(n).take(pos, mode="clip")
-    for w, lo, size in zip(walks, firsts.tolist(), sizes):
-        w._codes = codes[lo : lo + size]
-        w._cursor = w._skip
-    return codes
+    coord = _COORDS[: ends.size]
+    np.right_shift(ends, _Y_BITS, out=coord, casting="unsafe")
+    end_cells = _row_table(n).take(coord, mode="clip")
+    np.bitwise_and(ends, _Y_MASK, out=coord, casting="unsafe")
+    end_cells += _wrap_table(n).take(coord, mode="clip")
+    # a byte starts where the one before it ends; a part's first byte is in
+    # its first word, which is always expanded
+    flag = near.take(end_cells)
+    flag[1:] |= flag[:-1]  # numpy reads the overlapping operand as it was
+    flag.reshape(-1, 8)[first_byte // 8] = True
+    idx = flag.nonzero()[0]
+    padded, unpad, offset = _padded_tables(n)
+    fine = _PACKED[: 4 * idx.size].reshape(-1, 4)
+    offset.take(moves.take(idx), axis=0, out=fine, mode="clip")
+    corner = padded.take(end_cells.take(idx))
+    for j in range(4):  # four column adds beat one broadcast over rows of four
+        np.add(fine[:, j], corner, out=fine[:, j])
+    codes = unpad.take(fine.reshape(-1), mode="clip")
+    # a step's index among its walk's: its move's in the round, less that of
+    # the walk's first step, the move after its skipped head
+    edges = idx.searchsorted(byte_bounds)
+    first = 4 * idx - np.repeat(4 * first_byte + skips, edges[1:] - edges[:-1])
+    at = first.astype(np.int32).repeat(4)
+    at += _QUADS[: at.size]
+    bounds = 4 * edges
+    if skips.any():
+        # the skipped heads lead their parts' codes
+        keep = [slice(lo + skip, hi) for lo, hi, skip in zip(bounds, bounds[1:], skips)]
+        codes = np.concatenate([codes[k] for k in keep])
+        at = np.concatenate([at[k] for k in keep])
+        bounds[1:] -= np.cumsum(skips)
+    cut = bounds.tolist()
+    for i, (w, lo) in enumerate(zip(walks, first_byte.tolist())):
+        w._ends = end_cells[lo : lo + sizes[i] // 4]
+        w._codes = codes[cut[i] : cut[i + 1]]
+        w._at = at[cut[i] : cut[i + 1]]
+        w._cursor = 0
+    return codes, at, bounds
 
 
 def _head(first, skips) -> np.ndarray:
@@ -374,6 +476,23 @@ def _wrap_table(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
+def _padded_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fine pass's tables, on the torus padded by ``_PAD`` cells on
+    every side, as far as a byte's moves lie from its end in each
+    coordinate, so that no move wraps: the padded code of each cell, the
+    cell of each padded code, and ``_BYTE_FROM_END`` as padded-code offsets."""
+    w = n + 2 * _PAD
+    inner = np.arange(n) + _PAD
+    padded = (inner[:, None] * w + inner).reshape(-1)
+    c = (np.arange(w) - _PAD) % n
+    unpad = (c[:, None] * n + c).reshape(-1).astype(np.int32)
+    offset = _BYTE_FROM_END_X * w + _BYTE_FROM_END_Y
+    for table in (padded, unpad, offset):
+        table.flags.writeable = False
+    return padded, unpad, offset
+
+
+@functools.lru_cache(maxsize=4)
 def _row_table(n: int) -> np.ndarray:
     """n (c mod n) for a coordinate c offset by ``_MAX_BLOCK``: the code of
     the first cell of row c, in int32, so that a code is one read here plus
@@ -390,21 +509,30 @@ def step(walk: WalkState) -> WalkState:
     return walk
 
 
-def scan_group(walks, caps, stop, what) -> list:
+def scan_group(walks, caps, near: np.ndarray, stop, what) -> list:
     """Run a group of walks in lockstep until ``stop`` ends each of them.
 
     Returns, per walk, the steps this call took, or the BudgetExceededError
     of a walk that reached its cap, worded "<what(i)> within <cap> steps".
 
-    Each round takes queued walks, in turn, while their next codes number at
-    most ``_MAX_ROUND`` together (64 walks on 1024-move blocks down to two
-    on 32 768), decodes the new blocks among them in one set of numpy calls,
-    and calls ``stop(codes, bounds, rows, taken)`` once: walk ``rows[i]``
-    takes the steps ``codes[bounds[i]:bounds[i + 1]]`` next, at most its cap
-    minus the ``taken[i]`` steps it has taken in this call.  ``stop``
-    returns, per row, the index in that row's codes of the step that ends
-    the walk, or -1 to take them all.  A walk that ends inside a block keeps the rest of its
-    words for its next operation.
+    Each round takes queued walks, in turn, while their next moves number
+    at most ``_MAX_ROUND`` together (64 walks on 1024-move blocks down to
+    two on 32 768), decodes the new blocks among them in one set of numpy
+    calls, and calls ``stop(codes, at, bounds, rows, taken)`` once.  Walk
+    ``rows[i]`` takes its next steps, at most its cap minus the ``taken[i]``
+    steps it has taken in this call.  ``codes[bounds[i]:bounds[i + 1]]`` are
+    the cells of those of its steps that the round expanded, in order, and
+    ``at`` holds the index of each among the walk's steps of the round.
+    ``stop`` returns, per row, the ``at`` of the step that ends the walk, or
+    -1 to take them all.  A walk that ends inside a block keeps the rest of
+    its words for its next operation.
+
+    ``near`` is the flat boolean table of the cells that ``stop`` may react
+    to, widened by ``_REACH`` (``near_table``): a round expands each byte
+    that starts or ends on it, and each walk's first word, so every step
+    onto a cell that ``stop`` reacts to is among the codes, and ``stop``
+    must ignore the other codes.  ``stop`` may change ``near`` in place
+    between rounds, as long as it keeps to this.
     """
     caps = [int(cap) for cap in caps]
     out: list = [None] * len(walks)
@@ -425,12 +553,19 @@ def scan_group(walks, caps, stop, what) -> list:
                 break
             rows.append(queue.popleft())
             width += ahead
-        decoded = _decode([walks[i] for i in rows])
-        segs = [walks[i].peek_block()[: caps[i] - taken[i]] for i in rows]
-        sizes = [s.size for s in segs]
-        bounds = np.array([0, *itertools.accumulate(sizes)])
-        codes = decoded if decoded.size == bounds[-1] else np.concatenate(segs)
-        ends = stop(codes, bounds, np.array(rows), np.array([taken[i] for i in rows]))
+        group = [walks[i] for i in rows]
+        codes, at, bounds = _decode(group, near)
+        segs = [walk.peek_block() for walk in group]
+        full = [32 * w._words.size - w._skip for w in group]
+        sizes = [min(f, caps[i] - taken[i]) for i, f in zip(rows, full)]
+        if sizes != full:
+            # a walk that reaches its cap in this round is shown only the
+            # steps within it
+            cut = [w._at.searchsorted(np.int32(size)) for w, size in zip(group, sizes)]
+            codes = np.concatenate([seg[:c] for seg, c in zip(segs, cut)])
+            at = np.concatenate([w._at[:c] for w, c in zip(group, cut)])
+            bounds = np.array([0, *itertools.accumulate(cut)])
+        ends = stop(codes, at, bounds, np.array(rows), np.array([taken[i] for i in rows]))
         for i, size, end in zip(rows, sizes, ends.tolist()):
             walk = walks[i]
             walk.consume(size if end < 0 else end + 1)
@@ -464,19 +599,20 @@ def advance_group_to_mask(walks, mask: np.ndarray, caps, inclusive: bool = True)
     """
     flat = mask.reshape(-1)
 
-    def first_hit(codes, bounds, rows, taken):
+    def first_hit(codes, at, bounds, rows, taken):
         hits = flat.take(codes).nonzero()[0]
         row = bounds[1:].searchsorted(hits, side="right")
         first = np.ones(row.size, dtype=bool)
         np.not_equal(row[1:], row[:-1], out=first[1:])
         ends = np.full(rows.size, -1)
-        ends[row[first]] = hits[first] - bounds[row[first]]
+        ends[row[first]] = at.take(hits[first])
         return ends
 
     out = [0 if inclusive and flat[w.code] else None for w in walks]
     todo = [i for i, o in enumerate(out) if o is None]
     ran = scan_group(
-        [walks[i] for i in todo], [caps[i] for i in todo], first_hit, lambda i: "no hit"
+        [walks[i] for i in todo], [caps[i] for i in todo], near_table(mask), first_hit,
+        lambda i: "no hit",
     )
     for i, o in zip(todo, ran):
         out[i] = o
@@ -513,8 +649,12 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     """Steps this call takes until every torus vertex has been visited.
 
     Unvisited cells are tracked in a flat boolean table and counted after
-    each block that visits a new one; only the block that covers the torus
-    is sorted, to find the step that reached its last new cell.
+    each round that visits a new one; only the round that covers the torus
+    is sorted, to find the step that reached its last new cell.  The scan's
+    ``near`` table is refreshed from the unvisited cells whenever they have
+    halved since it was last made: a stale table only holds more cells than
+    it need, and a refresh per round would cost, at n = 256, more than the
+    round's decode.
     """
     n = walk.n
     if cap is None:
@@ -526,9 +666,11 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     remaining = n * n - 1
     if remaining == 0:
         return 0
+    near = near_table(unseen.reshape(n, n))
+    near_of = remaining  # the unvisited cells that near was made from
 
-    def last_new_cell(codes, bounds, rows, taken):
-        nonlocal remaining
+    def last_new_cell(codes, at, bounds, rows, taken):
+        nonlocal remaining, near_of
         idx = np.flatnonzero(unseen.take(codes))
         if idx.size == 0:
             return np.array([-1])
@@ -536,11 +678,15 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
         unseen[new] = False
         remaining = np.count_nonzero(unseen)
         if remaining:
+            if 2 * remaining <= near_of:
+                near[:] = near_table(unseen.reshape(n, n))
+                near_of = remaining
             return np.array([-1])
         _, first = np.unique(new, return_index=True)
-        return np.array([idx[first].max()])
+        return np.array([at[idx[first].max()]])
 
     ran = scan_group(
-        [walk], [cap], last_new_cell, lambda i: f"torus not covered ({remaining} cells left)"
+        [walk], [cap], near, last_new_cell,
+        lambda i: f"torus not covered ({remaining} cells left)",
     )
     return outcome_or_raise(ran[0])

@@ -558,31 +558,55 @@ class CircleChain:
 
         ``targets`` must specify every level 1..L-1; T_i counts inward circle
         transitions i -> i+1, and the start must sit on the outermost circle.
-        Paths that reach the same (level, counts, departures) state are merged.
-        An inward move raises a count and an outward move lowers the level, so
-        the backward recursion over those states ends.
+        Paths that reach the same (level, counts, departures) state are merged:
+        each state reachable from the start gets, once, its chance per cell of
+        its circle of completing the event.  An inward move raises a count, a
+        move out of level 1 the departures, and every other move goes one
+        level out, so the states are swept by decreasing count sum plus
+        departures and, at one sum, from level 1 inwards with level 0 last:
+        each state finds the states it moves to already swept.
         """
         if sorted(targets) != list(range(1, self.L)):
             raise ValueError("targets must cover levels 1..L-1")
         pos0 = np.nonzero(self.circle_codes[0] == start.code)[0]
         if pos0.size != 1:
             raise ValueError("start must lie on the outermost circle")
-        goal = tuple(targets[i] for i in range(1, self.L))
+        L = self.L
+        goal = tuple(targets[i] for i in range(1, L))
 
-        @functools.cache
-        def finish(level: int, counts: tuple[int, ...], departures: int) -> np.ndarray:
-            """Per cell of circle ``level``, the chance of completing the event
-            from there; counts[i - 1] is T_i so far."""
+        def moves(level: int, counts: tuple[int, ...], departures: int) -> list:
+            """The states one circle hit on: out (or, from level 0, in), then in."""
             if level == 0:
-                if departures == m:
-                    return np.full(self.circle_codes[0].size, float(counts == goal))
-                return self.kern_down[0] @ finish(1, counts, departures)
-            out = self.kern_up[level] @ finish(level - 1, counts, departures + (level == 1))
-            if level < self.L and counts[level - 1] < goal[level - 1]:
+                return [] if departures == m else [(1, counts, departures)]
+            out = [(level - 1, counts, departures + (level == 1))]
+            if level < L and counts[level - 1] < goal[level - 1]:
                 inward = counts[: level - 1] + (counts[level - 1] + 1,) + counts[level:]
-                out += self.kern_down[level] @ finish(level + 1, inward, departures)
+                out.append((level + 1, inward, departures))
             return out
 
-        p = float(finish(0, (0,) * (self.L - 1), 0)[pos0[0]])
-        finish.cache_clear()  # finish refers to itself: free its arrays now, not at a gc
-        return p
+        first = (0, (0,) * (L - 1), 0)
+        reached, todo = {}, [first]  # each state reached, and its moves
+        while todo:
+            state = todo.pop()
+            if state not in reached:
+                reached[state] = moves(*state)
+                todo += reached[state]
+
+        def sweep_order(state):
+            level, counts, departures = state
+            return -(sum(counts) + departures), level or L + 1
+
+        finish = {}  # per state, the chance per cell of its circle
+        for state in sorted(reached, key=sweep_order):
+            level, counts, departures = state
+            nxt = reached[state]
+            if not nxt:
+                finish[state] = np.full(self.circle_codes[0].size, float(counts == goal))
+            elif level == 0:
+                finish[state] = self.kern_down[0] @ finish[nxt[0]]
+            else:
+                out = self.kern_up[level] @ finish[nxt[0]]
+                if len(nxt) > 1:
+                    out += self.kern_down[level] @ finish[nxt[1]]
+                finish[state] = out
+        return float(finish[first][pos0[0]])

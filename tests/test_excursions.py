@@ -167,12 +167,12 @@ def reference_run(machine, walk, m, cap, collect_intervals=False):
                         finished = True
         return finished
 
-    def last_departure(codes, bounds, rows, taken):
-        """scan_group's stop for the group of one walk: the index of the step
-        of the m-th departure, or -1."""
+    def last_departure(codes, at, bounds, rows, taken):
+        """scan_group's stop for the group of one walk, which sees every step:
+        the index of the step of the m-th departure, or -1."""
         lab = machine._label[codes]
         hits = np.flatnonzero(lab)
-        for j, v in zip(hits.tolist(), lab[hits].tolist()):
+        for j, v in zip(at[hits].tolist(), lab[hits].tolist()):
             t = int(taken[0]) + j + 1
             done = False
             while v:
@@ -184,9 +184,9 @@ def reference_run(machine, walk, m, cap, collect_intervals=False):
         return np.array([-1])
 
     # the start cell is step 0: a one-cell block after -1 steps
-    if m and last_departure(np.array([walk.code]), None, None, [-1])[0] < 0:
+    if m and last_departure(np.array([walk.code]), np.array([0]), None, None, [-1])[0] < 0:
         ran = scan_group(
-            [walk], [cap], last_departure,
+            [walk], [cap], np.ones(machine.n**2, dtype=bool), last_departure,
             lambda i: f"driving ladder finished only {len(clock.departures)}/{m} departures",
         )
         outcome_or_raise(ran[0])
@@ -465,6 +465,13 @@ def test_hat_dominated_by_tilde_pathwise():
         rec_tilde, _ = tilde_traversal(_walk(stream), CENTER, RADII, m=3, cap=CAP)
         for i in range(1, 4):
             assert rec_hat.counts[i] <= rec_tilde.counts[i]
+
+
+def test_hat_rejects_radii_the_inflation_pulls_onto_one_cell():
+    # eps = 0.082 at n = 64: the circles of radius 0.918 * 2 and 1.082 * 1 meet
+    with pytest.raises(ValueError, match=r"radii 2 and 1 are too close .* eps = 0\.08"):
+        hat_traversal(_walk(0), CENTER, [2.0, 1.0], m=1, cap=CAP)
+    hat_traversal(_walk(0), CENTER, [3.0, 1.0], m=1, cap=CAP)
 
 
 def test_hat_single_excursion_counts_returns():

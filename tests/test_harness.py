@@ -39,11 +39,11 @@ def test_tolerance_manifest_loads_and_has_provenance_tags():
     # every key used by the runners is present
     for key in (
         "oracle.mc_sigma", "lemma23.c1", "equilibrium.residual_max",
-        "barrier.lower_norm_min", "transfer.min_expected_hits",
+        "barrier.lower_norm_min", "transfer.min_expected_hits", "curves.late_corridor_factor",
     ):
         assert key in tol
     text = (Path(coverlab.__file__).parent / "tolerances.txt").read_text()
-    assert "[PAPER]" in text and "[DERIVED]" in text
+    assert "[PAPER]" in text and "[DERIVED]" in text and "[HAND-SET]" in text
 
 
 def test_registry_covers_cli_surface():
@@ -515,6 +515,19 @@ def test_one_overrun_fails_the_monte_carlo_checks_of_its_cell(
         late_overran = run_name == "_late_events"
         assert all(r["below_envelope"] for r in clean.late_rows)
         assert all(r["below_envelope"] != late_overran for r in once.late_rows)
+
+
+@pytest.mark.parametrize("factor", [0.0, 1.5])
+def test_late_corridor_check_reads_its_factor(monkeypatch, factor):
+    real = harness.load_tolerances
+    monkeypatch.setattr(
+        harness, "load_tolerances", lambda: {**real(), "curves.late_corridor_factor": factor}
+    )
+    result = run_curve_report(ExperimentConfig(name="curves", trials=3, seed=2, workers=1))
+    check = next(c for c in result.checks if c.name == "late_event_below_corridor")
+    # 34 late events in 1000 trials lie above 0 by far more than 3 se
+    assert check.passed == (factor > 0)
+    assert f"(exact: {factor:g} * GW corridor 0.11069;" in check.detail
 
 
 @pytest.mark.parametrize("z", [0.0, 3.0])

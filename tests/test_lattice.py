@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from coverlab.lattice import (
     exterior_boundary_mask,
     hitting_time,
     mask_to_points,
+    near_table,
     philox_stream,
     scan_group,
     step,
@@ -481,14 +483,15 @@ def test_scan_rounds_keep_to_the_block_and_round_limits(monkeypatch):
     rounds = []
     real = lattice._decode
 
-    def counting(walks):
+    def counting(walks, near):
         ahead = [w._ahead() for w in walks]
         kept = sum(w._words.size > 0 for w in walks)
-        codes = real(walks)
+        codes, at, bounds = real(walks, near)
         # each walk's part, skipped head included, is what it had ahead
-        assert [w._codes.size for w in walks] == ahead and codes.size == sum(ahead)
+        assert [4 * w._ends.size for w in walks] == ahead
+        assert bounds[-1] == codes.size == at.size
         rounds.append((ahead, kept))
-        return codes
+        return codes, at, bounds
 
     monkeypatch.setattr(lattice, "_decode", counting)
     n = 128
@@ -514,39 +517,94 @@ def test_grouped_decodes_match_the_format_3_formula(monkeypatch):
     # walks that start within 4 cells of the torus edges stop at every offset
     # 0-31 of a word; a second operation's rounds mix the words they kept
     # with fresh blocks and fill _MAX_ROUND.  Every code a round hands the
-    # stop callback is the formula's.
+    # stop callback is the formula's cell at its step, and every step onto
+    # a watched cell (row 0 or column 0) is among them.
     rounds = []
     real = lattice._decode
 
-    def counting(walks):
+    def counting(walks, near):
         kept = sum(w._words.size > 0 for w in walks)
-        codes = real(walks)
-        rounds.append((codes.size, kept, len(walks)))
-        return codes
+        out = real(walks, near)
+        rounds.append((sum(4 * w._ends.size for w in walks), kept, len(walks)))
+        return out
 
     monkeypatch.setattr(lattice, "_decode", counting)
     n, seed = 50, 23
     edge = [0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1]
     starts = [(edge[t % 8], edge[t // 8 % 8]) for t in range(128)]
     walks = [WalkState(TorusPoint(x, y, n), seed=seed, stream=t) for t, (x, y) in enumerate(starts)]
+    watched = np.zeros((n, n), dtype=bool)
+    watched[0, :] = watched[:, 0] = True
+    near = near_table(watched)
+    done = [0] * len(walks)  # steps of the walk before this operation
     seen = [[] for _ in walks]
 
-    def record(codes, bounds, rows, taken):
+    def record(codes, at, bounds, rows, taken):
         for i, row in enumerate(rows.tolist()):
-            seen[row].append(codes[bounds[i] : bounds[i + 1]])
+            steps = done[row] + taken[i] + at[bounds[i] : bounds[i + 1]]
+            seen[row].append((steps, codes[bounds[i] : bounds[i + 1]]))
         return np.full(rows.size, -1)
 
     first = [1 + t % 127 for t in range(128)]
-    out = scan_group(walks, first, record, str)
+    out = scan_group(walks, first, near, record, str)
     assert [o.steps_taken for o in out] == first
     assert {walk._skip for walk in walks} == set(range(32))
     rounds.clear()
+    done = first
     second = [3000] * 128
-    out = scan_group(walks, second, record, str)
+    out = scan_group(walks, second, near, record, str)
     assert [o.steps_taken for o in out] == second
     assert any(0 < kept < k for _, kept, k in rounds)
     assert max(size for size, _, _ in rounds) == _MAX_ROUND
     for t, (x, y) in enumerate(starts):
         want = _int64_codes(_format3_moves(seed, t, first[t] + second[t]), n, x, y)
-        assert np.array_equal(np.concatenate(seen[t]), want)
+        steps = np.concatenate([s for s, _ in seen[t]])
+        assert np.array_equal(np.concatenate([c for _, c in seen[t]]), want[steps])
+        assert (np.diff(steps) > 0).all() and steps[0] >= 0 and steps[-1] < want.size
+        assert np.isin(np.flatnonzero(watched.reshape(-1).take(want)), steps).all()
+        assert steps.size < want.size  # the rounds skipped the bytes far from the watch
         assert walks[t].code == want[-1]
+
+
+def test_scan_expands_every_byte_that_can_reach_a_watched_cell():
+    # One test byte of each of the 256 values, after a 32-move lead word that
+    # stays off a one-cell mask, from every start within L1 distance 4 of it,
+    # with 0 (as a fresh walk's) to 31 moves of the lead word taken: the
+    # grouped hit step and end cell must be the format 3 formula's.  The lead
+    # word moves to and fro across the start, on the axis that misses the cell.
+    n, tx, ty = 16, 8, 8
+    mask = np.zeros((n, n), dtype=bool)
+    mask[tx, ty] = True
+    dxy = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    template = WalkState(TorusPoint(0, 0, n))
+    cases = []
+    for dx in range(-4, 5):
+        for dy in range(abs(dx) - 4, 5 - abs(dx)):
+            if dx or dy:
+                lead = 0xEE if dy == 0 else 0x44  # +y -y +y -y, or +x -x +x -x
+                for v in range(256):
+                    cases.append((tx + dx, ty + dy, bytes([lead] * 8 + [v] + [lead] * 7)))
+    assert len(cases) == 40 * 256
+    words = np.frombuffer(b"".join(c[2] for c in cases), dtype="<u8").reshape(-1, 2)
+    moves = (words[:, np.arange(64) // 32] >> (2 * (np.arange(64) % 32)).astype(np.uint64)) & 3
+    starts = np.array([c[:2] for c in cases])
+    in_test_byte = 0
+    for skip in range(32):
+        walks = []
+        for (x, y, _), w in zip(cases, words):
+            walk = copy.copy(template)
+            walk._px, walk._py, walk._words, walk._skip = x, y, w, skip
+            walks.append(walk)
+        cap = 64 - skip
+        out = advance_group_to_mask(walks, mask, [cap] * len(walks))
+        xy = (starts[:, None, :] + dxy[moves[:, skip:]].cumsum(axis=1)) % n
+        on = (xy[:, :, 0] == tx) & (xy[:, :, 1] == ty)
+        hit = np.where(on.any(axis=1), on.argmax(axis=1), cap - 1)
+        # a hit's step count, or minus the steps of an overrun
+        want = np.where(on.any(axis=1), hit + 1, -cap)
+        got = [-o.steps_taken if isinstance(o, BudgetExceededError) else o for o in out]
+        assert np.array_equal(got, want)
+        end = xy[np.arange(len(cases)), hit]
+        assert np.array_equal([walk.code for walk in walks], end[:, 0] * n + end[:, 1])
+        in_test_byte += np.count_nonzero((want > 32 - skip) & (want <= 36 - skip))
+    assert in_test_byte > 32 * 256  # the test bytes hit often

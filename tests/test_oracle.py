@@ -516,6 +516,20 @@ def test_scalar_circle_chain_event_probability_is_the_gw_law():
                 )
 
 
+def test_scalar_circle_chain_event_probability_reaches_long_counts():
+    # T_1 = 300 inward moves: a recursion over the states nested about 600
+    # deep and hit Python's recursion limit from T_1 = 248; the sweep has no
+    # such depth.  scipy's NB pmf behind gw_joint_prob is off by up to 3e-14
+    # relative at these counts, so the check allows 1e-12; for m = 1 the law
+    # is geometric, and the sweep gives 2^-301 exactly
+    origin = TorusPoint(0, 0, 4)
+    chain = _scalar_chain(2)
+    for m in (1, 3):
+        got = chain.event_probability(origin, m, {1: 300})
+        assert got == pytest.approx(gw.gw_joint_prob(m, (300,)), rel=1e-12, abs=0), m
+    assert chain.event_probability(origin, 1, {1: 300}) == 0.5**301
+
+
 # event_probability at both transfer schedules, as the path enumeration it
 # replaced computed them: (n, m) -> {(T_1, T_2): probability}
 _CHAIN_PINS = {
