@@ -597,11 +597,12 @@ class CircleChain:
             return -(sum(counts) + departures), level or L + 1
 
         finish = {}  # per state, the chance per cell of its circle
+        ended = [np.full(self.circle_codes[0].size, float(hit)) for hit in (False, True)]
         for state in sorted(reached, key=sweep_order):
             level, counts, departures = state
             nxt = reached[state]
-            if not nxt:
-                finish[state] = np.full(self.circle_codes[0].size, float(counts == goal))
+            if not nxt:  # the m-th departure: the event holds or not
+                finish[state] = ended[counts == goal]
             elif level == 0:
                 finish[state] = self.kern_down[0] @ finish[nxt[0]]
             else:
