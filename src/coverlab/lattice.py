@@ -385,7 +385,7 @@ def _decode(walks, near: np.ndarray):
     it ends, so one running sum gives every walk's byte ends, and two table
     reads their cells.  The fine pass places the moves of each part's first
     word and of every byte that starts or ends on ``near``: each byte's end,
-    in the padded torus of ``_padded_tables``, plus ``_BYTE_FROM_END``.  The
+    in the padded torus of ``_tables``, plus ``_BYTE_FROM_END``.  The
     skipped head lies in the first word, so its codes are the first
     ``_skip`` of the part's, and are dropped.
     """
@@ -400,40 +400,42 @@ def _decode(walks, near: np.ndarray):
         [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
     )
     skips = np.array([w._skip for w in walks])
-    if skips.any():
+    skipped = any(w._skip for w in walks)
+    if skipped:
         start -= _head(moves.reshape(-1, 8).take(first_byte // 8, axis=0), skips)
     if len(walks) > 1:
         stops = start + np.add.reduceat(ends, first_byte)
         start[1:] -= stops[:-1]
-    ends[first_byte] += start
+        ends[first_byte] += start
+    else:
+        ends[:1] += start
     np.add.accumulate(ends, out=ends)
-    n = walks[0].n
+    row, wrap, padded, unpad, offset = _tables(walks[0].n)
     coord = _COORDS[: ends.size]
     np.right_shift(ends, _Y_BITS, out=coord, casting="unsafe")
-    end_cells = _row_table(n).take(coord, mode="clip")
+    end_cells = row.take(coord, mode="clip")
     np.bitwise_and(ends, _Y_MASK, out=coord, casting="unsafe")
-    end_cells += _wrap_table(n).take(coord, mode="clip")
+    end_cells += wrap.take(coord, mode="clip")
     # a byte starts where the one before it ends; a part's first byte is in
     # its first word, which is always expanded
     flag = near.take(end_cells)
     flag[1:] |= flag[:-1]  # numpy reads the overlapping operand as it was
     flag.reshape(-1, 8)[first_byte // 8] = True
     idx = flag.nonzero()[0]
-    padded, unpad, offset = _padded_tables(n)
-    fine = _PACKED[: 4 * idx.size].reshape(-1, 4)
-    offset.take(moves.take(idx), axis=0, out=fine, mode="clip")
-    corner = padded.take(end_cells.take(idx))
-    for j in range(4):  # four column adds beat one broadcast over rows of four
-        np.add(fine[:, j], corner, out=fine[:, j])
-    codes = unpad.take(fine.reshape(-1), mode="clip")
+    fine = _PACKED[: 4 * idx.size]
+    offset.take(moves.take(idx), axis=0, out=fine.reshape(-1, 4), mode="clip")
+    fine += padded.take(end_cells.take(idx)).repeat(4)
+    codes = unpad.take(fine, mode="clip")
     # a step's index among its walk's: its move's in the round, less that of
     # the walk's first step, the move after its skipped head
     edges = idx.searchsorted(byte_bounds)
-    first = 4 * idx - np.repeat(4 * first_byte + skips, edges[1:] - edges[:-1])
-    at = first.astype(np.int32).repeat(4)
+    own = 4 * first_byte + skips
+    if len(walks) > 1:
+        own = np.repeat(own, edges[1:] - edges[:-1])
+    at = (4 * idx - own).astype(np.int32).repeat(4)
     at += _QUADS[: at.size]
     bounds = 4 * edges
-    if skips.any():
+    if skipped:
         # the skipped heads lead their parts' codes
         keep = [slice(lo + skip, hi) for lo, hi, skip in zip(bounds, bounds[1:], skips)]
         codes = np.concatenate([codes[k] for k in keep])
@@ -462,44 +464,37 @@ def _head(first, skips) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _wrap_table(n: int) -> np.ndarray:
-    """c mod n for a coordinate c offset by ``_MAX_BLOCK``.  A walk's part of
-    a round spans at most ``_MAX_BLOCK`` moves, skipped head included, so it
-    stays within ``_MAX_BLOCK`` cells of where the walk stands and the table
-    covers every coordinate a round reaches; a table read is far faster than
-    numpy's remainder."""
+def _tables(n: int) -> tuple[np.ndarray, ...]:
+    """The decode's read-only tables for side n: ``(row, wrap, padded,
+    unpad, offset)``.
+
+    ``wrap`` is c mod n for a coordinate c offset by ``_MAX_BLOCK``, in
+    uint16, and ``row`` is n (c mod n), the code of the first cell of row c,
+    in int32, so that a cell is one read in each.  A walk's part of a round
+    spans at most ``_MAX_BLOCK`` moves, skipped head included, so it stays
+    within ``_MAX_BLOCK`` cells of where the walk stands and the tables cover
+    every coordinate a round reaches; a table read is far faster than
+    numpy's remainder.
+
+    The fine pass works on the torus padded by ``_PAD`` cells on every side,
+    as far as a byte's moves lie from its end in each coordinate, so that no
+    move wraps: ``padded`` is the padded code of each cell, ``unpad`` the
+    cell of each padded code, and ``offset`` is ``_BYTE_FROM_END`` as
+    padded-code offsets.
+    """
     c = np.arange(n + 2 * _MAX_BLOCK, dtype=np.int32) - _MAX_BLOCK
     c %= n
-    table = c.astype(np.uint16)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=4)
-def _padded_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fine pass's tables, on the torus padded by ``_PAD`` cells on
-    every side, as far as a byte's moves lie from its end in each
-    coordinate, so that no move wraps: the padded code of each cell, the
-    cell of each padded code, and ``_BYTE_FROM_END`` as padded-code offsets."""
+    row, wrap = c * n, c.astype(np.uint16)
     w = n + 2 * _PAD
     inner = np.arange(n) + _PAD
     padded = (inner[:, None] * w + inner).reshape(-1)
     c = (np.arange(w) - _PAD) % n
     unpad = (c[:, None] * n + c).reshape(-1).astype(np.int32)
     offset = _BYTE_FROM_END_X * w + _BYTE_FROM_END_Y
-    for table in (padded, unpad, offset):
+    tables = (row, wrap, padded, unpad, offset)
+    for table in tables:
         table.flags.writeable = False
-    return padded, unpad, offset
-
-
-@functools.lru_cache(maxsize=4)
-def _row_table(n: int) -> np.ndarray:
-    """n (c mod n) for a coordinate c offset by ``_MAX_BLOCK``: the code of
-    the first cell of row c, in int32, so that a code is one read here plus
-    one in ``_wrap_table``."""
-    table = _wrap_table(n).astype(np.int32) * n
-    table.flags.writeable = False
-    return table
+    return tables
 
 
 def step(walk: WalkState) -> WalkState:
@@ -666,7 +661,8 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     remaining = n * n - 1
     if remaining == 0:
         return 0
-    near = near_table(unseen.reshape(n, n))
+    # every cell is within 1 of an unvisited one: near_table(unseen) is all
+    near = np.ones(n * n, dtype=bool)
     near_of = remaining  # the unvisited cells that near was made from
 
     def last_new_cell(codes, at, bounds, rows, taken):
