@@ -20,7 +20,6 @@ from .lattice import (
     advance_group_to_mask,
     ball_mask,
     exterior_boundary_mask,
-    near_table,
     outcome_or_raise,
     scan_group,
     torus_distance,
@@ -113,9 +112,8 @@ class TraversalMachine:
     but a ladder's own two circles share no cell.  State per ladder and walk
     is one phase flag plus counters.  ``watch``, if given, is the index of a
     circle whose first hit time each run records (H_x bookkeeping in
-    late-point detection).  Scan rounds expand only the bytes of a walk
-    that start or end within L1 distance 2 of a circle cell, watch circle
-    included (``lattice.near_table``).
+    late-point detection).  Its circle cells, watch circle included, are
+    the ``on`` table of its scans.
     """
 
     def __init__(self, n: int, circles, ladders, watch: int | None = None):
@@ -136,7 +134,6 @@ class TraversalMachine:
             label[mask.reshape(-1)] |= np.uint32(1 << idx)
         self._label = label
         self._on = label != 0
-        self._near = near_table(self._on.reshape(n, n))
         self._inner = np.array([[1 << lad.inner] for lad in self.ladders], dtype=np.uint32)
         self._outer = np.array([[1 << lad.outer] for lad in self.ladders], dtype=np.uint32)
 
@@ -259,7 +256,7 @@ class TraversalMachine:
             )
             live = np.flatnonzero(ends < 0)
             ran = scan_group(
-                [walks[g] for g in live], [caps[g] for g in live], self._near,
+                [walks[g] for g in live], [caps[g] for g in live], self._on,
                 lambda codes, at, bounds, rows, taken: read(
                     codes, at, bounds, live.take(rows), taken
                 ),
@@ -373,12 +370,15 @@ def intermediate_traversals(
 
 def run_from_first_hit(machine: TraversalMachine, shift_mask: np.ndarray, walks, m: int, caps):
     """``machine.run_group`` with each walk's ladders started at its first
-    visit of ``shift_mask``, its cap covering both phases; a walk that overruns
-    before that hit keeps its BudgetExceededError."""
+    visit of ``shift_mask``, its cap covering both phases.  An overrun in
+    either phase names the walk's cap and carries every step it took."""
     out = advance_group_to_mask(walks, shift_mask, caps, inclusive=True)
     hit = [i for i, used in enumerate(out) if not isinstance(used, BudgetExceededError)]
     ran = machine.run_group([walks[i] for i in hit], m, [caps[i] - out[i] for i in hit])
     for i, o in zip(hit, ran):
+        if isinstance(o, BudgetExceededError):
+            what = str(o).rpartition(" within ")[0]
+            o = BudgetExceededError(f"{what} within {caps[i]} steps", out[i] + o.steps_taken)
         out[i] = o
     return out
 

@@ -36,7 +36,6 @@ from .lattice import (
     advance_group_to_mask,
     ball_mask,
     cover_time,
-    default_cover_budget,
     exterior_boundary_mask,
     philox_stream,
     stream_key,
@@ -206,7 +205,7 @@ def _covers(walks):
     out = []
     for walk in walks:
         try:
-            out.append(cover_time(walk, default_cover_budget(walk.n)))
+            out.append(cover_time(walk))
         except BudgetExceededError as err:
             out.append(err)
     return out

@@ -18,20 +18,21 @@ signature.  A walk's blocks double from ``_FIRST_BLOCK`` = 1 024 to
 A round is decoded in two passes.  The coarse pass is a running sum over
 bytes, four moves each, and gives the cell at every byte's end.  The fine
 pass expands to per-move cells only the bytes that start or end on the
-callback's ``near`` table, plus each walk's first word.  A byte's four
-positions lie within L1 distance ``_REACH`` = 2 of its start or its end,
-so a callback whose ``near`` holds every cell within 2 of the cells it
-reacts to (``near_table``) sees every step onto them.  ``peek_block``
-decodes with a ``near`` that holds every cell, so it expands every byte.
+scan's ``near`` table, plus each walk's first word.  A byte's four positions
+lie within L1 distance ``_REACH`` = 2 of its start or its end, so ``near``,
+every cell within 2 of a cell of the callback's ``on`` table
+(``near_table``), makes the round see every step onto ``on``.  The scan
+builds ``near`` itself, and no other code decodes moves.
 
 Moves are read straight from the raw 64-bit Philox words, 32 to a word
 (stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
 raw word k // 32, so byte j of a word, read little-endian, holds its moves
 4j to 4j + 3, the low pair first.  Every block drawn from a stream is a
 multiple of 32 moves, so no word is split between blocks.  Raw words are
-the engine's only form of moves: a walk that stops inside a block keeps
-the words it has not finished and how many moves of the first it took,
-and its next round decodes them again.
+the engine's only form of moves: a walk keeps the words it has not
+finished and how many moves of the first it took, and its next round
+decodes them again; no decoded block outlives its round.  ``step`` takes
+one move from the kept words by the formula, as a per-step reference.
 
 The walk is not lazy: its period-2 parity is harmless for hitting and cover
 times, which only ask when a set is first entered.
@@ -62,6 +63,7 @@ _MAX_ROUND = 1 << 16
 _Y_BITS = 20
 _Y_MASK = (1 << _Y_BITS) - 1
 # Move encoding: 0 = +x, 1 = -x, 2 = +y, 3 = -y.
+_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _STEP = np.array([1 << _Y_BITS, -(1 << _Y_BITS), 1, -1], dtype=np.int64)
 # The packed steps of the four moves each byte value holds, read from its
 # bit pairs, low pair first; _BYTE_SUM[v] is their packed displacement, and
@@ -116,7 +118,7 @@ class TorusPoint:
         return TorusPoint(self.x + dx, self.y + dy, self.n)
 
     def neighbors(self) -> tuple["TorusPoint", ...]:
-        return tuple(self.shifted(dx, dy) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+        return tuple(self.shifted(dx, dy) for dx, dy in _MOVES)
 
 
 def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
@@ -183,14 +185,6 @@ def near_table(mask: np.ndarray) -> np.ndarray:
         out |= band[lo - dx : hi - dx]
         out |= band[lo + dx : hi + dx]
     return out.reshape(n, w)[:, _REACH : _REACH + n].reshape(-1)
-
-
-@functools.lru_cache(maxsize=4)
-def _everywhere(n: int) -> np.ndarray:
-    """The ``near`` table that holds every cell: its decode expands every move."""
-    table = np.ones(n * n, dtype=bool)
-    table.flags.writeable = False
-    return table
 
 
 def points_to_mask(points, n: int) -> np.ndarray:
@@ -260,10 +254,10 @@ class WalkState:
     multiple of 32 moves.
     Between operations a walk holds only the raw words it has not finished,
     a view of the block they came from, and ``_skip``, the number of moves
-    of the first of them already taken (0 to 31).  While it holds a decoded
-    block it also has the cell at each byte's end, ``_ends``, and the cells
-    its decode expanded, ``_codes``, with their step indices ``_at``
-    (counted from its first step after ``_skip``).
+    of the first of them already taken (0 to 31).  Only inside a scan round
+    does it hold a decoded block: the cell at each byte's end, ``_ends``,
+    and the cells the round expanded for its steps, ``_codes``; ``consume``
+    drops them.
     Positions are int32 flat codes ``x * n + y``; index tables with them
     through ``take``, which numpy runs about twice as fast as ``table[codes]``
     for int32 indices.
@@ -278,10 +272,9 @@ class WalkState:
         self.steps = 0
         self._next_block = _FIRST_BLOCK
         self._bits = philox_stream(seed, stream).bit_generator
-        self._words = _NO_WORDS  # the words of the decoded block, or those kept
+        self._words = _NO_WORDS  # the raw words not yet finished
         self._skip = 0
-        self._ends = self._codes = self._at = _NO_CODES  # the decoded block's
-        self._cursor = 0  # steps taken of the decoded block
+        self._ends = self._codes = _NO_CODES  # the decoded block's, within a round
 
     @property
     def position(self) -> TorusPoint:
@@ -307,42 +300,26 @@ class WalkState:
         return self._words
 
     def peek_block(self) -> np.ndarray:
-        """Flat position codes for the not-yet-consumed steps of the current
-        block that its decode expanded: every one, unless a scan round
-        decoded the block."""
-        steps = 4 * self._ends.size - self._skip
-        if self._cursor >= steps:
-            self._keep_rest()
-            _decode([self], _everywhere(self.n))
-            steps = self._codes.size
-        if self._codes.size == steps:  # every step expanded: _at counts from 0
-            return self._codes[self._cursor :]
-        return self._codes[self._at.searchsorted(np.int32(self._cursor)) :]
+        """Flat position codes of the walk's steps in the current scan round
+        that the round expanded, within its cap; empty between rounds."""
+        return self._codes
 
     def consume(self, k: int):
-        """Advance the walk through the next ``k`` moves of the current block:
-        it stands at the end of the byte of its last move, plus that move's
-        ``_BYTE_FROM_END``."""
-        if k <= 0:
-            return
-        j = self._skip + self._cursor + k - 1
-        x, y = divmod(int(self._ends[j >> 2]), self.n)
-        byte = int(self._words[j >> 5]) >> 2 * (j & 28) & 255  # the byte of move j
-        dx, dy = _FROM_END_XY[byte][j & 3]
-        self._px = (x + dx) % self.n
-        self._py = (y + dy) % self.n
-        self.steps += k
-        self._cursor += k
-
-    def _keep_rest(self):
-        """Drop the decoded block, keeping the words not yet finished and the
-        moves of the first one taken.  A walk between scan rounds so holds no
-        round's arrays alive, and keeping decodes nothing."""
-        if self._ends.size:
-            word, self._skip = divmod(self._skip + self._cursor, 32)
+        """Take the next ``k`` moves of the round's block and drop the block,
+        keeping the words not yet finished and the moves of the first one
+        taken: the walk stands at the end of the byte of its last move, plus
+        that move's ``_BYTE_FROM_END``."""
+        if k > 0:
+            j = self._skip + k - 1
+            x, y = divmod(int(self._ends[j >> 2]), self.n)
+            byte = int(self._words[j >> 5]) >> 2 * (j & 28) & 255  # the byte of move j
+            dx, dy = _FROM_END_XY[byte][j & 3]
+            self._px = (x + dx) % self.n
+            self._py = (y + dy) % self.n
+            self.steps += k
+            word, self._skip = divmod(j + 1, 32)
             self._words = self._words[word:]
-            self._ends = self._codes = self._at = _NO_CODES
-            self._cursor = 0
+        self._ends = self._codes = _NO_CODES
 
 
 def _bytes(raw: np.ndarray) -> np.ndarray:
@@ -372,11 +349,12 @@ _BYTE_ENDS = _scratch(_MAX_ROUND // 4, np.int64)
 
 
 def _decode(walks, near: np.ndarray):
-    """Draw the next words of every walk in ``walks``, none of which holds a
-    decoded block, and decode them all in one set of numpy calls, in two
-    passes.  Returns ``(codes, at, bounds)`` as ``scan_group`` hands them to
-    its callback, and gives each walk its own part of them and of the cells
-    at its byte ends.
+    """Draw the next words of every walk in ``walks`` and decode them all in
+    one set of numpy calls, in two passes.  Returns ``(codes, at, bounds)``:
+    ``codes[bounds[i]:bounds[i + 1]]`` are the cells walk i's part expanded,
+    in order, and ``at`` holds each one's step index, counted from the
+    walk's first step after ``_skip``.  Gives each walk the cells at its
+    byte ends, ``_ends``.
 
     The coarse pass is a running sum over bytes, four moves each:
     ``_BYTE_SUM`` gives where each byte's fourth move leaves the walk.  The
@@ -387,14 +365,13 @@ def _decode(walks, near: np.ndarray):
     word and of every byte that starts or ends on ``near``: each byte's end,
     in the padded torus of ``_tables``, plus ``_BYTE_FROM_END``.  The
     skipped head lies in the first word, so its codes are the first
-    ``_skip`` of the part's, and are dropped.
+    ``_skip`` of the part's, at negative steps.
     """
     parts = [w._draw() for w in walks]
-    sizes = [32 * p.size for p in parts]
     raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
     moves = _bytes(raw)
     ends = _BYTE_SUM.take(moves, out=_BYTE_ENDS[: moves.size], mode="clip")
-    byte_bounds = np.array([0, *itertools.accumulate(size // 4 for size in sizes)])
+    byte_bounds = np.array([0, *itertools.accumulate(8 * p.size for p in parts)])
     first_byte = byte_bounds[:-1]
     start = np.array(
         [(w._px + _MAX_BLOCK) << _Y_BITS | (w._py + _MAX_BLOCK) for w in walks], dtype=np.int64
@@ -434,20 +411,10 @@ def _decode(walks, near: np.ndarray):
         own = np.repeat(own, edges[1:] - edges[:-1])
     at = (4 * idx - own).astype(np.int32).repeat(4)
     at += _QUADS[: at.size]
-    bounds = 4 * edges
-    if skipped:
-        # the skipped heads lead their parts' codes
-        keep = [slice(lo + skip, hi) for lo, hi, skip in zip(bounds, bounds[1:], skips)]
-        codes = np.concatenate([codes[k] for k in keep])
-        at = np.concatenate([at[k] for k in keep])
-        bounds[1:] -= np.cumsum(skips)
-    cut = bounds.tolist()
-    for i, (w, lo) in enumerate(zip(walks, first_byte.tolist())):
-        w._ends = end_cells[lo : lo + sizes[i] // 4]
-        w._codes = codes[cut[i] : cut[i + 1]]
-        w._at = at[cut[i] : cut[i + 1]]
-        w._cursor = 0
-    return codes, at, bounds
+    cut = byte_bounds.tolist()
+    for w, lo, hi in zip(walks, cut, cut[1:]):
+        w._ends = end_cells[lo:hi]
+    return codes, at, 4 * edges
 
 
 def _head(first, skips) -> np.ndarray:
@@ -498,13 +465,26 @@ def _tables(n: int) -> tuple[np.ndarray, ...]:
 
 
 def step(walk: WalkState) -> WalkState:
-    """Advance one uniform nearest-neighbor move; returns the same state."""
-    walk.peek_block()
-    walk.consume(1)
+    """Advance one uniform nearest-neighbor move; returns the same state.
+
+    The move is bit pair ``_skip`` of the walk's next raw word, read by the
+    format 3 formula: a per-step reference that shares no code with the
+    scan's decode.
+    """
+    words = walk._draw()
+    j = walk._skip
+    dx, dy = _MOVES[words.item(0) >> 2 * j & 3]
+    walk._px = (walk._px + dx) % walk.n
+    walk._py = (walk._py + dy) % walk.n
+    walk.steps += 1
+    if j == 31:
+        walk._words, walk._skip = words[1:], 0
+    else:
+        walk._skip = j + 1
     return walk
 
 
-def scan_group(walks, caps, near: np.ndarray, stop, what) -> list:
+def scan_group(walks, caps, on: np.ndarray, stop, what) -> list:
     """Run a group of walks in lockstep until ``stop`` ends each of them.
 
     Returns, per walk, the steps this call took, or the BudgetExceededError
@@ -512,35 +492,39 @@ def scan_group(walks, caps, near: np.ndarray, stop, what) -> list:
 
     Each round takes queued walks, in turn, while their next moves number
     at most ``_MAX_ROUND`` together (64 walks on 1024-move blocks down to
-    two on 32 768), decodes the new blocks among them in one set of numpy
-    calls, and calls ``stop(codes, at, bounds, rows, taken)`` once.  Walk
-    ``rows[i]`` takes its next steps, at most its cap minus the ``taken[i]``
-    steps it has taken in this call.  ``codes[bounds[i]:bounds[i + 1]]`` are
-    the cells of those of its steps that the round expanded, in order, and
-    ``at`` holds the index of each among the walk's steps of the round.
-    ``stop`` returns, per row, the ``at`` of the step that ends the walk, or
-    -1 to take them all.  A walk that ends inside a block keeps the rest of
-    its words for its next operation.
+    two on 32 768), decodes them in one set of numpy calls, and calls
+    ``stop(codes, at, bounds, rows, taken)`` once.  Walk ``rows[i]`` takes
+    its next steps, at most its cap minus the ``taken[i]`` steps it has
+    taken in this call.  ``codes[bounds[i]:bounds[i + 1]]`` are the cells of
+    those of its steps that the round expanded, in order, and ``at`` holds
+    the index of each among the walk's steps of the round.  ``stop``
+    returns, per row, the ``at`` of the step that ends the walk, or -1 to
+    take them all.  Each walk then consumes its steps and drops the
+    round's decode, keeping the rest of its words.
 
-    ``near`` is the flat boolean table of the cells that ``stop`` may react
-    to, widened by ``_REACH`` (``near_table``): a round expands each byte
-    that starts or ends on it, and each walk's first word, so every step
-    onto a cell that ``stop`` reacts to is among the codes, and ``stop``
-    must ignore the other codes.  ``stop`` may change ``near`` in place
-    between rounds, as long as it keeps to this.
+    ``on`` is the flat boolean table of the cells ``stop`` reacts to; it
+    may clear cells of it, never set them.  The scan expands each byte
+    that starts or ends on ``near_table(on)``, and each walk's first word,
+    so every step onto ``on`` is among the codes; ``stop`` must ignore the
+    other codes.  A table made before ``stop`` cleared cells still holds
+    every cell it needs, so the scan makes it again only once ``on`` has
+    lost more than half the cells it was made from.
     """
     caps = [int(cap) for cap in caps]
     out: list = [None] * len(walks)
     taken = [0] * len(walks)
     queue = deque()
-    for walk in walks:
-        walk._keep_rest()
     for i, cap in enumerate(caps):
         if cap > 0:
             queue.append(i)
         else:
             out[i] = BudgetExceededError(f"{what(i)} within {cap} steps", steps_taken=0)
+    n = math.isqrt(on.size)
+    near_of = math.inf  # the cells of on that near was made from
     while queue:
+        left = np.count_nonzero(on)
+        if 2 * left < near_of:
+            near, near_of = near_table(on.reshape(n, n)), left
         rows, width = [], 0
         while queue:
             ahead = walks[queue[0]]._ahead()
@@ -550,21 +534,28 @@ def scan_group(walks, caps, near: np.ndarray, stop, what) -> list:
             width += ahead
         group = [walks[i] for i in rows]
         codes, at, bounds = _decode(group, near)
-        segs = [walk.peek_block() for walk in group]
-        full = [32 * w._words.size - w._skip for w in group]
-        sizes = [min(f, caps[i] - taken[i]) for i, f in zip(rows, full)]
-        if sizes != full:
-            # a walk that reaches its cap in this round is shown only the
-            # steps within it
-            cut = [w._at.searchsorted(np.int32(size)) for w, size in zip(group, sizes)]
-            codes = np.concatenate([seg[:c] for seg, c in zip(segs, cut)])
-            at = np.concatenate([w._at[:c] for w, c in zip(group, cut)])
-            bounds = np.array([0, *itertools.accumulate(cut)])
+        # one cut per walk: its skipped head leads its part (its first word
+        # is expanded in full), and a walk that reaches its cap in this round
+        # is shown only the steps within it
+        parts = list(itertools.pairwise(bounds.tolist()))
+        spans, sizes = [], []
+        for i, w, (a, b) in zip(rows, group, parts):
+            full = 32 * w._words.size - w._skip
+            size = min(full, caps[i] - taken[i])
+            a += w._skip
+            if size < full:
+                b = a + int(at[a:b].searchsorted(np.int32(size)))
+            w._codes = codes[a:b]
+            spans.append((a, b))
+            sizes.append(size)
+        segs = [w.peek_block() for w in group]  # every part is handed out through it
+        if spans != parts:
+            codes = np.concatenate(segs)
+            at = np.concatenate([at[a:b] for a, b in spans])
+            bounds = np.array([0, *itertools.accumulate(map(len, segs))])
         ends = stop(codes, at, bounds, np.array(rows), np.array([taken[i] for i in rows]))
         for i, size, end in zip(rows, sizes, ends.tolist()):
-            walk = walks[i]
-            walk.consume(size if end < 0 else end + 1)
-            walk._keep_rest()
+            walks[i].consume(size if end < 0 else end + 1)
             if end >= 0:
                 out[i] = taken[i] + end + 1
                 continue
@@ -606,8 +597,7 @@ def advance_group_to_mask(walks, mask: np.ndarray, caps, inclusive: bool = True)
     out = [0 if inclusive and flat[w.code] else None for w in walks]
     todo = [i for i, o in enumerate(out) if o is None]
     ran = scan_group(
-        [walks[i] for i in todo], [caps[i] for i in todo], near_table(mask), first_hit,
-        lambda i: "no hit",
+        [walks[i] for i in todo], [caps[i] for i in todo], flat, first_hit, lambda i: "no hit"
     )
     for i, o in zip(todo, ran):
         out[i] = o
@@ -643,13 +633,10 @@ def default_cover_budget(n: int) -> int:
 def cover_time(walk: WalkState, cap: int | None = None) -> int:
     """Steps this call takes until every torus vertex has been visited.
 
-    Unvisited cells are tracked in a flat boolean table and counted after
-    each round that visits a new one; only the round that covers the torus
-    is sorted, to find the step that reached its last new cell.  The scan's
-    ``near`` table is refreshed from the unvisited cells whenever they have
-    halved since it was last made: a stale table only holds more cells than
-    it need, and a refresh per round would cost, at n = 256, more than the
-    round's decode.
+    Unvisited cells are tracked in a flat boolean table, the scan's ``on``,
+    and counted after each round that visits a new one; only the round that
+    covers the torus is sorted, to find the step that reached its last new
+    cell.
     """
     n = walk.n
     if cap is None:
@@ -661,12 +648,9 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
     remaining = n * n - 1
     if remaining == 0:
         return 0
-    # every cell is within 1 of an unvisited one: near_table(unseen) is all
-    near = np.ones(n * n, dtype=bool)
-    near_of = remaining  # the unvisited cells that near was made from
 
     def last_new_cell(codes, at, bounds, rows, taken):
-        nonlocal remaining, near_of
+        nonlocal remaining
         idx = np.flatnonzero(unseen.take(codes))
         if idx.size == 0:
             return np.array([-1])
@@ -674,15 +658,12 @@ def cover_time(walk: WalkState, cap: int | None = None) -> int:
         unseen[new] = False
         remaining = np.count_nonzero(unseen)
         if remaining:
-            if 2 * remaining <= near_of:
-                near[:] = near_table(unseen.reshape(n, n))
-                near_of = remaining
             return np.array([-1])
         _, first = np.unique(new, return_index=True)
         return np.array([at[idx[first].max()]])
 
     ran = scan_group(
-        [walk], [cap], near, last_new_cell,
+        [walk], [cap], unseen, last_new_cell,
         lambda i: f"torus not covered ({remaining} cells left)",
     )
     return outcome_or_raise(ran[0])

@@ -457,6 +457,19 @@ def test_tilde_differs_for_interior_start():
     assert rec_b.counts[0] == 1
 
 
+def test_tilde_overrun_counts_both_phases():
+    # the walk first hits the r_1 circle at step 158 and overruns in the
+    # ladder: the overrun names the caller's cap and every step of the call
+    start, radii = TorusPoint(48, 32, N), [16, 4, 1]
+    r1 = exterior_boundary_mask(ball_mask(CENTER, radii[1]))
+    assert advance_to_mask(WalkState(start, seed=3, stream=1), r1, CAP) == 158
+    walk = WalkState(start, seed=3, stream=1)
+    with pytest.raises(BudgetExceededError) as err:
+        tilde_traversal(walk, CENTER, radii, 5, cap=208)
+    assert str(err.value) == "driving ladder finished only 0/5 departures within 208 steps"
+    assert err.value.steps_taken == walk.steps == 208
+
+
 def test_hat_dominated_by_tilde_pathwise():
     # Shared trajectory at the same center: inflated outer / deflated inner
     # circles can only lose traversals.

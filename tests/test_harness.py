@@ -91,7 +91,7 @@ def test_cover_experiment_small_run_and_failure_accounting(tmp_path, monkeypatch
     assert (tmp_path / "cover.csv").exists()
     # a starved budget records failures instead of raising; covering the
     # 16 x 16 torus takes at least 255 steps
-    monkeypatch.setattr(harness, "default_cover_budget", lambda n: 100)
+    monkeypatch.setattr(lattice, "default_cover_budget", lambda n: 100)
     starved = run_cover_experiment(
         ExperimentConfig(name="cover", n_values=(16,), trials=10, seed=3, workers=1)
     )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import coverlab
 from coverlab import lattice
+from coverlab.excursions import circle_machine
 from coverlab.lattice import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
@@ -27,7 +28,6 @@ from coverlab.lattice import (
     exterior_boundary_mask,
     hitting_time,
     mask_to_points,
-    near_table,
     philox_stream,
     scan_group,
     step,
@@ -135,15 +135,29 @@ def _int64_codes(moves, n, x, y):
     return ((x + np.cumsum(dx)) % n) * n + (y + np.cumsum(dy)) % n
 
 
-def _walk_codes(walk, total, slice_len):
-    """The next ``total`` codes of ``walk``, consumed ``slice_len`` at a time."""
+def _walk_codes(walk, total):
+    """The next ``total`` codes of ``walk``, one ``step`` at a time."""
+    return np.array([step(walk).code for _ in range(total)])
+
+
+def _scanned_codes(walk, total, slice_len):
+    """The next ``total`` codes of ``walk``, through ``scan_group`` calls of
+    caps of ``slice_len`` with every cell on ``on``: each round expands
+    every byte, and the stop callback records every code."""
     out = []
+
+    def record(codes, at, bounds, rows, taken):
+        assert np.array_equal(at, np.arange(codes.size))  # every step, in order
+        out.append(codes.copy())
+        return np.full(rows.size, -1)
+
+    on = np.ones(walk.n * walk.n, dtype=bool)
     got = 0
     while got < total:
-        codes = walk.peek_block()[: min(slice_len, total - got)]
-        out.append(codes.copy())
-        walk.consume(codes.size)
-        got += codes.size
+        cap = min(slice_len, total - got)
+        (overrun,) = scan_group([walk], [cap], on, record, str)
+        assert overrun.steps_taken == cap
+        got += cap
     return np.concatenate(out)
 
 
@@ -181,18 +195,18 @@ def test_first_moves_of_a_fixed_key_are_pinned():
     moves = np.array([int(c) for c in FIRST_MOVES_7_COVER_N16])
     assert moves.size == 64
     walk = WalkState(TorusPoint(0, 0, n), seed=STREAM_KEY_7_COVER_N16, stream=0)
-    assert np.array_equal(_walk_codes(walk, 64, 64), _int64_codes(moves, n, 0, 0))
+    assert np.array_equal(_walk_codes(walk, 64), _int64_codes(moves, n, 0, 0))
 
 
 @pytest.mark.parametrize("n", [3, 50, 128])
 def test_walk_stream_matches_the_format_3_formula(n):
     # 300 000 moves cross the doubling first blocks and nine full-size ones;
-    # odd slice lengths make consumption straddle every block boundary
+    # odd slice lengths make the scans' caps straddle every block boundary
     total = 300_000
     for seed, stream, slice_len in ((0, 0, 1 << 20), (7, 3, 9_999), (2**63 + 5, 2**40, 77_777)):
         x, y = seed % n, stream % n
         walk = WalkState(TorusPoint(x, y, n), seed=seed, stream=stream)
-        got = _walk_codes(walk, total, slice_len)
+        got = _scanned_codes(walk, total, slice_len)
         moves = _format3_moves(seed, stream, total)
         assert np.array_equal(got, _int64_codes(moves, n, x, y))
         assert walk.steps == total
@@ -396,7 +410,7 @@ def _make_walks(specs, n, seed):
 def _after(walk):
     """Where a walk stands, and its next 40 codes: they must continue its
     stream whatever the operation before them stopped on."""
-    return walk.steps, walk.code, _walk_codes(walk, 40, 7).tolist()
+    return walk.steps, walk.code, _walk_codes(walk, 40).tolist()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -463,7 +477,7 @@ def test_kept_moves_continue_the_stream():
         moves = _format3_moves(seed, t, steps + 500)
         want = _int64_codes(moves, n, 12, 12)
         assert used[t] == steps and mask.flat[want[steps - 1]]
-        assert np.array_equal(_walk_codes(walk, 500, 33), want[steps:])
+        assert np.array_equal(_walk_codes(walk, 500), want[steps:])
     # caps of 1 to 127 steps stop walks at every offset 0-31 of a word; the
     # single cell at L1 distance 128 lies beyond every cap
     n = 128
@@ -476,7 +490,34 @@ def test_kept_moves_continue_the_stream():
         assert isinstance(o, BudgetExceededError) and walk.steps == o.steps_taken == cap
         want = _int64_codes(_format3_moves(seed, cap, cap + 500), n, 0, 0)
         assert walk.code == want[cap - 1]
-        assert np.array_equal(_walk_codes(walk, 500, 500), want[cap:])
+        assert np.array_equal(_walk_codes(walk, 500), want[cap:])
+
+
+def test_operations_leave_no_decoded_block():
+    # after each public operation a walk holds only raw words, and the next
+    # moves that step reads from them are the stream's own
+    n, seed, start = 24, 31, (12, 12)
+
+    def fresh(streams):
+        return [WalkState(TorusPoint(*start, n), seed=seed, stream=t) for t in streams]
+
+    hits = fresh(range(12))
+    out = advance_group_to_mask(hits, ball_mask(TorusPoint(0, 0, n), 2.0), [10**6, 40] * 6)
+    assert {isinstance(o, BudgetExceededError) for o in out} == {True, False}
+    covered = fresh([12, 13])
+    cover_time(covered[0])
+    with pytest.raises(BudgetExceededError):
+        cover_time(covered[1], cap=100)
+    ladders = fresh(range(14, 20))
+    machine = circle_machine(TorusPoint(*start, n), [8.0, 2.0])
+    assert all(isinstance(o, tuple) for o in machine.run_group(ladders, 2, [10**6] * 6))
+    assert all(w._words.size for w in ladders)  # each ended inside a block
+    for t, walk in enumerate(hits + covered + ladders):
+        assert walk._codes.size == walk._ends.size == 0
+        steps = walk.steps
+        want = _int64_codes(_format3_moves(seed, t, steps + 500), n, *start)
+        assert steps > 0 and walk.code == want[steps - 1]
+        assert np.array_equal(_walk_codes(walk, 500), want[steps:])
 
 
 def test_scan_rounds_keep_to_the_block_and_round_limits(monkeypatch):
@@ -504,7 +545,8 @@ def test_scan_rounds_keep_to_the_block_and_round_limits(monkeypatch):
     # half the walks take the rest of their block, so that the rounds of a
     # second operation mix the words the others kept with fresh blocks
     for walk in walks[::2]:
-        walk.consume(walk.peek_block().size)
+        for _ in range(32 * walk._words.size - walk._skip):
+            step(walk)
     first = len(rounds)
     out = advance_group_to_mask(walks, ball_mask(TorusPoint(0, 0, n), 2.0), [10**6] * len(walks))
     assert all(not isinstance(o, BudgetExceededError) for o in out)
@@ -535,7 +577,7 @@ def test_grouped_decodes_match_the_format_3_formula(monkeypatch):
     walks = [WalkState(TorusPoint(x, y, n), seed=seed, stream=t) for t, (x, y) in enumerate(starts)]
     watched = np.zeros((n, n), dtype=bool)
     watched[0, :] = watched[:, 0] = True
-    near = near_table(watched)
+    on = watched.reshape(-1)
     done = [0] * len(walks)  # steps of the walk before this operation
     seen = [[] for _ in walks]
 
@@ -546,13 +588,13 @@ def test_grouped_decodes_match_the_format_3_formula(monkeypatch):
         return np.full(rows.size, -1)
 
     first = [1 + t % 127 for t in range(128)]
-    out = scan_group(walks, first, near, record, str)
+    out = scan_group(walks, first, on, record, str)
     assert [o.steps_taken for o in out] == first
     assert {walk._skip for walk in walks} == set(range(32))
     rounds.clear()
     done = first
     second = [3000] * 128
-    out = scan_group(walks, second, near, record, str)
+    out = scan_group(walks, second, on, record, str)
     assert [o.steps_taken for o in out] == second
     assert any(0 < kept < k for _, kept, k in rounds)
     assert max(size for size, _, _ in rounds) == _MAX_ROUND
