@@ -140,25 +140,26 @@ SRW_MAX_ITERS = 10_000_000  # batch sampler steps before it gives up
 def srw_traversal_samples(
     L: int, m: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorised batch of srw_traversal_counts draws, shape (size, L)."""
-    pos = np.ones(size, dtype=np.int64)
-    visits = np.zeros(size, dtype=np.int64)
+    """Vectorised batch of srw_traversal_counts draws, shape (size, L).
+
+    Every step draws one coin for each of the ``size`` walks, running or
+    not, and only the still-running rows are kept and moved.
+    """
     counts = np.zeros((size, L), dtype=np.int64)
     counts[:, 0] = 1
-    rows = np.arange(size)
+    rows = np.arange(size)  # the running walks, with their positions and visits
+    pos = np.ones(size, dtype=np.int64)
+    visits = np.zeros(size, dtype=np.int64)
     for _ in range(SRW_MAX_ITERS):
-        active = visits < m
-        if not active.any():
+        if rows.size == 0:
             return counts
         coin = rng.integers(0, 2, size=size)
-        p = pos[active]
-        up = np.where(p == 0, 1, np.where(p == L, 0, coin[active]))
-        newp = np.where(up == 1, p + 1, p - 1)
-        arow = rows[active]
-        upmask = up == 1
-        np.add.at(counts, (arow[upmask], p[upmask]), 1)
-        visits[arow[newp == 0]] += 1
-        pos[arow] = newp
+        up = (pos == 0) | ((pos != L) & (coin[rows] == 1))
+        counts[rows[up], pos[up]] += 1  # each row once, so no np.add.at
+        pos = np.where(up, pos + 1, pos - 1)
+        visits += pos == 0
+        running = visits < m
+        rows, pos, visits = rows[running], pos[running], visits[running]
     raise RuntimeError("batch sampler did not absorb within the iteration cap")
 
 
