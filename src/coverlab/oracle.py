@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import (
     TorusPoint,
@@ -73,6 +72,9 @@ class GridSystem:
         matrix[:k, :k] = self._hit_times(self.codes)
         matrix[k, k] = 0.0
         self._matrix = matrix
+        # imported here: the GW experiments build no system and skip LAPACK
+        from scipy.linalg import lu_factor
+
         self._lu = lu_factor(matrix)
 
     def _hit_times(self, sources: np.ndarray) -> np.ndarray:
@@ -94,6 +96,8 @@ class GridSystem:
         ``rhs`` is one vector of length k + 1 or a (k + 1, m) matrix of m
         right-hand sides, solved together.
         """
+        from scipy.linalg import lu_solve
+
         h = lu_solve(self._lu, rhs)
         resid = np.abs(self._matrix @ h - rhs).max()
         scale = max(1.0, np.abs(rhs).max())

@@ -663,11 +663,12 @@ def test_excursion_whose_circles_share_cells_is_a_usage_error(capsys):
 
 def test_harness_import_leaves_scipy_stats_out():
     # scipy.stats costs about a second of import; gw and stats use scipy.special.
-    # The oracle solves dense systems with scipy.linalg and needs no scipy.sparse
+    # The oracle needs no scipy.sparse, and GridSystem imports scipy.linalg
+    # only when it factors or solves, so the GW experiments never load LAPACK
     src = str(Path(coverlab.__file__).resolve().parents[1])
     code = (
-        "import sys, coverlab.harness; "
-        "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse'))])"
+        "import sys, coverlab.harness; print([m for m in sys.modules "
+        "if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.linalg'))])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
