@@ -187,6 +187,16 @@ def near_table(mask: np.ndarray) -> np.ndarray:
     return out.reshape(n, w)[:, _REACH : _REACH + n].reshape(-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _ball_cells(n: int) -> int:
+    """Cells of the L1 ball of radius ``_REACH`` on the n-torus: 4, 9, 11
+    and 13 for n = 2, 3, 4 and >= 5.  While fewer cells than this are off
+    ``on``, none of them is a whole ball, so ``near_table(on)`` is all true.
+    """
+    span = range(-_REACH, _REACH + 1)
+    return len({(dx % n, dy % n) for dx in span for dy in span if abs(dx) + abs(dy) <= _REACH})
+
+
 def points_to_mask(points, n: int) -> np.ndarray:
     mask = np.zeros((n, n), dtype=bool)
     for p in points:
@@ -508,7 +518,9 @@ def scan_group(walks, caps, on: np.ndarray, stop, what) -> list:
     so every step onto ``on`` is among the codes; ``stop`` must ignore the
     other codes.  A table made before ``stop`` cleared cells still holds
     every cell it needs, so the scan makes it again only once ``on`` has
-    lost more than half the cells it was made from.
+    lost more than half the cells it was made from.  While fewer cells are
+    off ``on`` than an L1 ball of radius 2 holds, the table is all true
+    and is not built.
     """
     caps = [int(cap) for cap in caps]
     out: list = [None] * len(walks)
@@ -524,7 +536,11 @@ def scan_group(walks, caps, on: np.ndarray, stop, what) -> list:
     while queue:
         left = np.count_nonzero(on)
         if 2 * left < near_of:
-            near, near_of = near_table(on.reshape(n, n)), left
+            if on.size - left < _ball_cells(n):
+                near = np.ones(on.size, dtype=bool)
+            else:
+                near = near_table(on.reshape(n, n))
+            near_of = left
         rows, width = [], 0
         while queue:
             ahead = walks[queue[0]]._ahead()

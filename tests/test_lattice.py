@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import os
 import subprocess
@@ -28,6 +29,7 @@ from coverlab.lattice import (
     exterior_boundary_mask,
     hitting_time,
     mask_to_points,
+    near_table,
     philox_stream,
     scan_group,
     step,
@@ -650,3 +652,42 @@ def test_scan_expands_every_byte_that_can_reach_a_watched_cell():
         assert np.array_equal([walk.code for walk in walks], end[:, 0] * n + end[:, 1])
         in_test_byte += np.count_nonzero((want > 32 - skip) & (want <= 36 - skip))
     assert in_test_byte > 32 * 256  # the test bytes hit often
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_near_table_is_all_true_while_fewer_cells_are_off_than_a_ball_holds(n):
+    # scan_group skips building near_table(on) while fewer than
+    # lattice._ball_cells(n) cells are off on: the table is then all true.
+    # Every such mask at n <= 4; at n = 5 and 6, every ball with one cell
+    # put back on (the off sets that come closest to a whole ball) and 3000
+    # random off sets of one cell short of a ball.  One whole ball off leaves
+    # its centre off the table, so the threshold cannot be raised.
+    ball = lattice._ball_cells(n)
+    assert ball == {2: 4, 3: 9, 4: 11}.get(n, 13)
+    cells = n * n
+    span = range(-2, 3)
+    balls = [
+        sorted({(c // n + dx) % n * n + (c % n + dy) % n
+                for dx in span for dy in span if abs(dx) + abs(dy) <= 2})
+        for c in range(cells)
+    ]
+    assert all(len(b) == ball for b in balls)
+
+    def near_of_off(off):
+        on = np.ones(cells, dtype=bool)
+        on[list(off)] = False
+        return near_table(on.reshape(n, n))
+
+    if n <= 4:
+        offs = itertools.chain.from_iterable(
+            itertools.combinations(range(cells), k) for k in range(ball)
+        )
+    else:
+        rng = np.random.default_rng(n)
+        offs = itertools.chain(
+            ([x for x in b if x != d] for b in balls for d in b),
+            (rng.choice(cells, ball - 1, replace=False) for _ in range(3000)),
+        )
+    assert all(near_of_off(off).all() for off in offs)
+    for c, b in enumerate(balls):
+        assert not near_of_off(b)[c]
