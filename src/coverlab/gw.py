@@ -5,6 +5,12 @@ population of m is a single NB(m, 1/2) draw); small joint laws are enumerated
 from the equivalent reflecting 1-D walk, which provides the independent oracle
 for the traversal correspondence.  Barrier events are estimated by Monte Carlo
 and checked against a band-restricted convolution DP.
+
+Monte Carlo paths come from one sampler, ``gw_generations``.  It draws each
+NB(m, 1/2) by inversion of a tabulated CDF with a guide table (Chen and Asau
+1974; Devroye, *Non-Uniform Random Variate Generation*, 1986, section III.2):
+one ``rng.random()`` per draw for m <= 64, and a population above 64 adds
+draws of at most 64 each, since NB(a) + NB(b) = NB(a + b).
 """
 
 from __future__ import annotations
@@ -14,12 +20,80 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import nbdtr, nbdtrc
 
 # the ufunc behind scipy.stats.nbinom.pmf, bit for bit; importing it from
 # scipy.special skips the import of scipy.stats
 from scipy.special._ufuncs import _nbinom_pmf
 
 from .stats import wilson_interval
+
+# NB(m, 1/2) inversion tables: rows m = 0.._NB_ROWS of the CDF on
+# j = 0.._NB_COLS - 1, each with _NB_GUIDE guide cells.  Row 0 is the law of
+# an extinct path, all mass at 0.
+_NB_ROWS = 64
+_NB_COLS = 256
+_NB_GUIDE = 2048
+# the most living paths one generation draws for at a time
+_NB_CHUNK = 16_384
+
+
+@functools.lru_cache(maxsize=1)
+def _nb_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, guide): cdf[m, j] = P(NB(m, 1/2) <= j), and guide[m, k] the
+    smallest j with cdf[m, j] >= k / _NB_GUIDE.
+
+    The mass beyond the last column is below 2^-60 in every row, so the
+    last column is set to 1.0 and every u < 1 finds its quantile.
+    """
+    cdf = np.ones((_NB_ROWS + 1, _NB_COLS))
+    guide = np.zeros((_NB_ROWS + 1, _NB_GUIDE), dtype=np.uint8)
+    cols = np.arange(_NB_COLS)
+    edges = np.arange(_NB_GUIDE) / _NB_GUIDE
+    for m in range(1, _NB_ROWS + 1):
+        if not nbdtrc(_NB_COLS - 1, m, 0.5) < 2.0**-60:
+            raise RuntimeError(f"NB({m}, 1/2) has mass beyond the table's last column")
+        row = cdf[m]
+        row[:-1] = nbdtr(cols[:-1], m, 0.5)
+        guide[m] = row.searchsorted(edges, side="left")
+    cdf.flags.writeable = False
+    guide.flags.writeable = False
+    return cdf, guide
+
+
+def _nb_quantile(m, u: np.ndarray) -> np.ndarray:
+    """The smallest j with P(NB(m, 1/2) <= j) >= u, per entry of ``u``, for
+    0 <= m <= 64 (one m, or one per entry).
+
+    u * 2048 is exact in float64, so the guide cell of u never lies above
+    its quantile, and the walk up the CDF row from it ends there.
+    """
+    cdf, guide = _nb_tables()
+    u = np.asarray(u, dtype=float)
+    m = np.broadcast_to(np.asarray(m, dtype=np.intp), u.shape)
+    row = m * _NB_COLS
+    j = guide.ravel()[m * _NB_GUIDE + (u * _NB_GUIDE).astype(np.intp)].astype(np.int64)
+    flat = cdf.ravel()
+    low = np.flatnonzero(flat[row + j] < u)
+    while low.size:
+        j[low] += 1
+        low = low[flat[row[low] + j[low]] < u[low]]
+    return j
+
+
+def _nb_draws(pop: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One NB(T, 1/2) draw per entry T >= 1 of ``pop``: a first round of
+    width min(T, 64) for every entry, then one more round of at most 64 for
+    each entry whose population is not spent, each round one rng.random call.
+    """
+    out = _nb_quantile(np.minimum(pop, _NB_ROWS), rng.random(pop.size))
+    rest = pop - _NB_ROWS
+    more = np.flatnonzero(rest > 0)
+    while more.size:
+        out[more] += _nb_quantile(np.minimum(rest[more], _NB_ROWS), rng.random(more.size))
+        rest[more] -= _NB_ROWS
+        more = more[rest[more] > 0]
+    return out
 
 
 def gw_generations(pop, rng: np.random.Generator):
@@ -28,13 +102,22 @@ def gw_generations(pop, rng: np.random.Generator):
     Each generation draws NB(T, 1/2) for the living paths only, in path
     order; extinct paths stay at zero and draw nothing.  Only the current
     generation is kept; the caller must not modify the yielded arrays.
+
+    Stream layout, per generation: the living paths, in index order, go in
+    chunks of at most 16 384.  Per chunk, split round r = 0, 1, ... makes one
+    ``rng.random(k)`` call, k the number of the chunk's paths with
+    T > 64 r, and each such path, in index order, adds the NB(min(T - 64 r,
+    64), 1/2) quantile of its uniform (``_nb_quantile``).  The law is
+    NB(T, 1/2) up to the float64 rounding of scipy's ``nbdtr`` and the 2^-53
+    grid of ``rng.random``.
     """
     pop = np.asarray(pop, dtype=np.int64)
     while True:
-        alive = pop > 0
         nxt = np.zeros_like(pop)
-        if alive.any():
-            nxt[alive] = rng.negative_binomial(pop[alive], 0.5)
+        alive = np.flatnonzero(pop > 0)
+        for start in range(0, alive.size, _NB_CHUNK):
+            rows = alive[start : start + _NB_CHUNK]
+            nxt[rows] = _nb_draws(pop[rows], rng)
         pop = nxt
         yield pop
 

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import nbdtr
 
+from coverlab import gw
 from coverlab.gw import (
     BarrierSpec,
     barrier_bands,
@@ -56,6 +58,77 @@ def test_trajectory_rejects_resurrection():
         assert np.array_equal(gen[live], ref)
         dead |= gen == 0
     assert dead[live].any()  # some live path died on the way and stayed dead
+
+
+def _nb_cdf_row(m):
+    """P(NB(m, 1/2) <= j) on j = 0..255, the last value 1.0: the sampler's
+    table row, from scipy's nbdtr directly."""
+    if m == 0:
+        return np.ones(256)
+    return np.append(nbdtr(np.arange(255), m, 0.5), 1.0)
+
+
+def test_nb_quantile_is_the_left_inverse_of_the_cdf():
+    # at every table row and at every u where a quantile can go wrong: each
+    # CDF value, its float64 neighbours on either side, and each guide edge
+    edges = np.arange(2048) / 2048
+    cdf, guide = gw._nb_tables()
+    for m in range(65):
+        row = _nb_cdf_row(m)
+        assert np.array_equal(cdf[m], row)
+        u = np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0), edges])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.searchsorted(row, u, "left")
+        assert np.array_equal(gw._nb_quantile(m, u), want)
+        assert np.array_equal(gw._nb_quantile(np.full(u.size, m), u), want)
+        assert np.array_equal(guide[m], np.searchsorted(row, edges, "left"))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 65, 130, 500])
+def test_one_generation_follows_the_nb_law(m):
+    # chi-square of 100 000 draws against the exact pmf, the values of
+    # expected count below 5 pooled into the two tails; 65, 130 and 500 take
+    # split rounds past the table's last row
+    size = 100_000
+    draws = _generation(m, 1, size, _rng(10 + m))
+    expected = size * one_step_pmf(m, m + 40 * math.isqrt(2 * m + 1))
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+    want = expected[lo : hi + 1].copy()
+    want[0] += expected[:lo].sum()
+    want[-1] += size - want.sum()
+    got = np.bincount(np.clip(draws, lo, hi) - lo, minlength=want.size)
+    stat = float(((got - want) ** 2 / want).sum())
+    assert chdtrc(want.size - 1, stat) > 1e-3
+
+
+def test_generations_follow_the_documented_stream_layout():
+    # a reference built from the docstring: per generation, the living paths
+    # in chunks of 16 384; per chunk, round r draws one uniform for each path
+    # with T > 64 r, in order, and adds the left inverse of the NB(min(T - 64 r,
+    # 64), 1/2) CDF at it
+    rows = {m: _nb_cdf_row(m) for m in range(1, 65)}
+    pop = _rng(11).integers(0, 300, size=40_000)
+    pop[::3] = 0  # dead paths take no uniform
+    own = _rng(12)
+    gens = gw_generations(pop, own)
+    rng = _rng(12)
+    want = pop.copy()
+    for _ in range(3):
+        nxt = np.zeros_like(want)
+        alive = np.flatnonzero(want > 0)
+        for start in range(0, alive.size, 16_384):
+            chunk = alive[start : start + 16_384]
+            for r in itertools.count():
+                sel = chunk[want[chunk] > 64 * r]
+                if sel.size == 0:
+                    break
+                u = rng.random(sel.size)
+                width = np.minimum(want[sel] - 64 * r, 64)
+                for w in np.unique(width):
+                    nxt[sel[width == w]] += np.searchsorted(rows[w], u[width == w], "left")
+        want = nxt
+        assert np.array_equal(next(gens), want)
+    assert own.random() == rng.random()  # and no uniform more or less
 
 
 def test_one_step_law_geometric_and_convolution():
