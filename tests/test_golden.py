@@ -18,12 +18,18 @@ placeholder 1 into its Monte Carlo standard-error cell.  The six walk
 digests (``cover``, ``excursion``, ``transfer``, ``curves``,
 ``curves.late`` and ``oracle-check``) were re-recorded on purpose once more
 for stream format 3, which reads 32 moves from each raw Philox word;
-``gw-check.csv`` and ``barrier.csv`` draw no walk and kept theirs.
+``gw-check.csv`` and ``barrier.csv`` draw no walk and kept theirs.  The
+three GW digests (``gw-check``, ``barrier`` and ``curves``, whose
+``gw_free`` rows are GW paths) were re-recorded on purpose when
+``gw.gw_generations`` began to draw NB(T, 1/2) by inverting a table of
+scipy's ``nbdtr`` with one ``Generator.random`` uniform per draw, in place
+of numpy's negative-binomial sampler; the five walk digests kept theirs.
 
-The digests depend on numpy's Philox and negative-binomial samplers and on
-scipy's solvers, so the versions they were taken under are recorded too,
-and a failure prints them next to the running ones: a mismatch under other
-versions may be a library change rather than an engine change.
+The digests depend on numpy's Philox generator (its raw words and its
+``random`` doubles) and on scipy's solvers and ``nbdtr``, so the versions
+they were taken under are recorded too, and a failure prints them next to
+the running ones: a mismatch under other versions may be a library change
+rather than an engine change.
 """
 
 import hashlib
@@ -51,9 +57,9 @@ GOLDEN = {
     "cover.csv": "aadde6324bde7c586b7eb637f642929b8b1d73b3b3f4fb9b678e97f77e080152",
     "excursion.csv": "75576d4841ca5669a42a13b26f30b2f608c0f65d2bbdf0d862e9fbd7105c4403",
     "transfer.csv": "da3aff100587594a2a6a4c64853dbf8f1b8c26af66af5afb663d25a1f7405d37",
-    "gw-check.csv": "40506e6e6737012cf89f2f500d1f1f8e530ef1ccba5cc1628f7625ce1f07804d",
-    "barrier.csv": "edb72e95cd77ae2edcd35ca99531ff48cae26e8969f23db0f8ca44867a91008f",
-    "curves.csv": "36593b16ec5d0eb51e823b05ee0e5e6eaa43c74a60741a997da090205628e423",
+    "gw-check.csv": "a19adb29552dbe2e67d504d15d56c14ff6a202e0192e68d9d275e16c0cfc36ba",
+    "barrier.csv": "7d3d74d8a1d6516cd93f444389d98d439a62cdf6d2664f2ae62ccbcc8e965ae7",
+    "curves.csv": "f3448e0b41408312cf220e8e5ad4234d358ae4efc07f22c42ef6c3a1fe99398c",
     "curves.late.csv": "57c2aad34badfc906f0d2323d8287d8c7b8de2cc9bf2a0d72831e7cd75e7baac",
     "oracle-check.csv": "9787c7011b682a7443b5ca59a2ad6258537b7a0a85e915aef5d7d30cb7daf1e0",
 }
