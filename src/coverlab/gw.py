@@ -20,11 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import nbdtr, nbdtrc
-
-# the ufunc behind scipy.stats.nbinom.pmf, bit for bit; importing it from
-# scipy.special skips the import of scipy.stats
-from scipy.special._ufuncs import _nbinom_pmf
 
 from .stats import wilson_interval
 
@@ -46,6 +41,8 @@ def _nb_tables() -> tuple[np.ndarray, np.ndarray]:
     The mass beyond the last column is below 2^-60 in every row, so the
     last column is set to 1.0 and every u < 1 finds its quantile.
     """
+    from scipy.special import nbdtr, nbdtrc
+
     cdf = np.ones((_NB_ROWS + 1, _NB_COLS))
     guide = np.zeros((_NB_ROWS + 1, _NB_GUIDE), dtype=np.uint8)
     cols = np.arange(_NB_COLS)
@@ -138,6 +135,11 @@ def sub_gaussian_envelope(m: int, m_prime: int, i: int) -> float:
 
 def one_step_pmf(m: int, jmax: int) -> np.ndarray:
     """Exact law of one generation from population m on 0..jmax."""
+    # the ufunc behind scipy.stats.nbinom.pmf, bit for bit; importing it from
+    # scipy.special skips scipy.stats, and importing it here, as every user
+    # of scipy.special in this module does, keeps it out of the walk experiments
+    from scipy.special._ufuncs import _nbinom_pmf
+
     if m == 0:
         out = np.zeros(jmax + 1)
         out[0] = 1.0
@@ -152,6 +154,8 @@ def transition_matrix(cap: int) -> np.ndarray:
     The last matrix built is kept and returned read-only: the iterated laws
     and barrier sweeps ask for one cap many times in a row.
     """
+    from scipy.special._ufuncs import _nbinom_pmf
+
     M = np.zeros((cap + 1, cap + 1))
     M[0, 0] = 1.0
     ks = np.arange(1, cap + 1)
@@ -174,6 +178,8 @@ def iterate_law(m: int, k: int, cap: int) -> np.ndarray:
 
 def gw_joint_prob(m: int, vec) -> float:
     """P_m[(T_1, ..., T_k) = vec] by the Markov chain of NB transitions."""
+    from scipy.special._ufuncs import _nbinom_pmf
+
     prob = 1.0
     prev = m
     for v in vec:

@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,6 +174,9 @@ def _map_trials(cfg: ExperimentConfig, experiment: str, section: str, run, start
     if workers <= 1:
         out = _run_chunk((run, key, start, range(n_trials)))
     else:
+        # imported here: a serial run skips the import and its memory
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = workers * 4
         ranges = [range(i, n_trials, chunks) for i in range(chunks)]
         out = {}
@@ -627,13 +629,15 @@ def run_gw_equivalence(cfg: ExperimentConfig) -> ExperimentResult:
     samples = cfg.trials or 100_000
     rng1 = philox_stream(stream_key(cfg.seed, "gw-check", "srw"), 0)
     rng2 = philox_stream(stream_key(cfg.seed, "gw-check", "gw"), 0)
+    levels = (1, 3, 5)
     srw = gw.srw_traversal_samples(10, 5, samples, rng1)
-    for level in (1, 3, 5):
+    srw = {level: srw[:, level].copy() for level in levels}  # drop the other columns
+    for level in levels:
         generations = gw.gw_generations(np.full(samples, 5), rng2)
         gw_samp = next(itertools.islice(generations, level - 1, None))
-        hi = int(max(srw[:, level].max(), gw_samp.max())) + 1
+        hi = int(max(srw[level].max(), gw_samp.max())) + 1
         _, p = stats.two_sample_chisquare(
-            np.bincount(srw[:, level], minlength=hi),
+            np.bincount(srw[level], minlength=hi),
             np.bincount(gw_samp, minlength=hi),
         )
         row(f"two_sample_T{level}", "chisq_p", p, pmin, p > pmin)

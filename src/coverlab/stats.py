@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -100,6 +99,9 @@ def two_sample_chisquare(counts_a, counts_b) -> tuple[float, float]:
         terms = (k1 * a - k2 * b) ** 2 / (a + b)
     stat = float(np.nansum(terms))
     df = a.size - 1
+    # imported here: the walk experiments test no sample and skip scipy.special
+    from scipy.special import chdtrc
+
     return stat, float(chdtrc(df, stat))
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import nbdtr
+from scipy.special import chdtrc, nbdtr
 
 from coverlab import gw
 from coverlab.gw import (
@@ -23,7 +23,7 @@ from coverlab.gw import (
     sub_gaussian_envelope,
     transition_matrix,
 )
-from coverlab.stats import chdtrc, two_sample_chisquare
+from coverlab.stats import two_sample_chisquare
 
 
 def _rng(seed=0):

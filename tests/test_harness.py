@@ -662,13 +662,15 @@ def test_excursion_whose_circles_share_cells_is_a_usage_error(capsys):
 
 
 def test_harness_import_leaves_scipy_stats_out():
-    # scipy.stats costs about a second of import; gw and stats use scipy.special.
-    # The oracle needs no scipy.sparse, and GridSystem imports scipy.linalg
-    # only when it factors or solves, so the GW experiments never load LAPACK
+    # scipy.stats costs about a second of import. The oracle needs no
+    # scipy.sparse, and GridSystem imports scipy.linalg only when it factors
+    # or solves, so the GW experiments never load LAPACK; gw and stats import
+    # scipy.special only in the functions that call it, so the walk
+    # experiments that test no sample never load it
     src = str(Path(coverlab.__file__).resolve().parents[1])
     code = (
-        "import sys, coverlab.harness; print([m for m in sys.modules "
-        "if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.linalg'))])"
+        "import sys, coverlab.harness; print([m for m in sys.modules if m.startswith("
+        "('scipy.stats', 'scipy.sparse', 'scipy.linalg', 'scipy.special'))])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
