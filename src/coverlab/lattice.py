@@ -27,7 +27,12 @@ builds ``near`` itself, and no other code decodes moves.
 Moves are read straight from the raw 64-bit Philox words, 32 to a word
 (stream format 3): move k is the bit pair 2(k mod 32), 2(k mod 32) + 1 of
 raw word k // 32, so byte j of a word, read little-endian, holds its moves
-4j to 4j + 3, the low pair first.  Every block drawn from a stream is a
+4j to 4j + 3, the low pair first.  Philox4x64-10 makes the words four to a
+block, in lane order, and increments its counter before each block, so
+format 3 is one formula: move k is bit pair 2(k mod 32) of lane
+(k // 32) mod 4 of block (k // 128) + 1, the block at that counter under
+the key ``(seed, stream)``.  ``tests/philox_reference.py`` writes the
+generator out in pure Python.  Every block drawn from a stream is a
 multiple of 32 moves, so no word is split between blocks.  Raw words are
 the engine's only form of moves: a walk keeps the words it has not
 finished and how many moves of the first it took, and its next round

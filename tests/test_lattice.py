@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverlab
+import philox_reference
 from coverlab import lattice
 from coverlab.excursions import circle_machine
 from coverlab.lattice import (
@@ -213,6 +214,41 @@ def test_walk_stream_matches_the_format_3_formula(n):
         assert np.array_equal(got, _int64_codes(moves, n, x, y))
         assert walk.steps == total
         assert walk.code == got[-1]
+
+
+# every key a stream-formula test draws from: the walk formula tests above and
+# below, and the GW samplers' layout tests in tests/test_gw.py
+FORMULA_KEYS = (
+    (0, 0), (7, 3), (2**63 + 5, 2**40), (STREAM_KEY_7_COVER_N16, 0),
+    (11, 0), (11, 39), (31, 5), (12, 0), (23, 0), (24, 0),
+)
+
+
+def test_philox_raw_words_match_the_written_reference():
+    # 1 001 words cross 250 block boundaries and end inside a block; the
+    # advanced streams carry out of counter lane 0, and one is drawn from
+    # the middle of a block, whose unread words advance drops
+    for key in FORMULA_KEYS:
+        got = philox_stream(*key).bit_generator.random_raw(1001)
+        assert [int(w) for w in got] == philox_reference.raw_words(key, 1001)
+    for delta in (2**64 - 3, 2**70 + 5, 2**200 + 2**64 - 1):
+        bits = philox_stream(12, 0).bit_generator
+        bits.advance(delta)
+        got = bits.random_raw(23)
+        assert [int(w) for w in got] == philox_reference.raw_words((12, 0), 23, delta)
+        bits.random_raw(2)
+        bits.advance(delta)
+        got = bits.random_raw(9)
+        assert [int(w) for w in got] == philox_reference.raw_words((12, 0), 9, 2 * delta + 7)
+
+
+def test_format_3_moves_follow_from_the_written_philox():
+    # move k is bit pair 2(k mod 32) of lane (k // 32) mod 4 of block k // 128 + 1
+    key = (STREAM_KEY_7_COVER_N16, 0)
+    blocks = {c: philox_reference.block(c, key) for c in (1, 2, 3)}
+    moves = [blocks[k // 128 + 1][k // 32 % 4] >> 2 * (k % 32) & 3 for k in range(300)]
+    assert "".join(map(str, moves[:64])) == FIRST_MOVES_7_COVER_N16
+    assert np.array_equal(moves, _format3_moves(*key, 300))
 
 
 def test_walk_rejects_a_side_beyond_int32_codes():
