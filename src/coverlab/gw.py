@@ -11,6 +11,12 @@ NB(m, 1/2) by inversion of a tabulated CDF with a guide table (Chen and Asau
 1974; Devroye, *Non-Uniform Random Variate Generation*, 1986, section III.2):
 one ``rng.random()`` per draw for m <= 64, and a population above 64 adds
 draws of at most 64 each, since NB(a) + NB(b) = NB(a + b).
+
+The walk's traversal counts have one batch sampler, ``srw_traversal_samples``,
+beside the scalar per-step reference ``srw_traversal_counts``.  It moves every
+running walk eight steps with one read of a table keyed by position and a byte
+of eight coins (``_srw_tables``), and it draws coin bytes for the running walks
+only; its docstring gives the stream layout.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lattice import _bytes
 from .stats import wilson_interval
 
 # NB(m, 1/2) inversion tables: rows m = 0.._NB_ROWS of the CDF on
@@ -224,32 +231,81 @@ def srw_traversal_counts(L: int, m: int, rng: np.random.Generator) -> np.ndarray
 
 
 SRW_MAX_ITERS = 10_000_000  # batch sampler steps before it gives up
+# the most walks the batch sampler moves at a time
+_SRW_CHUNK = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _srw_tables(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(end, hits, inc, upto): eight steps of the walk on {0..L} from each
+    position p under each coin byte b, keyed p * 256 + b, coin k being bit k
+    of b and each step the rule of ``srw_traversal_counts``.
+
+    end[key] is the position after the eight steps and hits[key] the number
+    of 0-visits among them; inc[key] holds the up-crossings per edge over
+    the eight steps, and upto[key, v] those up to the step of the v-th
+    0-visit, v = 1..4: eight steps hold at most four.
+    """
+    keys = np.arange((L + 1) * 256)
+    pos, byte = keys >> 8, keys & 255
+    hits = np.zeros(keys.size, dtype=np.intp)
+    inc = np.zeros((keys.size, L), dtype=np.int8)
+    upto = np.zeros((keys.size, 5, L), dtype=np.int8)
+    for k in range(8):
+        up = np.flatnonzero((pos == 0) | ((pos != L) & (byte >> k & 1 == 1)))
+        inc[up, pos[up]] += 1
+        pos = pos - 1
+        pos[up] += 2
+        zero = np.flatnonzero(pos == 0)
+        hits[zero] += 1
+        upto[zero, hits[zero]] = inc[zero]
+    return pos, hits, inc, upto
 
 
 def srw_traversal_samples(
     L: int, m: int, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorised batch of srw_traversal_counts draws, shape (size, L).
+    """Batch of ``size`` srw_traversal_counts draws, int64 of shape (size, L).
 
-    Every step draws one coin for each of the ``size`` walks, running or
-    not, and only the still-running rows are kept and moved.
+    Every round moves each running walk eight steps with one read of
+    ``_srw_tables(L)`` and draws coins for the running walks only.
+
+    Stream layout: the walks go in chunks of at most 4 096, in index order,
+    each chunk run until all its walks finish.  Per chunk, each round makes
+    one ``rng.bit_generator.random_raw(ceil(R / 8))`` call, R the number of
+    the chunk's running walks, and running walk j, in index order, takes
+    byte j of those words read little-endian (``lattice._bytes``); its k-th
+    step of the round, k = 0..7, reads coin bit k of the byte, used only
+    strictly between 0 and L.  A walk whose m-th 0-visit falls in the round
+    stops there, and the rest of its byte goes unused.
     """
-    counts = np.zeros((size, L), dtype=np.int64)
-    counts[:, 0] = 1
-    rows = np.arange(size)  # the running walks, with their positions and visits
-    pos = np.ones(size, dtype=np.int64)
-    visits = np.zeros(size, dtype=np.int64)
-    for _ in range(SRW_MAX_ITERS):
-        if rows.size == 0:
-            return counts
-        coin = rng.integers(0, 2, size=size)
-        up = (pos == 0) | ((pos != L) & (coin[rows] == 1))
-        counts[rows[up], pos[up]] += 1  # each row once, so no np.add.at
-        pos = np.where(up, pos + 1, pos - 1)
-        visits += pos == 0
-        running = visits < m
-        rows, pos, visits = rows[running], pos[running], visits[running]
-    raise RuntimeError("batch sampler did not absorb within the iteration cap")
+    if L < 2 or m < 1:
+        raise ValueError("need L >= 2 and m >= 1")
+    end, hits, inc, upto = _srw_tables(L)
+    bits = rng.bit_generator
+    out = np.empty((size, L), dtype=np.int64)
+    for lo in range(0, size, _SRW_CHUNK):
+        rows = np.arange(lo, min(lo + _SRW_CHUNK, size))  # the running walks
+        acc = np.zeros((rows.size, L), dtype=np.int32)  # their counts so far
+        acc[:, 0] = 1
+        pos = np.ones(rows.size, dtype=np.intp)
+        visits = np.zeros(rows.size, dtype=np.intp)
+        for _ in range(SRW_MAX_ITERS // 8):
+            key = pos * 256 + _bytes(bits.random_raw(-(-rows.size // 8)))[: rows.size]
+            now = visits + hits[key]
+            done = now >= m
+            if done.any():
+                d = np.flatnonzero(done)
+                out[rows[d]] = acc[d] + upto[key[d], m - visits[d]]
+                run = ~done
+                rows, key, now, acc = rows[run], key[run], now[run], acc[run]
+                if not rows.size:
+                    break
+            acc += inc[key]
+            pos, visits = end[key], now
+        else:
+            raise RuntimeError("batch sampler did not absorb within the iteration cap")
+    return out
 
 
 # enumerate_traversal_law: counts above ENUM_COUNT_CAP overflow

@@ -261,6 +261,64 @@ def test_srw_enumeration_equals_gw_joint_law():
             assert total + overflow == pytest.approx(1.0, abs=1e-9)
 
 
+def _srw_reference(L, m, size, rng):
+    """srw_traversal_samples by its docstring's stream layout, one step at a
+    time: chunks of 4 096 walks; per round, one random_raw call of ceil(R / 8)
+    words, running walk j taking byte j, little-endian, and coin k of a byte
+    being its bit k."""
+    out = np.zeros((size, L), dtype=np.int64)
+    for lo in range(0, size, 4096):
+        walks = {t: [1, 0] for t in range(lo, min(lo + 4096, size))}  # position, visits
+        out[lo : lo + 4096, 0] = 1
+        while walks:
+            raw = rng.bit_generator.random_raw(-(-len(walks) // 8))
+            coins = raw.astype("<u8").tobytes()
+            for j, t in enumerate(list(walks)):
+                pos, visits = walks[t]
+                for k in range(8):
+                    if pos == 0 or (pos < L and coins[j] >> k & 1):
+                        out[t, pos] += 1
+                        pos += 1
+                    else:
+                        pos -= 1
+                    visits += pos == 0
+                    if visits == m:
+                        del walks[t]
+                        break
+                else:
+                    walks[t] = [pos, visits]
+    return out
+
+
+@pytest.mark.parametrize("L, m", [(3, 1), (3, 5), (10, 1), (10, 5)])
+def test_srw_sampler_follows_the_documented_stream_layout(L, m):
+    # 4 100 walks cross the chunk edge at 4 096
+    own = _rng(23)
+    got = srw_traversal_samples(L, m, 4100, own)
+    rng = _rng(23)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _srw_reference(L, m, 4100, rng))
+    assert own.bit_generator.random_raw() == rng.bit_generator.random_raw()
+
+
+def test_srw_sampler_follows_the_exact_joint_law():
+    # the enumerated law of (T_0, T_1, T_2) at L = 3, m = 2, with every cell
+    # expected fewer than 5 times, and the overflow, pooled into one cell
+    size = 100_000
+    law = enumerate_traversal_law(3, 2)
+    law.pop("overflow")
+    cells = sorted((c for c, p in law.items() if p * size >= 5), key=law.get)
+    index = {c: i for i, c in enumerate(cells)}
+    want = np.append([law[c] * size for c in cells], 0.0)
+    want[-1] = size - want[:-1].sum()
+    assert want[-1] >= 5
+    got = np.zeros(want.size)
+    for counts in srw_traversal_samples(3, 2, size, _rng(24)):
+        got[index.get(tuple(counts), -1)] += 1
+    stat = float(((got - want) ** 2 / want).sum())
+    assert chdtrc(want.size - 1, stat) > 1e-3
+
+
 def test_srw_sampler_matches_scalar_version_statistically():
     rng = _rng(6)
     batch = srw_traversal_samples(4, 2, 40_000, rng)
