@@ -24,6 +24,11 @@ three GW digests (``gw-check``, ``barrier`` and ``curves``, whose
 ``gw.gw_generations`` began to draw NB(T, 1/2) by inverting a table of
 scipy's ``nbdtr`` with one ``Generator.random`` uniform per draw, in place
 of numpy's negative-binomial sampler; the five walk digests kept theirs.
+``gw-check.csv`` alone was re-recorded on purpose once more when
+``gw.srw_traversal_samples`` began to step its 1-D walks eight moves per
+table read, one coin byte per running walk from ``random_raw``, in place
+of one ``Generator.integers`` coin per walk and step: only its three
+``two_sample_T*`` p-values moved.
 
 The digests depend on numpy's Philox generator (its raw words and its
 ``random`` doubles) and on scipy's solvers and ``nbdtr``, so the versions
@@ -57,7 +62,7 @@ GOLDEN = {
     "cover.csv": "aadde6324bde7c586b7eb637f642929b8b1d73b3b3f4fb9b678e97f77e080152",
     "excursion.csv": "75576d4841ca5669a42a13b26f30b2f608c0f65d2bbdf0d862e9fbd7105c4403",
     "transfer.csv": "da3aff100587594a2a6a4c64853dbf8f1b8c26af66af5afb663d25a1f7405d37",
-    "gw-check.csv": "a19adb29552dbe2e67d504d15d56c14ff6a202e0192e68d9d275e16c0cfc36ba",
+    "gw-check.csv": "d86672bb9f135f917ba96bcabcca361032c2e625e24c22e934dd12950d620578",
     "barrier.csv": "7d3d74d8a1d6516cd93f444389d98d439a62cdf6d2664f2ae62ccbcc8e965ae7",
     "curves.csv": "f3448e0b41408312cf220e8e5ad4234d358ae4efc07f22c42ef6c3a1fe99398c",
     "curves.late.csv": "57c2aad34badfc906f0d2323d8287d8c7b8de2cc9bf2a0d72831e7cd75e7baac",
