@@ -143,8 +143,8 @@ def sub_gaussian_envelope(m: int, m_prime: int, i: int) -> float:
 def one_step_pmf(m: int, jmax: int) -> np.ndarray:
     """Exact law of one generation from population m on 0..jmax."""
     # the ufunc behind scipy.stats.nbinom.pmf, bit for bit; importing it from
-    # scipy.special skips scipy.stats, and importing it here, as every user
-    # of scipy.special in this module does, keeps it out of the walk experiments
+    # scipy.special skips scipy.stats.  Each function here imports from
+    # scipy.special when called, so an experiment that calls none skips it.
     from scipy.special._ufuncs import _nbinom_pmf
 
     if m == 0:

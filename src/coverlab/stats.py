@@ -99,7 +99,7 @@ def two_sample_chisquare(counts_a, counts_b) -> tuple[float, float]:
         terms = (k1 * a - k2 * b) ** 2 / (a + b)
     stat = float(np.nansum(terms))
     df = a.size - 1
-    # imported here: the walk experiments test no sample and skip scipy.special
+    # imported here: an experiment that tests no sample skips scipy.special
     from scipy.special import chdtrc
 
     return stat, float(chdtrc(df, stat))
